@@ -2,8 +2,11 @@
 
 Instances are the perspectives built from the eight cataloged level
 sequences and the fifteen fixed-point permutations (both axis sizes).
-Classification groups them by canonical certificate and records the free
-five-clique census and automorphism order of each.  Reference constants
+Classification first quotients the catalog by the center-fixing direct and
+flip maps of `perspective_iso`, then groups the orbit representatives by
+canonical certificate and records the free five-clique census and
+automorphism order of each; every orbit member shares its
+representative's values through a verified witness.  Reference constants
 carry the reference counts; `expectation_checks` compares a computed
 report against them without hiding disagreements.
 """
@@ -18,10 +21,22 @@ from functools import lru_cache
 from typing import Optional
 
 from .analysis import enumerate_free_cliques
-from .constructions import Perspective, perspective, veblen, veblen_label
-from .isomorphism import automorphism_group, canonical_certificate
+from .constructions import (
+    Perspective,
+    apply_pair_map,
+    perspective,
+    veblen,
+    veblen_label,
+)
+from .isomorphism import (
+    _build_iso,
+    _center_fixing_maps,
+    _row_lifts,
+    automorphism_group,
+    canonical_certificate,
+)
 from .perms import Perm, parse_cycles
-from .skews import PhiSequence, phi_sequence, skew_from_phi
+from .skews import PhiSequence, Skew, phi_sequence, skew_from_phi
 
 
 def _phi(top: str, inner: str) -> PhiSequence:
@@ -92,10 +107,18 @@ def build_instance(key: InstanceKey) -> Perspective:
 
 @dataclass(frozen=True)
 class InstanceSummary:
+    """Per-instance results plus the center-fixing map that joined the
+    instance to its orbit: ``kind`` is "representative" (``phi`` None),
+    or "direct" / "flip" with the row permutation ``phi`` carrying the
+    representative onto this instance (see `perspective_iso`)."""
+
     key: InstanceKey
     free_clique_count: int
     aut_order: int
     class_id: int
+    representative: InstanceKey
+    kind: str
+    phi: Optional[Perm]
 
 
 @dataclass(frozen=True)
@@ -112,7 +135,8 @@ class ClassificationReport:
     """Everything the downstream checks need: per-instance data, the
     certificate classes, the headline counts over f >= 2, the s=5 pair set
     with three or more free five-cliques, the instances with nontrivial
-    automorphism group, and coarse phase timings."""
+    automorphism group, and phase timings in seconds ("orbits", "stats",
+    "grouping", "total")."""
 
     instances: dict[InstanceKey, InstanceSummary]
     classes: tuple[ClassSummary, ...]
@@ -132,6 +156,44 @@ def _instance_stats(coords: tuple[int, int, int]):
     return coords, cliques, cert, order
 
 
+OrbitLink = tuple[InstanceKey, str, Optional[Perm]]
+
+
+def _center_fixing_orbits() -> dict[InstanceKey, OrbitLink]:
+    """Quotient the catalog by the center-fixing maps of `perspective_iso`.
+
+    For phi in S4 and b = bar(phi), the direct map sends (sigma, axis) to
+    (b sigma b^-1, b(axis)) and the flip map to (b sigma^-1 b^-1,
+    b sigma(axis)).  Together they are an action of S4 x Z2, so the images
+    of one representative are its whole orbit.  Walking the catalog in
+    order, each instance not yet reached becomes a representative; every
+    image that is a catalog instance joins its orbit once `_build_iso` has
+    verified the witness line for line.  Maps each key to (representative,
+    kind, phi).
+    """
+    persps = {key: build_instance(key) for key in ALL_KEYS}
+    # skew -> axis lines -> key; most images leave the eight catalog skews
+    index: dict[Skew, dict[tuple, InstanceKey]] = {}
+    for key, p in persps.items():
+        index.setdefault(p.skew, {})[p.axis.lines] = key
+    lifts = _row_lifts(4)
+    links: dict[InstanceKey, OrbitLink] = {}
+    for rep in ALL_KEYS:
+        if rep in links:
+            continue
+        links[rep] = (rep, "representative", None)
+        persp = persps[rep]
+        for kind, phi, image, c_map in _center_fixing_maps(persp.skew, lifts):
+            if image not in index:
+                continue
+            key = index[image].get(apply_pair_map(persp.axis, c_map).lines)
+            if key is None or key in links:
+                continue
+            _build_iso(persp, persps[key], kind, phi, c_map)
+            links[key] = (rep, kind, phi)
+    return links
+
+
 def _resolve_threads(threads: Optional[int]) -> int:
     if threads is None:
         threads = int(os.environ.get("SKEWPER_THREADS", "1"))
@@ -143,35 +205,44 @@ def _resolve_threads(threads: Optional[int]) -> int:
 def classify_all(threads: Optional[int] = None) -> ClassificationReport:
     """Classify all 240 catalog instances.
 
-    Deterministic for any thread count: work is keyed and results are
-    assembled in catalog order.
+    Only the representatives of `_center_fixing_orbits` are canonized; each
+    member takes its representative's free-clique count, certificate and
+    group order, which are isomorphism invariants.  Deterministic for any
+    thread count: work is keyed and results are assembled in catalog
+    order.
     """
     threads = _resolve_threads(threads)
     start = time.perf_counter()
-    coords = [(k.f, k.s, k.i) for k in ALL_KEYS]
+    links = _center_fixing_orbits()
+    orbits_done = time.perf_counter()
+    coords = [(k.f, k.s, k.i) for k in ALL_KEYS if links[k][0] == k]
     if threads == 1:
         raw = [_instance_stats(c) for c in coords]
     else:
+        # small chunks: one representative can cost as much as twenty others
+        chunksize = max(1, len(coords) // (4 * threads))
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(_instance_stats, coords, chunksize=16))
+            raw = list(pool.map(_instance_stats, coords, chunksize=chunksize))
     stats_done = time.perf_counter()
 
-    raw.sort(key=lambda item: item[0])
+    stats = {InstanceKey(*c): (cliques, cert, order) for c, cliques, cert, order in raw}
     class_of_cert: dict[tuple, int] = {}
     members: dict[int, list[InstanceKey]] = {}
-    data: dict[InstanceKey, tuple[int, int, int]] = {}
-    for coords_key, cliques, cert, order in raw:
-        key = InstanceKey(*coords_key)
+    instances: dict[InstanceKey, InstanceSummary] = {}
+    for key in ALL_KEYS:
+        rep, kind, phi = links[key]
+        cliques, cert, order = stats[rep]
         cid = class_of_cert.setdefault(cert, len(class_of_cert))
         members.setdefault(cid, []).append(key)
-        data[key] = (cliques, order, cid)
-
-    instances = {
-        key: InstanceSummary(
-            key=key, free_clique_count=c, aut_order=o, class_id=cid
+        instances[key] = InstanceSummary(
+            key=key,
+            free_clique_count=cliques,
+            aut_order=order,
+            class_id=cid,
+            representative=rep,
+            kind=kind,
+            phi=phi,
         )
-        for key, (c, o, cid) in data.items()
-    }
     classes = tuple(
         ClassSummary(
             class_id=cid,
@@ -209,7 +280,8 @@ def classify_all(threads: Optional[int] = None) -> ClassificationReport:
         three_plus_pairs_s5=pairs,
         nontrivial_aut=nontrivial,
         timings={
-            "stats": stats_done - start,
+            "orbits": orbits_done - start,
+            "stats": stats_done - orbits_done,
             "grouping": end - stats_done,
             "total": end - start,
         },

@@ -81,14 +81,14 @@ def _cmd_analyze(args) -> int:
             print(f"  {violation}")
         return 1
     print(f"{config.num_points} points, {len(config.lines)} lines")
-    try:
-        params = parameters(config)
+    params = parameters(config)
+    if params.binomial_n is None:
+        print("not a binomial configuration")
+    else:
         print(
-            f"binomial parameters: ({params.nu}_{set(params.rank_multiset).pop()}"
+            f"binomial parameters: ({params.nu}_{params.binomial_n - 2}"
             f" {params.b}_3), n = {params.binomial_n}"
         )
-    except ValueError:
-        print("not a binomial configuration")
     if args.cliques is not None:
         cliques = enumerate_free_cliques(config, args.cliques)
         print(f"free {args.cliques}-cliques: {len(cliques)}")

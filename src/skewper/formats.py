@@ -6,6 +6,8 @@ psts/1 layout::
     <p> <q> <r>          (one line per triple, 0-based ids, sorted)
     # label <id> <name>  (optional; all points or none; name runs to EOL)
 
+The parser rejects, with ValueError, a line whose points are not three
+distinct ids in 0..num_points-1 and a line that repeats an earlier one.
 All emitters produce byte-stable output for equal configurations.
 """
 
@@ -32,6 +34,7 @@ def emit_psts(config: Config) -> str:
 def parse_psts(text: str) -> Config:
     header: Optional[tuple[int, int]] = None
     lines: list[tuple[int, int, int]] = []
+    seen: set[tuple[int, int, int]] = set()
     labels: dict[int, str] = {}
     for raw in text.splitlines():
         stripped = raw.strip()
@@ -51,7 +54,15 @@ def parse_psts(text: str) -> Config:
         pts = stripped.split()
         if len(pts) != 3:
             raise ValueError(f"bad line {stripped!r}; expected three point ids")
-        lines.append(tuple(int(x) for x in pts))
+        line = tuple(sorted(int(x) for x in pts))
+        if len(set(line)) != 3:
+            raise ValueError(f"bad line {stripped!r}; expected three distinct points")
+        if not all(0 <= x < header[0] for x in line):
+            raise ValueError(f"bad line {stripped!r}; point ids must lie in 0..{header[0] - 1}")
+        if line in seen:
+            raise ValueError(f"bad line {stripped!r}; it repeats an earlier line")
+        seen.add(line)
+        lines.append(line)
     if header is None:
         raise ValueError("missing header")
     nu, b = header

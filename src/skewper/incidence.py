@@ -157,10 +157,6 @@ def join(config: Config, x: int, y: int) -> Optional[int]:
     return table.get((x, y) if x < y else (y, x))
 
 
-def lines_through(config: Config, point: int) -> tuple[Line, ...]:
-    return tuple(L for L in config.lines if point in L)
-
-
 def collinear(config: Config, x: int, y: int, z: int) -> bool:
     return len({x, y, z}) == 3 and join(config, x, y) == z
 

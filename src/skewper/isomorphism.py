@@ -205,31 +205,40 @@ def _axis_lines_match(axis1: Config, pair_map: Skew, axis2: Config) -> bool:
     return apply_pair_map(axis1, pair_map).lines == axis2.lines
 
 
+def _row_lifts(n: int) -> list[tuple[Perm, Skew, Skew]]:
+    """(phi, bar(phi), bar(phi)^-1) for every point permutation phi of
+    the row indices 1..n."""
+    lifts = []
+    for phi in symmetric_group(n):
+        bar = bar_alpha(phi)
+        lifts.append((phi, bar, bar.inverse()))
+    return lifts
+
+
+def _center_fixing_maps(sigma: Skew, lifts: list[tuple[Perm, Skew, Skew]]):
+    """The direct and flip maps out of a perspective with skew sigma, one
+    pair per entry of `_row_lifts`, as (kind, phi, image skew, pair map
+    carrying the axis).  With b = bar(phi): direct gives b sigma b^-1 and
+    b; flip gives b sigma^-1 b^-1 and b sigma."""
+    sigma_inv = sigma.inverse()
+    for phi, bar, bar_inv in lifts:
+        yield "direct", phi, bar * sigma * bar_inv, bar
+        yield "flip", phi, bar * sigma_inv * bar_inv, bar * sigma
+
+
 def perspective_iso(p1: Perspective, p2: Perspective) -> Optional[PerspectiveIso]:
     """Search the center-fixing isomorphisms p1 -> p2.
 
     For each point permutation phi of the row indices, a direct hit needs
     the pair lift of phi to intertwine the skews and carry axis to axis; a
-    flip composes with the a/b swap and uses the inverted target skew.
+    flip composes with the a/b swap and uses the inverted source skew.
     The first hit is verified line-for-line and returned.
     """
     if p1.n != p2.n:
         raise ValueError("perspectives have different numbers of rows")
-    n = p1.n
-    sigma1, sigma2 = p1.skew, p2.skew
-    for phi in symmetric_group(n):
-        bar = bar_alpha(phi)
-        if (
-            bar * sigma1 == sigma2 * bar
-            and _axis_lines_match(p1.axis, bar, p2.axis)
-        ):
-            return _build_iso(p1, p2, "direct", phi, bar)
-        flip_map = sigma2.inverse() * bar
-        if (
-            bar * sigma1 == flip_map
-            and _axis_lines_match(p1.axis, flip_map, p2.axis)
-        ):
-            return _build_iso(p1, p2, "flip", phi, flip_map)
+    for kind, phi, image, c_map in _center_fixing_maps(p1.skew, _row_lifts(p1.n)):
+        if image == p2.skew and _axis_lines_match(p1.axis, c_map, p2.axis):
+            return _build_iso(p1, p2, kind, phi, c_map)
     return None
 
 

@@ -195,10 +195,3 @@ def conjugator(p: Perm, q: Perm) -> Perm:
             for u, v in zip(cp, cq):
                 images[u - 1] = v
     return Perm(tuple(images))
-
-
-def permutations_with_fixed_point(n: int) -> Iterator[Perm]:
-    """All permutations of {1..n} that fix at least one element."""
-    for p in symmetric_group(n):
-        if p.fixed_points():
-            yield p

@@ -6,10 +6,13 @@ collisions) serve as anchors.
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 
+from skewper.analysis import enumerate_free_cliques
 from skewper.classify import (
+    ALL_KEYS,
     EXPECTED_NONTRIVIAL_AUT,
     EXPECTED_REPRESENTATIVES,
     EXPECTED_THREE_PLUS_CLASSES,
@@ -24,9 +27,14 @@ from skewper.classify import (
     expectation_checks,
 )
 from skewper.constructions import grassmannian, kappa, perspective
-from skewper.isomorphism import are_isomorphic, perspective_iso
+from skewper.isomorphism import (
+    are_isomorphic,
+    automorphism_group,
+    canonical_certificate,
+    perspective_iso,
+)
 from skewper.perms import parse_cycles
-from skewper.skews import skew_from_phi, zeta
+from skewper.skews import all_pairs, bar_alpha, skew_from_phi, zeta
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +202,76 @@ class TestClassifyAll:
         assert [cls.members for cls in parallel.classes] == [
             cls.members for cls in report.classes
         ]
+
+
+def center_fixing_witness(p1, p2, kind, phi):
+    """The point map of a direct or flip center-fixing map, written out
+    from its definition: rows follow phi (a flip also trades a and b), the
+    axial points follow bar(phi), composed with the skew of p1 for a flip."""
+    bar = bar_alpha(phi)
+    c_map = bar if kind == "direct" else bar * p1.skew
+    rows1 = (p1.labeling.a, p1.labeling.b)
+    rows2 = (p2.labeling.a, p2.labeling.b)
+    if kind == "flip":
+        rows2 = rows2[::-1]
+    witness = {p1.labeling.center: p2.labeling.center}
+    for row1, row2 in zip(rows1, rows2):
+        for i in range(1, p1.n + 1):
+            witness[row1[i - 1]] = row2[phi(i) - 1]
+    for u in all_pairs(p1.n):
+        witness[p1.labeling.c[u]] = p2.labeling.c[c_map(u)]
+    return witness
+
+
+class TestOrbitQuotient:
+    def test_orbit_sizes(self, report):
+        kinds = Counter(s.kind for s in report.instances.values())
+        assert kinds == {"representative": 70, "direct": 72, "flip": 98}
+        for key, summary in report.instances.items():
+            rep = report.instances[summary.representative]
+            assert rep.kind == "representative"
+            assert rep.representative == rep.key
+            assert (summary.phi is None) == (summary.kind == "representative")
+        assert set(report.timings) == {"orbits", "stats", "grouping", "total"}
+
+    def test_recorded_maps_are_isomorphisms(self, report):
+        for key, summary in report.instances.items():
+            if summary.kind == "representative":
+                continue
+            p1 = build_instance(summary.representative)
+            p2 = build_instance(key)
+            witness = center_fixing_witness(p1, p2, summary.kind, summary.phi)
+            assert sorted(witness.values()) == list(range(15))
+            mapped = {tuple(sorted(witness[x] for x in L)) for L in p1.config.lines}
+            assert mapped == set(p2.config.lines), key
+
+
+@pytest.fixture(scope="module")
+def canonized_directly():
+    """Every instance canonized on its own, with no orbit quotient:
+    (free five-clique count, group order, certificate)."""
+    out = {}
+    for key in ALL_KEYS:
+        config = build_instance(key).config
+        out[key] = (
+            len(enumerate_free_cliques(config, 5)),
+            automorphism_group(config).order,
+            canonical_certificate(config).canonical_lines,
+        )
+    return out
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_orbit_quotient_matches_direct_canonization(canonized_directly, threads):
+    report = classify_all(threads=threads)
+    class_of_cert = {}
+    for key in ALL_KEYS:
+        cliques, order, cert = canonized_directly[key]
+        summary = report.instances[key]
+        assert (summary.free_clique_count, summary.aut_order) == (cliques, order), key
+        assert canonized_directly[summary.representative][2] == cert, key
+        assert summary.class_id == class_of_cert.setdefault(cert, len(class_of_cert))
+    assert len(report.classes) == len(class_of_cert)
 
 
 def backtrack_iso(c1, c2):

@@ -147,6 +147,14 @@ class TestAnalyze:
         assert code == 1
         assert "error" in err
 
+    def test_not_binomial(self, run, tmp_path):
+        path = tmp_path / "one_line.psts"
+        path.write_text("psts 4 1\n0 1 2\n")
+        code, out, _ = run("analyze", str(path))
+        assert code == 0
+        assert "not a binomial configuration" in out
+        assert "binomial parameters" not in out
+
 
 class TestIso:
     def test_self_iso_identity_witness(self, run, grass_instance_file):
@@ -179,6 +187,20 @@ class TestIso:
         code, out, _ = run("iso", grass_instance_file, str(other))
         assert code == 1
         assert "not isomorphic" in out
+
+    def test_out_of_range_point_is_an_error(self, run, tmp_path, grass_instance_file):
+        config = parse_psts(open(grass_instance_file).read())
+        lines = list(config.lines)
+        lines[0] = (lines[0][0], lines[0][1], config.num_points)
+        bad = tmp_path / "bad.psts"
+        bad.write_text(
+            f"psts {config.num_points} {len(lines)}\n"
+            + "".join(f"{a} {b} {c}\n" for a, b, c in lines)
+        )
+        code, out, err = run("iso", str(bad), grass_instance_file)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestClassify:

@@ -82,6 +82,15 @@ class TestPstsFormat:
         with pytest.raises(ValueError, match="expected 2"):
             parse_psts("psts 3 2\n0 1 2\n")
 
+    def test_repeated_line_rejected(self):
+        with pytest.raises(ValueError, match="repeats"):
+            parse_psts("psts 4 2\n0 1 2\n2 1 0\n")
+
+    @pytest.mark.parametrize("line", ["0 1 4", "0 1 -1", "0 1 1"])
+    def test_bad_point_ids_rejected(self, line):
+        with pytest.raises(ValueError, match="bad line"):
+            parse_psts(f"psts 4 1\n{line}\n")
+
     def test_emission_independent_of_input_order(self):
         a = make_config(5, [(2, 1, 0), (4, 3, 0)])
         b = make_config(5, [(0, 3, 4), (0, 1, 2)])
