@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .incidence import Config, Line, join, parameters
+from .incidence import Config, Line, is_isomorphism, join, parameters
 from .perms import Perm, symmetric_group
 from .skews import (
     Pair,
@@ -41,21 +41,13 @@ class FreeClique:
     edge_lines: Mapping[frozenset, Line]
 
 
-def _edge_line_table(config: Config) -> dict[frozenset, Line]:
-    table: dict[frozenset, Line] = {}
-    for L in config.lines:
-        for x, y in itertools.combinations(L, 2):
-            table[frozenset((x, y))] = L
-    return table
-
-
 def freely_contains(config: Config, vertices: Iterable[int]) -> Optional[FreeClique]:
     """The free complete subgraph on the given vertices, or None."""
     vs = sorted(set(vertices))
-    table = _edge_line_table(config)
+    table = config.line_of_pair
     edge_lines: dict[frozenset, Line] = {}
     for x, y in itertools.combinations(vs, 2):
-        line = table.get(frozenset((x, y)))
+        line = table.get((x, y))
         if line is None:
             return None
         edge_lines[frozenset((x, y))] = line
@@ -73,23 +65,24 @@ def enumerate_free_cliques(config: Config, m: int) -> list[FreeClique]:
     """All size-m vertex sets carrying a free complete graph, in ascending
     vertex order.  Backtracks over the collinearity graph; the conditions
     are hereditary, so any extension of a failing set is pruned."""
-    table = _edge_line_table(config)
+    if m < 0:
+        raise ValueError(f"clique size must be non-negative, got {m}")
+    table = config.line_of_pair
 
     def compatible(
         current: list[int], edge_lines: dict[frozenset, Line], v: int
     ) -> Optional[dict[frozenset, Line]]:
         new_edges: dict[frozenset, Line] = {}
         for u in current:
-            line = table.get(frozenset((u, v)))
+            line = table.get((u, v))  # u < v: v extends the ascending list
             if line is None:
                 return None
             new_edges[frozenset((u, v))] = line
-        used = set(map(tuple, edge_lines.values()))
+        used = set(edge_lines.values())
         for line in new_edges.values():
-            t = tuple(line)
-            if t in used:
+            if line in used:
                 return None
-            used.add(t)
+            used.add(line)
         # the new edges all share v, so only new-against-old pairs can be
         # disjoint edges
         for e_new, line_new in new_edges.items():
@@ -265,8 +258,7 @@ def reperspective(persp: Perspective) -> Reperspective:
     witness[lab.b[n - 1]] = new_lab.b[n - 1]
     for u in all_pairs(n - 1):
         witness[lab.c[u]] = new_lab.c[u]
-    mapped = {tuple(sorted(witness[x] for x in L)) for L in persp.config.lines}
-    if mapped != set(rebuilt.config.lines):
+    if not is_isomorphism(persp.config, rebuilt.config, witness):
         raise RuntimeError("internal error: re-centering witness failed verification")
     return Reperspective(rho=rho, rho0=rho0, axis=new_axis, witness=witness, rebuilt=rebuilt)
 

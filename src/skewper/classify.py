@@ -13,7 +13,6 @@ report against them without hiding disagreements.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -194,15 +193,7 @@ def _center_fixing_orbits() -> dict[InstanceKey, OrbitLink]:
     return links
 
 
-def _resolve_threads(threads: Optional[int]) -> int:
-    if threads is None:
-        threads = int(os.environ.get("SKEWPER_THREADS", "1"))
-    if threads < 1:
-        raise ValueError(f"thread count must be positive, got {threads}")
-    return threads
-
-
-def classify_all(threads: Optional[int] = None) -> ClassificationReport:
+def classify_all(threads: int = 1) -> ClassificationReport:
     """Classify all 240 catalog instances.
 
     Only the representatives of `_center_fixing_orbits` are canonized; each
@@ -211,7 +202,8 @@ def classify_all(threads: Optional[int] = None) -> ClassificationReport:
     thread count: work is keyed and results are assembled in catalog
     order.
     """
-    threads = _resolve_threads(threads)
+    if threads < 1:
+        raise ValueError(f"thread count must be positive, got {threads}")
     start = time.perf_counter()
     links = _center_fixing_orbits()
     orbits_done = time.perf_counter()

@@ -226,8 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     classify.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help="worker count (default: SKEWPER_THREADS or 1)",
+        default=1,
+        help="worker count (default 1)",
     )
     classify.set_defaults(handler=_cmd_classify)
 

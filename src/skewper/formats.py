@@ -1,4 +1,4 @@
-"""Serialization: the psts/1 text format, a JSON mirror, and DOT emitters.
+"""Serialization: the psts/1 text format, and JSON and DOT emitters.
 
 psts/1 layout::
 
@@ -6,8 +6,9 @@ psts/1 layout::
     <p> <q> <r>          (one line per triple, 0-based ids, sorted)
     # label <id> <name>  (optional; all points or none; name runs to EOL)
 
-The parser rejects, with ValueError, a line whose points are not three
-distinct ids in 0..num_points-1 and a line that repeats an earlier one.
+The parser rejects, with ValueError, a negative count in the header, a line
+whose points are not three distinct ids in 0..num_points-1 and a line that
+repeats an earlier one.  JSON is export-only.
 All emitters produce byte-stable output for equal configurations.
 """
 
@@ -50,6 +51,8 @@ def parse_psts(text: str) -> Config:
             if len(fields) != 3 or fields[0] != FORMAT_NAME:
                 raise ValueError(f"bad header {stripped!r}; expected '{FORMAT_NAME} <points> <lines>'")
             header = (int(fields[1]), int(fields[2]))
+            if min(header) < 0:
+                raise ValueError(f"bad header {stripped!r}; counts must be non-negative")
             continue
         pts = stripped.split()
         if len(pts) != 3:
@@ -83,11 +86,6 @@ def emit_json(config: Config) -> str:
         "labels": list(config.labels) if config.labels is not None else None,
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def parse_json(text: str) -> Config:
-    doc = json.loads(text)
-    return make_config(doc["num_points"], doc["lines"], doc.get("labels"))
 
 
 def _quote(name: str) -> str:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Line = tuple[int, int, int]
 
@@ -20,12 +21,33 @@ class Config:
     """An incidence structure with 3-element lines.
 
     ``lines`` is a sorted tuple of sorted 3-tuples of point ids, and
-    ``labels``, when present, maps point id -> name positionally.
+    ``labels``, when present, maps point id -> name positionally.  The
+    derived incidence views are computed on first use and kept on the
+    instance; they are not fields, so equality, hashing and every emitter
+    see only the three fields.
     """
 
     num_points: int
     lines: tuple[Line, ...]
     labels: Optional[tuple[str, ...]] = None
+
+    @cached_property
+    def lines_by_point(self) -> tuple[tuple[Line, ...], ...]:
+        """The lines through each point, in line order."""
+        through: list[list[Line]] = [[] for _ in range(self.num_points)]
+        for L in self.lines:
+            for x in L:
+                through[x].append(L)
+        return tuple(map(tuple, through))
+
+    @cached_property
+    def line_of_pair(self) -> dict[tuple[int, int], Line]:
+        """The line through each collinear pair (x, y) with x < y."""
+        return {pair: L for L in self.lines for pair in itertools.combinations(L, 2)}
+
+    @cached_property
+    def line_set(self) -> frozenset[Line]:
+        return frozenset(self.lines)
 
     def label_of(self, point: int) -> str:
         if self.labels is not None:
@@ -108,10 +130,7 @@ def parameters(config: Config) -> ConfigParams:
     report = validate(config)
     if not report.ok:
         raise ValueError("invalid configuration: " + "; ".join(report.violations))
-    rank = [0] * config.num_points
-    for L in config.lines:
-        for x in L:
-            rank[x] += 1
+    rank = [len(through) for through in config.lines_by_point]
     nu, b = config.num_points, len(config.lines)
     binomial_n: Optional[int] = None
     for n in range(3, nu + 3):
@@ -127,19 +146,6 @@ def parameters(config: Config) -> ConfigParams:
     )
 
 
-def _join_table(config: Config) -> dict[tuple[int, int], int]:
-    table: dict[tuple[int, int], int] = {}
-    for L in config.lines:
-        a, b, c = L
-        table[(a, b)] = c
-        table[(a, c)] = b
-        table[(b, c)] = a
-    return table
-
-
-_JOIN_CACHE: dict[int, tuple[Config, dict[tuple[int, int], int]]] = {}
-
-
 def join(config: Config, x: int, y: int) -> Optional[int]:
     """The third point of the line through x and y, or None if not collinear.
 
@@ -147,18 +153,31 @@ def join(config: Config, x: int, y: int) -> Optional[int]:
     """
     if x == y:
         return x
-    key = id(config)
-    cached = _JOIN_CACHE.get(key)
-    if cached is None or cached[0] is not config:
-        _JOIN_CACHE[key] = (config, _join_table(config))
-        if len(_JOIN_CACHE) > 256:
-            _JOIN_CACHE.pop(next(iter(_JOIN_CACHE)))
-    table = _JOIN_CACHE[key][1]
-    return table.get((x, y) if x < y else (y, x))
+    line = config.line_of_pair.get((x, y) if x < y else (y, x))
+    if line is None:
+        return None
+    return sum(line) - x - y
 
 
-def collinear(config: Config, x: int, y: int, z: int) -> bool:
-    return len({x, y, z}) == 3 and join(config, x, y) == z
+def is_isomorphism(
+    c1: Config, c2: Config, f: Union[Sequence[int], Mapping[int, int]]
+) -> bool:
+    """Whether f, indexed by the points of c1, is a bijection onto the
+    points of c2 carrying the lines of c1 exactly onto those of c2."""
+    n = c1.num_points
+    if n != c2.num_points or len(c1.lines) != len(c2.lines) or len(f) != n:
+        return False
+    try:
+        images = [f[x] for x in range(n)]
+    except KeyError:
+        return False
+    if sorted(images) != list(range(n)):
+        return False
+    lines2 = c2.line_set
+    return all(
+        tuple(sorted([images[x], images[y], images[z]])) in lines2
+        for x, y, z in c1.lines
+    )
 
 
 def relabel(config: Config, f: Mapping[int, int]) -> Config:

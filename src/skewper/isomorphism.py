@@ -10,12 +10,11 @@ which gives the group for free.
 
 from __future__ import annotations
 
-import itertools
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Mapping, Optional
+from typing import Optional
 
-from .incidence import Config, Line
+from .incidence import Config, Line, is_isomorphism
 from .perms import Perm, symmetric_group
 from .skews import Skew, all_pairs, bar_alpha
 from .constructions import Perspective, apply_pair_map
@@ -88,13 +87,18 @@ def _certificate_of(colors: tuple[int, ...], lines) -> tuple[Line, ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def _canonize(num_points: int, lines: tuple[Line, ...]):
-    lines_by_point = [[] for _ in range(num_points)]
-    for L in lines:
-        for x in L:
-            lines_by_point[x].append(L)
-    leaves = _leaves(num_points, lines, lines_by_point)
+# Config -> (certificate, relabeling, automorphisms).  The certificate and
+# the group of one configuration come from one tree search; an entry lives
+# as long as its Config.
+_CANON_MEMO: weakref.WeakKeyDictionary[Config, tuple] = weakref.WeakKeyDictionary()
+
+
+def _canonize(config: Config):
+    cached = _CANON_MEMO.get(config)
+    if cached is not None:
+        return cached
+    num_points, lines = config.num_points, config.lines
+    leaves = _leaves(num_points, lines, config.lines_by_point)
     best: Optional[tuple[Line, ...]] = None
     best_leaves: list[tuple[int, ...]] = []
     for leaf in leaves:
@@ -110,11 +114,12 @@ def _canonize(num_points: int, lines: tuple[Line, ...]):
     automorphisms = sorted(
         {tuple(base_inv[leaf[p]] for p in range(num_points)) for leaf in best_leaves}
     )
-    return best, base, tuple(automorphisms)
+    result = _CANON_MEMO[config] = (best, base, tuple(automorphisms))
+    return result
 
 
 def canonical_certificate(config: Config) -> CanonicalCertificate:
-    lines_canon, relabeling, _ = _canonize(config.num_points, config.lines)
+    lines_canon, relabeling, _ = _canonize(config)
     return CanonicalCertificate(canonical_lines=lines_canon, relabeling=relabeling)
 
 
@@ -131,8 +136,7 @@ def are_isomorphic(c1: Config, c2: Config) -> Optional[dict[int, int]]:
     for p, c in enumerate(cert2.relabeling):
         inverse2[c] = p
     witness = {p: inverse2[cert1.relabeling[p]] for p in range(c1.num_points)}
-    mapped = {tuple(sorted(witness[x] for x in L)) for L in c1.lines}
-    if mapped != set(c2.lines):
+    if not is_isomorphism(c1, c2, witness):
         raise RuntimeError("internal error: certificate witness failed verification")
     return witness
 
@@ -161,10 +165,9 @@ def _greedy_generators(
 
 
 def automorphism_group(config: Config) -> AutomorphismGroup:
-    _, _, elements = _canonize(config.num_points, config.lines)
-    lines = {frozenset(L) for L in config.lines}
+    _, _, elements = _canonize(config)
     for g in elements:
-        if any(frozenset(g[x] for x in L) not in lines for L in config.lines):
+        if not is_isomorphism(config, config, g):
             raise RuntimeError("internal error: invalid automorphism produced")
     return AutomorphismGroup(
         order=len(elements),
@@ -184,8 +187,7 @@ def s_map(persp: Perspective) -> dict[int, int]:
         mapping[lab.b[i]] = lab.a[i]
     for u in all_pairs(persp.n):
         mapping[lab.c[u]] = lab.c[persp.skew(u)]
-    mapped = {tuple(sorted(mapping[x] for x in L)) for L in persp.config.lines}
-    if mapped != set(persp.config.lines):
+    if not is_isomorphism(persp.config, persp.config, mapping):
         raise ValueError("the a/b swap is not an automorphism of this perspective")
     return mapping
 
@@ -199,10 +201,6 @@ class PerspectiveIso:
     kind: str
     phi: Perm
     witness: dict[int, int]
-
-
-def _axis_lines_match(axis1: Config, pair_map: Skew, axis2: Config) -> bool:
-    return apply_pair_map(axis1, pair_map).lines == axis2.lines
 
 
 def _row_lifts(n: int) -> list[tuple[Perm, Skew, Skew]]:
@@ -237,7 +235,7 @@ def perspective_iso(p1: Perspective, p2: Perspective) -> Optional[PerspectiveIso
     if p1.n != p2.n:
         raise ValueError("perspectives have different numbers of rows")
     for kind, phi, image, c_map in _center_fixing_maps(p1.skew, _row_lifts(p1.n)):
-        if image == p2.skew and _axis_lines_match(p1.axis, c_map, p2.axis):
+        if image == p2.skew and apply_pair_map(p1.axis, c_map).lines == p2.axis.lines:
             return _build_iso(p1, p2, kind, phi, c_map)
     return None
 
@@ -257,7 +255,6 @@ def _build_iso(
     pair_map = bar_alpha(phi) if kind == "direct" else c_map
     for u in all_pairs(p1.n):
         witness[lab1.c[u]] = lab2.c[pair_map(u)]
-    mapped = {tuple(sorted(witness[x] for x in L)) for L in p1.config.lines}
-    if mapped != set(p2.config.lines):
+    if not is_isomorphism(p1.config, p2.config, witness):
         raise RuntimeError("internal error: center-fixing witness failed verification")
     return PerspectiveIso(kind=kind, phi=phi, witness=witness)

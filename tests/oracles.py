@@ -1,0 +1,69 @@
+"""Isomorphism searches independent of the package's canonical-form
+machinery and of its incidence views, shared by the tests as oracles.
+
+Both generators yield every line-preserving point bijection c1 -> c2 as an
+image tuple, in lexicographic order: `next(gen, None)` is a witness or
+None, and counting the yields on (c, c) gives the automorphism group order.
+"""
+
+import itertools
+
+
+def brute_isos(c1, c2):
+    """Every line-preserving bijection, by trying all permutations."""
+    if c1.num_points != c2.num_points or len(c1.lines) != len(c2.lines):
+        return
+    target = {frozenset(L) for L in c2.lines}
+    for per in itertools.permutations(range(c2.num_points)):
+        if all(frozenset(per[x] for x in L) in target for L in c1.lines):
+            yield per
+
+
+def _collinearity(c):
+    adj = {p: set() for p in range(c.num_points)}
+    for L in c.lines:
+        for x, y in itertools.combinations(L, 2):
+            adj[x].add(y)
+            adj[y].add(x)
+    return adj
+
+
+def backtrack_isos(c1, c2):
+    """Every line-preserving bijection, by depth-first image assignment
+    pruned by rank, by collinearity agreement and by fully-assigned
+    lines."""
+    n = c1.num_points
+    if n != c2.num_points or len(c1.lines) != len(c2.lines):
+        return
+    lines2 = {frozenset(L) for L in c2.lines}
+    adj1, adj2 = _collinearity(c1), _collinearity(c2)
+    rank1 = [sum(1 for L in c1.lines if p in L) for p in range(n)]
+    rank2 = [sum(1 for L in c2.lines if p in L) for p in range(n)]
+    lines_by_max = {p: [] for p in range(n)}
+    for L in c1.lines:
+        lines_by_max[max(L)].append(L)
+    image = [-1] * n
+    used = [False] * n
+
+    def extend(p):
+        if p == n:
+            if all(frozenset(image[x] for x in L) in lines2 for L in c1.lines):
+                yield tuple(image)
+            return
+        for q in range(n):
+            if used[q] or rank1[p] != rank2[q]:
+                continue
+            if any((u in adj1[p]) != (image[u] in adj2[q]) for u in range(p)):
+                continue
+            if any(
+                frozenset(q if x == p else image[x] for x in L) not in lines2
+                for L in lines_by_max[p]
+            ):
+                continue
+            image[p] = q
+            used[q] = True
+            yield from extend(p + 1)
+            used[q] = False
+        image[p] = -1
+
+    yield from extend(0)

@@ -5,7 +5,6 @@ data; known coincidences (the Grassmannian instance, conjugation
 collisions) serve as anchors.
 """
 
-import itertools
 from collections import Counter
 
 import pytest
@@ -35,6 +34,8 @@ from skewper.isomorphism import (
 )
 from skewper.perms import parse_cycles
 from skewper.skews import all_pairs, bar_alpha, skew_from_phi, zeta
+
+from oracles import backtrack_isos
 
 
 @pytest.fixture(scope="module")
@@ -274,58 +275,6 @@ def test_orbit_quotient_matches_direct_canonization(canonized_directly, threads)
     assert len(report.classes) == len(class_of_cert)
 
 
-def backtrack_iso(c1, c2):
-    """Exhaustive line-preserving bijection search, independent of the
-    canonical-form machinery.  Returns a witness tuple or None."""
-    n = c1.num_points
-    if n != c2.num_points or len(c1.lines) != len(c2.lines):
-        return None
-    lines2 = {frozenset(L) for L in c2.lines}
-    adj1 = {p: set() for p in range(n)}
-    adj2 = {p: set() for p in range(n)}
-    for L in c1.lines:
-        for x, y in itertools.combinations(L, 2):
-            adj1[x].add(y)
-            adj1[y].add(x)
-    for L in c2.lines:
-        for x, y in itertools.combinations(L, 2):
-            adj2[x].add(y)
-            adj2[y].add(x)
-    rank1 = [sum(1 for L in c1.lines if p in L) for p in range(n)]
-    rank2 = [sum(1 for L in c2.lines if p in L) for p in range(n)]
-    lines_by_max = {p: [] for p in range(n)}
-    for L in c1.lines:
-        lines_by_max[max(L)].append(L)
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(p):
-        if p == n:
-            if all(frozenset(image[x] for x in L) in lines2 for L in c1.lines):
-                return tuple(image)
-            return None
-        for q in range(n):
-            if used[q] or rank1[p] != rank2[q]:
-                continue
-            if any((u in adj1[p]) != (image[u] in adj2[q]) for u in range(p)):
-                continue
-            if any(
-                frozenset(q if x == p else image[x] for x in L) not in lines2
-                for L in lines_by_max[p]
-            ):
-                continue
-            image[p] = q
-            used[q] = True
-            r = extend(p + 1)
-            used[q] = False
-            if r is not None:
-                return r
-        image[p] = -1
-        return None
-
-    return extend(0)
-
-
 # Values computed by this package's exhaustive run and re-verified by the
 # independent backtracking searcher and by hand-checked sample witnesses.
 TRUE_TWO_K5_CLASSES = 47
@@ -403,7 +352,7 @@ class TestComputedTruth:
     def test_cross_axis_type_collision_backtracked(self, report):
         c1 = build_instance(InstanceKey(2, 5, 6)).config
         c2 = build_instance(InstanceKey(2, 6, 7)).config
-        witness = backtrack_iso(c1, c2)
+        witness = next(backtrack_isos(c1, c2), None)
         assert witness is not None
         k1 = report.instances[InstanceKey(2, 5, 6)].class_id
         k2 = report.instances[InstanceKey(2, 6, 7)].class_id
@@ -421,14 +370,14 @@ class TestComputedTruth:
         fixed2 = sum(1 for u in all_pairs(4) if p2.skew(u) == u)
         assert fixed1 != fixed2
         assert perspective_iso(p1, p2) is None
-        witness = backtrack_iso(p1.config, p2.config)
+        witness = next(backtrack_isos(p1.config, p2.config), None)
         assert witness is not None
         assert are_isomorphic(p1.config, p2.config) is not None
 
     def test_claimed_family_pair_split_backtracked(self, report):
         c1 = build_instance(InstanceKey(4, 5, 2)).config
         c2 = build_instance(InstanceKey(4, 5, 8)).config
-        assert backtrack_iso(c1, c2) is None
+        assert next(backtrack_isos(c1, c2), None) is None
         k1 = report.instances[InstanceKey(4, 5, 2)].class_id
         k2 = report.instances[InstanceKey(4, 5, 8)].class_id
         assert k1 != k2

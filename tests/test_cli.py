@@ -4,11 +4,13 @@ Each test drives main() with an argv list and checks the exit-code
 contract: 0 success, 1 domain error, 2 usage error.
 """
 
+import json
+
 import pytest
 
 from skewper.cli import main
 from skewper.constructions import grassmannian, perspective
-from skewper.formats import emit_psts, parse_json, parse_psts
+from skewper.formats import emit_psts, parse_psts
 from skewper.skews import zeta
 
 
@@ -147,6 +149,12 @@ class TestAnalyze:
         assert code == 1
         assert "error" in err
 
+    def test_negative_clique_size_is_an_error(self, run, grass_instance_file):
+        code, out, err = run("analyze", grass_instance_file, "--cliques", "-2")
+        assert code == 1
+        assert "free -2-cliques" not in out
+        assert err.startswith("error:")
+
     def test_not_binomial(self, run, tmp_path):
         path = tmp_path / "one_line.psts"
         path.write_text("psts 4 1\n0 1 2\n")
@@ -202,6 +210,14 @@ class TestIso:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_negative_header_is_an_error(self, run, tmp_path, grass_instance_file):
+        bad = tmp_path / "negative.psts"
+        bad.write_text("psts -3 0\n")
+        code, out, err = run("iso", str(bad), grass_instance_file)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: bad header 'psts -3 0'")
+
 
 class TestClassify:
     def test_golden_reports_failures_and_exits_one(self, run):
@@ -226,8 +242,7 @@ class TestExport:
     def test_json(self, run, grass_instance_file):
         code, out, _ = run("export", "--json", grass_instance_file)
         assert code == 0
-        config = parse_json(out)
-        assert config.num_points == 15
+        assert json.loads(out)["num_points"] == 15
 
     def test_dot(self, run, grass_instance_file):
         code, out, _ = run("export", "--dot", grass_instance_file)

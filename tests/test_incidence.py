@@ -1,8 +1,9 @@
-"""Tests for partial Steiner triple systems: validation, parameters, join.
+"""Tests for partial Steiner triple systems: validation, parameters, join,
+the derived incidence views and the isomorphism check.
 
 Oracles: pairwise line intersection is recomputed here by brute force and
-compared with the validator; join results are recovered by scanning the raw
-line list.
+compared with the validator; join results and the incidence views are
+recovered by scanning the raw line list.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import pytest
 
 from skewper.incidence import (
     Config,
+    is_isomorphism,
     make_config,
     parameters,
     join,
@@ -30,6 +32,17 @@ def brute_is_partial_linear(lines) -> bool:
         if len(set(L) & set(M)) >= 2:
             return False
     return True
+
+
+def random_partial_linear(rng: random.Random, nu: int, tries: int) -> Config:
+    """Greedy: keep each of `tries` random triples that meets every kept
+    line in at most one point."""
+    lines = []
+    for _ in range(tries):
+        cand = tuple(sorted(rng.sample(range(nu), 3)))
+        if brute_is_partial_linear(lines + [cand]):
+            lines.append(cand)
+    return make_config(nu, lines)
 
 
 def brute_join(config: Config, x: int, y: int):
@@ -119,10 +132,82 @@ class TestJoin:
         for x, y in itertools.product(range(9), repeat=2):
             assert join(c, x, y) == brute_join(c, x, y)
 
+    def test_views_match_brute(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            nu = rng.randint(3, 12)
+            c = random_partial_linear(rng, nu, rng.randint(0, 12))
+            assert c.lines_by_point == tuple(
+                tuple(L for L in c.lines if p in L) for p in range(nu)
+            )
+            assert c.line_of_pair == {
+                (x, y): L
+                for x, y in itertools.combinations(range(nu), 2)
+                for L in c.lines
+                if x in L and y in L
+            }
+            assert c.line_set == set(c.lines)
+
+    def test_views_are_not_fields(self):
+        c = make_config(5, [(0, 1, 2), (0, 3, 4)])
+        before = repr(c)
+        assert c.lines_by_point and c.line_of_pair and c.line_set
+        assert repr(c) == before
+        assert c == make_config(5, [(0, 3, 4), (0, 1, 2)])
+        assert hash(c) == hash(make_config(5, [(0, 1, 2), (0, 3, 4)]))
+
     def test_join_symmetric(self):
         c = make_config(5, [(0, 1, 2), (0, 3, 4)])
         for x, y in itertools.combinations(range(5), 2):
             assert join(c, x, y) == join(c, y, x)
+
+
+class TestIsIsomorphism:
+    # the points are the nonzero vectors of GF(2)^3, shifted down by one;
+    # a line is three vectors summing to zero
+    FANO = make_config(
+        7,
+        [
+            (a - 1, b - 1, c - 1)
+            for a, b, c in itertools.combinations(range(1, 8), 3)
+            if a ^ b ^ c == 0
+        ],
+    )
+
+    def test_accepts_relabeling(self):
+        c = random_partial_linear(random.Random(3), 10, 12)
+        images = list(range(10))
+        random.Random(4).shuffle(images)
+        f = dict(enumerate(images))
+        assert is_isomorphism(c, relabel(c, f), f)
+        assert is_isomorphism(c, relabel(c, f), tuple(images))
+
+    def test_accepts_automorphism(self):
+        # swapping the two low coordinates is linear, so it keeps the lines
+        def swap(v):
+            return (v & 4) | ((v & 1) << 1) | ((v >> 1) & 1)
+
+        f = tuple(swap(p + 1) - 1 for p in range(7))
+        assert f != tuple(range(7))
+        assert is_isomorphism(self.FANO, self.FANO, f)
+
+    def test_rejects_non_bijection(self):
+        c = make_config(4, [(0, 1, 2)])
+        assert not is_isomorphism(c, c, {0: 0, 1: 1, 2: 2, 3: 2})
+        assert not is_isomorphism(c, c, (0, 1, 2))
+        assert not is_isomorphism(c, c, {0: 0, 1: 1, 2: 2, 4: 3})
+        assert not is_isomorphism(c, c, (0, 1, 2, 4))
+
+    def test_rejects_map_moving_one_line_off(self):
+        # swapping 4 and 5 keeps (0, 1, 2) and sends (1, 3, 5) to (1, 3, 4)
+        c = make_config(7, [(0, 1, 2), (1, 3, 5)])
+        assert not is_isomorphism(c, c, (0, 1, 2, 3, 5, 4, 6))
+
+    def test_rejects_different_counts(self):
+        c = make_config(4, [(0, 1, 2)])
+        assert not is_isomorphism(c, make_config(5, [(0, 1, 2)]), (0, 1, 2, 3))
+        assert not is_isomorphism(c, make_config(4, [(0, 1, 2), (0, 1, 3)]), (0, 1, 2, 3))
+        assert not is_isomorphism(c, make_config(4, []), (0, 1, 2, 3))
 
 
 class TestRelabel:

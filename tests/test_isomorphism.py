@@ -5,6 +5,7 @@ the canonizer; the specialized center-fixing search is cross-checked
 against the general decision procedure.
 """
 
+import gc
 import itertools
 import random
 
@@ -19,6 +20,7 @@ from skewper.constructions import (
     veronesian,
     veronesian_axis,
 )
+from skewper import isomorphism
 from skewper.incidence import make_config, relabel
 from skewper.isomorphism import (
     AutomorphismGroup,
@@ -32,70 +34,7 @@ from skewper.isomorphism import (
 from skewper.perms import Perm, parse_cycles, symmetric_group
 from skewper.skews import identity_skew, phi_sequence, skew_from_phi, zeta
 
-
-def brute_iso(c1, c2):
-    """First line-preserving point bijection found by exhaustion, or None."""
-    if c1.num_points != c2.num_points or len(c1.lines) != len(c2.lines):
-        return None
-    target = {frozenset(L) for L in c2.lines}
-    for per in itertools.permutations(range(c2.num_points)):
-        if all(frozenset(per[x] for x in L) in target for L in c1.lines):
-            return per
-    return None
-
-
-def brute_aut_count(c):
-    target = {frozenset(L) for L in c.lines}
-    count = 0
-    for per in itertools.permutations(range(c.num_points)):
-        if all(frozenset(per[x] for x in L) in target for L in c.lines):
-            count += 1
-    return count
-
-
-def backtrack_aut_count(c):
-    """Automorphism count by depth-first image assignment, pruned by
-    collinearity agreement and by fully-assigned lines.  Independent of the
-    canonical-form machinery."""
-    n = c.num_points
-    lines = {frozenset(L) for L in c.lines}
-    adj = {p: set() for p in range(n)}
-    for L in c.lines:
-        for x, y in itertools.combinations(L, 2):
-            adj[x].add(y)
-            adj[y].add(x)
-    rank = [sum(1 for L in c.lines if p in L) for p in range(n)]
-    lines_by_max = {p: [] for p in range(n)}
-    for L in c.lines:
-        lines_by_max[max(L)].append(L)
-    image = [-1] * n
-    used = [False] * n
-    count = 0
-
-    def extend(p):
-        nonlocal count
-        if p == n:
-            assert all(frozenset(image[x] for x in L) in lines for L in c.lines)
-            count += 1
-            return
-        for q in range(n):
-            if used[q] or rank[q] != rank[p]:
-                continue
-            if any((u in adj[p]) != (image[u] in adj[q]) for u in range(p)):
-                continue
-            if any(
-                frozenset(q if x == p else image[x] for x in L) not in lines
-                for L in lines_by_max[p]
-            ):
-                continue
-            image[p] = q
-            used[q] = True
-            extend(p + 1)
-            used[q] = False
-        image[p] = -1
-
-    extend(0)
-    return count
+from oracles import backtrack_isos, brute_isos
 
 
 def verify_witness(c1, c2, witness):
@@ -165,7 +104,7 @@ class TestCanonicalCertificate:
 class TestBruteForceAgreement:
     def test_six_small_configs_pairwise(self):
         for c1, c2 in itertools.combinations(SIX_SMALL, 2):
-            expected = brute_iso(c1, c2)
+            expected = next(brute_isos(c1, c2), None)
             got = are_isomorphic(c1, c2)
             assert (got is None) == (expected is None)
             if got is not None:
@@ -197,7 +136,7 @@ class TestBruteForceAgreement:
     def test_small_aut_orders_match_brute(self):
         for c in SIX_SMALL + [grassmannian(4)]:
             group = automorphism_group(c)
-            assert group.order == brute_aut_count(c)
+            assert group.order == sum(1 for _ in brute_isos(c, c))
 
 
 class TestAutomorphismGroup:
@@ -256,7 +195,7 @@ class TestAutomorphismGroup:
             veronesian(4),
         ]
         for c in candidates:
-            assert automorphism_group(c).order == backtrack_aut_count(c)
+            assert automorphism_group(c).order == sum(1 for _ in backtrack_isos(c, c))
 
 
 class TestSMap:
@@ -277,7 +216,7 @@ class TestSMap:
         # center, a_4, and b_4; the full symmetric group on the cliques
         # acts, so the group is S_3, and some automorphism moves the center
         assert group.order == 6
-        assert group.order == backtrack_aut_count(p.config)
+        assert group.order == sum(1 for _ in backtrack_isos(p.config, p.config))
         center = p.labeling.center
         assert any(g[center] != center for g in group.elements)
 
@@ -356,3 +295,39 @@ class TestPerspectiveIso:
             if hit is not None:
                 verify_witness(p1.config, p2.config, hit.witness)
                 assert general is not None
+
+
+class TestCanonizerMemo:
+    def fresh(self):
+        # unique labels keep this Config unequal to any other live one
+        c = grassmannian(5)
+        return make_config(c.num_points, c.lines, [f"memo{x}" for x in range(c.num_points)])
+
+    def test_certificate_and_group_share_one_search(self, monkeypatch):
+        calls = []
+        leaves = isomorphism._leaves
+
+        def counted(*args):
+            calls.append(args[0])
+            return leaves(*args)
+
+        monkeypatch.setattr(isomorphism, "_leaves", counted)
+        c = self.fresh()
+        cert = canonical_certificate(c)
+        group = automorphism_group(c)
+        assert calls == [c.num_points]
+        assert group.order == 120
+        assert canonical_certificate(c) == cert
+        assert len(calls) == 1
+
+    def test_entry_goes_with_its_config(self):
+        c = self.fresh()
+        fields = (c.num_points, c.lines, c.labels)
+        canonical_certificate(c)
+        assert c in isomorphism._CANON_MEMO
+        del c
+        gc.collect()
+        assert all(
+            (k.num_points, k.lines, k.labels) != fields
+            for k in isomorphism._CANON_MEMO.keys()
+        )
