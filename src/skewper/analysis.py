@@ -35,80 +35,78 @@ from .constructions import (
 class FreeClique:
     """A complete graph living freely inside a configuration: every two
     vertices are collinear, distinct edges use distinct lines, and lines of
-    disjoint edges do not meet."""
+    disjoint edges do not meet.
+
+    When lines have three points and two lines share at most one point,
+    this holds exactly when every two vertices are collinear and the third
+    points of the pair lines are pairwise distinct and lie outside the
+    vertex set: two edges share a line exactly when its third point is a
+    vertex, and, that excluded, lines of disjoint edges can meet only in a
+    common third point."""
 
     vertices: frozenset
     edge_lines: Mapping[frozenset, Line]
 
 
-def freely_contains(config: Config, vertices: Iterable[int]) -> Optional[FreeClique]:
-    """The free complete subgraph on the given vertices, or None."""
-    vs = sorted(set(vertices))
-    table = config.line_of_pair
-    edge_lines: dict[frozenset, Line] = {}
-    for x, y in itertools.combinations(vs, 2):
-        line = table.get((x, y))
+def _add_vertex(table, current: list[int], thirds: set[int], v: int) -> Optional[list[int]]:
+    """The third points of the lines joining v to the free clique `current`
+    (ascending, below v, its pair lines' third points `thirds`), or None
+    when adding v breaks the rule stated on `FreeClique`."""
+    # v outside `thirds` also keeps every new third point z out of
+    # `current`: z in `current` would make v the third point of (u, z)
+    if v in thirds:
+        return None
+    added: list[int] = []
+    for u in current:
+        line = table.get((u, v))
         if line is None:
             return None
-        edge_lines[frozenset((x, y))] = line
-    if len(set(edge_lines.values())) != len(edge_lines):
-        return None
-    for e1, e2 in itertools.combinations(edge_lines, 2):
-        if e1 & e2:
-            continue
-        if set(edge_lines[e1]) & set(edge_lines[e2]):
+        z = sum(line) - u - v
+        if z in thirds or z in added:
             return None
-    return FreeClique(vertices=frozenset(vs), edge_lines=edge_lines)
+        added.append(z)
+    return added
+
+
+def _free_clique(table, vs: list[int]) -> FreeClique:
+    pairs = itertools.combinations(vs, 2)
+    return FreeClique(frozenset(vs), {frozenset(pair): table[pair] for pair in pairs})
+
+
+def freely_contains(config: Config, vertices: Iterable[int]) -> Optional[FreeClique]:
+    """The free complete subgraph on the given vertices, or None, under
+    the line axioms stated on `FreeClique`."""
+    vs = sorted(set(vertices))
+    table = config.line_of_pair
+    thirds: set[int] = set()
+    for j, v in enumerate(vs):
+        added = _add_vertex(table, vs[:j], thirds, v)
+        if added is None:
+            return None
+        thirds.update(added)
+    return _free_clique(table, vs)
 
 
 def enumerate_free_cliques(config: Config, m: int) -> list[FreeClique]:
     """All size-m vertex sets carrying a free complete graph, in ascending
-    vertex order.  Backtracks over the collinearity graph; the conditions
-    are hereditary, so any extension of a failing set is pruned."""
+    vertex order.  Backtracks over ascending vertex lists and the third
+    points of their pair lines; the conditions are hereditary, so any
+    extension of a failing set is pruned."""
     if m < 0:
         raise ValueError(f"clique size must be non-negative, got {m}")
     table = config.line_of_pair
-
-    def compatible(
-        current: list[int], edge_lines: dict[frozenset, Line], v: int
-    ) -> Optional[dict[frozenset, Line]]:
-        new_edges: dict[frozenset, Line] = {}
-        for u in current:
-            line = table.get((u, v))  # u < v: v extends the ascending list
-            if line is None:
-                return None
-            new_edges[frozenset((u, v))] = line
-        used = set(edge_lines.values())
-        for line in new_edges.values():
-            if line in used:
-                return None
-            used.add(line)
-        # the new edges all share v, so only new-against-old pairs can be
-        # disjoint edges
-        for e_new, line_new in new_edges.items():
-            for e_old, line_old in edge_lines.items():
-                if e_old & e_new:
-                    continue
-                if set(line_new) & set(line_old):
-                    return None
-        return {**edge_lines, **new_edges}
-
     found: list[FreeClique] = []
 
-    def extend(current: list[int], edge_lines: dict[frozenset, Line], start: int):
+    def extend(current: list[int], thirds: set[int], start: int):
         if len(current) == m:
-            found.append(
-                FreeClique(vertices=frozenset(current), edge_lines=dict(edge_lines))
-            )
+            found.append(_free_clique(table, current))
             return
-        for v in range(start, config.num_points):
-            if config.num_points - v < m - len(current):
-                break
-            ext = compatible(current, edge_lines, v)
-            if ext is not None:
-                extend(current + [v], ext, v + 1)
+        for v in range(start, config.num_points - (m - len(current)) + 1):
+            added = _add_vertex(table, current, thirds, v)
+            if added is not None:
+                extend(current + [v], thirds.union(added), v + 1)
 
-    extend([], {}, 0)
+    extend([], set(), 0)
     return found
 
 

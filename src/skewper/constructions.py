@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Union
 
 from .incidence import Config, make_config, parameters, validate
 from .perms import Perm, parse_cycles
@@ -239,18 +239,12 @@ class VeblenLabel:
             raise ValueError(f"i0={self.i0} is not fixed by mu")
 
 
-def veblen_label(s: int, mu: Perm, i0: Optional[int] = None) -> VeblenLabel:
-    """Build a label, defaulting i0 to the largest fixed point of mu."""
-    if s not in (5, 6):
-        raise ValueError(f"s must be 5 or 6, got {s}")
-    if mu.n != 4:
-        raise ValueError("mu must permute {1,2,3,4}")
+def veblen_label(s: int, mu: Perm) -> VeblenLabel:
+    """Build a label anchored at the largest fixed point of mu."""
     fixed = mu.fixed_points()
     if not fixed:
         raise ValueError("mu has no fixed point")
-    if i0 is None:
-        i0 = max(fixed)
-    return VeblenLabel(s=s, mu=mu, i0=i0)
+    return VeblenLabel(s=s, mu=mu, i0=max(fixed))
 
 
 def parse_veblen_text(text: str) -> VeblenLabel:

@@ -7,8 +7,9 @@ psts/1 layout::
     # label <id> <name>  (optional; all points or none; name runs to EOL)
 
 The parser rejects, with ValueError, a negative count in the header, a line
-whose points are not three distinct ids in 0..num_points-1 and a line that
-repeats an earlier one.  JSON is export-only.
+whose points are not three distinct ids in 0..num_points-1, a line that
+repeats an earlier one and a second label for one point.  JSON is
+export-only.
 All emitters produce byte-stable output for equal configurations.
 """
 
@@ -44,7 +45,10 @@ def parse_psts(text: str) -> Config:
         if stripped.startswith("#"):
             parts = stripped[1:].strip().split(maxsplit=2)
             if len(parts) >= 3 and parts[0] == "label":
-                labels[int(parts[1])] = parts[2]
+                point = int(parts[1])
+                if point in labels:
+                    raise ValueError(f"bad label {stripped!r}; point {point} is already labeled")
+                labels[point] = parts[2]
             continue
         if header is None:
             fields = stripped.split()

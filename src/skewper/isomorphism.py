@@ -180,13 +180,7 @@ def s_map(persp: Perspective) -> dict[int, int]:
     """The swap a_i <-> b_i, c_u -> c_{sigma(u)} fixing the center, as a
     verified automorphism.  It exists exactly when the skew is an
     involution stabilizing the axis line set."""
-    lab = persp.labeling
-    mapping = {lab.center: lab.center}
-    for i in range(persp.n):
-        mapping[lab.a[i]] = lab.b[i]
-        mapping[lab.b[i]] = lab.a[i]
-    for u in all_pairs(persp.n):
-        mapping[lab.c[u]] = lab.c[persp.skew(u)]
+    mapping = _witness(persp, persp, "flip", Perm.identity(persp.n), persp.skew)
     if not is_isomorphism(persp.config, persp.config, mapping):
         raise ValueError("the a/b swap is not an automorphism of this perspective")
     return mapping
@@ -240,21 +234,27 @@ def perspective_iso(p1: Perspective, p2: Perspective) -> Optional[PerspectiveIso
     return None
 
 
+def _witness(
+    p1: Perspective, p2: Perspective, kind: str, phi: Perm, c_map: Skew
+) -> dict[int, int]:
+    """The center-fixing point map p1 -> p2, unverified: center to center,
+    a_i and b_i to a_phi(i) and b_phi(i) (to b_phi(i) and a_phi(i) for a
+    flip), and c_u to c_{c_map(u)}."""
+    lab1, lab2 = p1.labeling, p2.labeling
+    a2, b2 = (lab2.a, lab2.b) if kind == "direct" else (lab2.b, lab2.a)
+    witness = {lab1.center: lab2.center}
+    for i in range(1, p1.n + 1):
+        witness[lab1.a[i - 1]] = a2[phi(i) - 1]
+        witness[lab1.b[i - 1]] = b2[phi(i) - 1]
+    for u in all_pairs(p1.n):
+        witness[lab1.c[u]] = lab2.c[c_map(u)]
+    return witness
+
+
 def _build_iso(
     p1: Perspective, p2: Perspective, kind: str, phi: Perm, c_map: Skew
 ) -> PerspectiveIso:
-    lab1, lab2 = p1.labeling, p2.labeling
-    witness = {lab1.center: lab2.center}
-    for i in range(1, p1.n + 1):
-        if kind == "direct":
-            witness[lab1.a[i - 1]] = lab2.a[phi(i) - 1]
-            witness[lab1.b[i - 1]] = lab2.b[phi(i) - 1]
-        else:
-            witness[lab1.a[i - 1]] = lab2.b[phi(i) - 1]
-            witness[lab1.b[i - 1]] = lab2.a[phi(i) - 1]
-    pair_map = bar_alpha(phi) if kind == "direct" else c_map
-    for u in all_pairs(p1.n):
-        witness[lab1.c[u]] = lab2.c[pair_map(u)]
+    witness = _witness(p1, p2, kind, phi, c_map)
     if not is_isomorphism(p1.config, p2.config, witness):
         raise RuntimeError("internal error: center-fixing witness failed verification")
     return PerspectiveIso(kind=kind, phi=phi, witness=witness)

@@ -1,12 +1,58 @@
-"""Isomorphism searches independent of the package's canonical-form
-machinery and of its incidence views, shared by the tests as oracles.
+"""Oracles independent of the package's canonical-form machinery, its
+incidence views and its free-clique rule, plus seeded inputs, shared by
+the tests.
 
-Both generators yield every line-preserving point bijection c1 -> c2 as an
-image tuple, in lexicographic order: `next(gen, None)` is a witness or
-None, and counting the yields on (c, c) gives the automorphism group order.
+Both isomorphism generators yield every line-preserving point bijection
+c1 -> c2 as an image tuple, in lexicographic order: `next(gen, None)` is a
+witness or None, and counting the yields on (c, c) gives the automorphism
+group order.
 """
 
 import itertools
+
+from skewper.incidence import make_config
+
+
+def random_partial_linear(rng, nu, tries, lines=()):
+    """A seeded partial Steiner triple system on nu points: starting from
+    `lines`, each of `tries` random triples is kept when it shares at most
+    one point with every kept line."""
+    lines = list(lines)
+    for _ in range(tries):
+        cand = tuple(sorted(rng.sample(range(nu), 3)))
+        if all(len(set(cand) & set(L)) <= 1 for L in lines):
+            lines.append(cand)
+    return make_config(nu, lines)
+
+
+def is_free_by_definition(lines, vertices):
+    """Whether the vertices span a free complete graph, from the definition
+    over the raw line list: every two vertices lie on a common line,
+    distinct edges lie on distinct lines, and the lines of two disjoint
+    edges share no point."""
+    edge_line = {}
+    for edge in itertools.combinations(sorted(vertices), 2):
+        on = [L for L in lines if edge[0] in L and edge[1] in L]
+        if not on:
+            return False
+        edge_line[edge] = frozenset(on[0])
+    if len(set(edge_line.values())) != len(edge_line):
+        return False
+    return all(
+        not (edge_line[e1] & edge_line[e2])
+        for e1, e2 in itertools.combinations(edge_line, 2)
+        if not set(e1) & set(e2)
+    )
+
+
+def brute_free_cliques(num_points, lines, m):
+    """Every size-m free vertex set as an ascending tuple, in lexicographic
+    order, by testing each m-subset with `is_free_by_definition`."""
+    return [
+        vs
+        for vs in itertools.combinations(range(num_points), m)
+        if is_free_by_definition(lines, vs)
+    ]
 
 
 def brute_isos(c1, c2):

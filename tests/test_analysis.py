@@ -2,8 +2,9 @@
 re-perspectives, and the 3x3 line diagrams.
 
 Oracles used here:
-- free-clique enumeration is cross-checked against a plain scan over all
-  vertex subsets on small configurations;
+- free-clique enumeration and free-containment are cross-checked against
+  the three-condition definition applied to the raw line list, over all
+  vertex subsets of small and seeded random configurations;
 - star indices from the level-fixing formula are cross-checked against
   direct free-containment of the candidate vertex sets;
 - the crossing predicate's formula route is compared with a literal
@@ -12,6 +13,7 @@ Oracles used here:
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -40,13 +42,17 @@ from skewper.analysis import (
     stp_equivalent,
 )
 
+from oracles import brute_free_cliques, is_free_by_definition, random_partial_linear
 
-def brute_free_cliques(config, m):
-    return sorted(
-        tuple(sorted(vs))
-        for vs in itertools.combinations(range(config.num_points), m)
-        if freely_contains(config, set(vs)) is not None
-    )
+
+def planted_system(rng, k):
+    """A seeded random partial Steiner triple system that holds the lines of
+    a free k-clique on random points, and that clique's vertices."""
+    nu = k + k * (k - 1) // 2 + rng.randint(3, 6)
+    points = rng.sample(range(nu), nu)
+    thirds = iter(points[k:])
+    planted = [(x, y, next(thirds)) for x, y in itertools.combinations(points[:k], 2)]
+    return random_partial_linear(rng, nu, rng.randint(0, 30), planted), points[:k]
 
 
 def star_ids(persp, i0):
@@ -100,6 +106,17 @@ class TestFreelyContains:
         good = make_config(10, lines)
         assert freely_contains(good, {0, 1, 2, 3}) is not None
 
+    def test_matches_definition_on_random_vertex_sets(self):
+        rng = random.Random(20260502)
+        for _ in range(300):
+            c, clique = planted_system(rng, rng.randint(0, 5))
+            vs = rng.sample(clique, rng.randint(0, len(clique)))
+            vs += rng.sample(range(c.num_points), rng.randint(0, 2))
+            found = freely_contains(c, vs)
+            assert (found is not None) == is_free_by_definition(c.lines, set(vs))
+            if found is not None:
+                assert found.vertices == frozenset(vs)
+
 
 class TestEnumerateFreeCliques:
     def test_pair_structure_of_5_set(self):
@@ -108,12 +125,27 @@ class TestEnumerateFreeCliques:
 
     def test_matches_brute_force_small(self):
         g = grassmannian(4)
-        assert [tuple(sorted(c.vertices)) for c in enumerate_free_cliques(g, 3)] == brute_free_cliques(g, 3)
+        got = [tuple(sorted(c.vertices)) for c in enumerate_free_cliques(g, 3)]
+        assert got == brute_free_cliques(g.num_points, g.lines, 3)
 
     def test_matches_brute_force_perspective(self):
         persp = perspective(4, zeta(4), grassmannian(4))
         got = [tuple(sorted(c.vertices)) for c in enumerate_free_cliques(persp.config, 5)]
-        assert got == brute_free_cliques(persp.config, 5)
+        assert got == brute_free_cliques(persp.config.num_points, persp.config.lines, 5)
+
+    def test_matches_brute_force_random_systems(self):
+        rng = random.Random(20260501)
+        for k in range(6):
+            for _ in range(4):
+                c, _ = planted_system(rng, k)
+                for m in range(6):
+                    found = enumerate_free_cliques(c, m)
+                    got = [tuple(sorted(fc.vertices)) for fc in found]
+                    assert got == brute_free_cliques(c.num_points, c.lines, m)
+                    for fc in found:
+                        edges = set(map(frozenset, itertools.combinations(fc.vertices, 2)))
+                        assert set(fc.edge_lines) == edges
+                        assert all(e <= set(L) and L in c.lines for e, L in fc.edge_lines.items())
 
     def test_perspective_has_exactly_three(self):
         persp = perspective(4, zeta(4), grassmannian(4))
@@ -203,8 +235,6 @@ class TestCrossPredicate:
         assert cross_predicate(persp, 4)
 
     def test_scan_matches_level_criterion(self):
-        import random
-
         rng = random.Random(2024)
         for _ in range(12):
             levels = {}

@@ -5,13 +5,18 @@ contract: 0 success, 1 domain error, 2 usage error.
 """
 
 import json
+import random
 
 import pytest
 
 from skewper.cli import main
-from skewper.constructions import grassmannian, perspective
+from skewper.constructions import grassmannian, perspective, veblen, veblen_label
 from skewper.formats import emit_psts, parse_psts
+from skewper.incidence import make_config
+from skewper.perms import parse_cycles
 from skewper.skews import zeta
+
+from oracles import random_partial_linear
 
 
 @pytest.fixture()
@@ -183,8 +188,6 @@ class TestIso:
         assert code == 0
 
     def test_non_isomorphic_exits_one(self, run, tmp_path, grass_instance_file):
-        from skewper.constructions import veblen, veblen_label
-        from skewper.perms import parse_cycles
         from skewper.skews import identity_skew
 
         other_cfg = perspective(
@@ -262,9 +265,6 @@ class TestExport:
         assert "error" in err
 
     def test_stp_rejected_without_third_clique(self, run, tmp_path):
-        from skewper.constructions import veblen, veblen_label
-        from skewper.perms import parse_cycles
-
         cfg = perspective(
             4, zeta(4), veblen(veblen_label(6, parse_cycles("()", 4)))
         ).config
@@ -275,8 +275,6 @@ class TestExport:
         assert "error" in err
 
     def test_stp_rejected_for_unlabeled(self, run, tmp_path):
-        from skewper.incidence import make_config
-
         cfg = make_config(6, [(0, 1, 2), (0, 3, 4)])
         path = tmp_path / "plain.psts"
         path.write_text(emit_psts(cfg))
@@ -284,5 +282,79 @@ class TestExport:
         assert code == 1
         assert "error" in err
 
+    def test_repeated_label_is_an_error(self, run, tmp_path):
+        path = tmp_path / "relabeled.psts"
+        path.write_text("psts 3 1\n0 1 2\n# label 0 a\n# label 0 b\n# label 1 c\n# label 2 d\n")
+        code, out, err = run("export", str(path), "--psts")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_format_flag_required(self, run, grass_instance_file):
         assert run("export", grass_instance_file)[0] == 2
+
+
+FUZZ_TOKENS = ("0", "1", "7", "9", "-", " ", "\n", "\t", "#", "x", "psts", "# label 0 x\n", "8 1 2\n")
+FANO_LINES = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+
+
+def fuzz_sources():
+    """Small valid psts texts: labeled and unlabeled, with and without
+    lines, all on at most eight points."""
+    rng = random.Random(4)
+    return [
+        emit_psts(grassmannian(4)),
+        emit_psts(veblen(veblen_label(5, parse_cycles("(1,2)", 4)))),
+        emit_psts(make_config(7, FANO_LINES)),
+        emit_psts(random_partial_linear(rng, 8, 6)),
+        emit_psts(make_config(3, [])),
+    ]
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """Delete a span, insert a token, or shuffle the rows below the first,
+    once or twice."""
+    for _ in range(rng.randint(1, 2)):
+        op = rng.randrange(3)
+        if op == 0 and text:
+            i = rng.randrange(len(text))
+            text = text[:i] + text[i + rng.randint(1, 4):]
+        elif op == 1:
+            i = rng.randint(0, len(text))
+            text = text[:i] + rng.choice(FUZZ_TOKENS) + text[i:]
+        else:
+            head, *rows = text.split("\n")
+            rng.shuffle(rows)
+            text = "\n".join([head, *rows])
+    return text
+
+
+class TestFuzz:
+    MAX_POINTS = 8  # the canonizer's tree is factorial in the points of one cell
+
+    def test_every_verb_on_mutated_files(self, run, tmp_path):
+        rng = random.Random(20260503)
+        sources = fuzz_sources()
+        source_path = tmp_path / "source.psts"
+        path = tmp_path / "mutated.psts"
+        for trial in range(150):
+            source = rng.choice(sources)
+            text = mutate(rng, source)
+            try:
+                if parse_psts(text).num_points > self.MAX_POINTS:
+                    continue
+            except ValueError:
+                pass
+            source_path.write_text(source)
+            path.write_text(text)
+            calls = [
+                ("analyze", str(path), "--cliques", str(rng.randint(-1, 4)), "--aut"),
+                ("iso", str(path), str(source_path)),
+                ("export", str(path), "--psts"),
+                ("export", str(path), "--json"),
+                ("export", str(path), "--dot"),
+                ("export", str(path), "--dot", "--stp"),
+            ]
+            for argv in calls:
+                code, _, _ = run(*argv)
+                assert code in (0, 1), (trial, argv, text)

@@ -324,7 +324,7 @@ class TestVeblen:
                 fixed = mu.fixed_points()
                 if len(fixed) < 2:
                     continue
-                built = {veblen(veblen_label(s, mu, i0)) for i0 in fixed}
+                built = {veblen(VeblenLabel(s=s, mu=mu, i0=i0)) for i0 in fixed}
                 assert len(built) == 1
 
     def test_default_i0_is_largest_fixed_point(self):

@@ -70,6 +70,11 @@ class TestPstsFormat:
         with pytest.raises(ValueError, match="label"):
             parse_psts(text)
 
+    def test_repeated_label_rejected(self):
+        text = "psts 3 1\n0 1 2\n# label 0 a\n# label 0 b\n# label 1 c\n# label 2 d\n"
+        with pytest.raises(ValueError, match="bad label '# label 0 b'; point 0 is already labeled"):
+            parse_psts(text)
+
     def test_plain_comments_ignored(self):
         text = "psts 3 1\n# just a note\n0 1 2\n"
         assert parse_psts(text) == make_config(3, [(0, 1, 2)])

@@ -22,6 +22,8 @@ from skewper.incidence import (
     validate,
 )
 
+from oracles import random_partial_linear
+
 
 def brute_is_partial_linear(lines) -> bool:
     """Every line has 3 distinct points and two lines share at most 1 point."""
@@ -32,17 +34,6 @@ def brute_is_partial_linear(lines) -> bool:
         if len(set(L) & set(M)) >= 2:
             return False
     return True
-
-
-def random_partial_linear(rng: random.Random, nu: int, tries: int) -> Config:
-    """Greedy: keep each of `tries` random triples that meets every kept
-    line in at most one point."""
-    lines = []
-    for _ in range(tries):
-        cand = tuple(sorted(rng.sample(range(nu), 3)))
-        if brute_is_partial_linear(lines + [cand]):
-            lines.append(cand)
-    return make_config(nu, lines)
 
 
 def brute_join(config: Config, x: int, y: int):
