@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .incidence import Config, Line, is_isomorphism, join, parameters
+from .incidence import Config, Line, is_isomorphism, join
 from .perms import Perm, symmetric_group
 from .skews import (
     Pair,
@@ -22,13 +22,7 @@ from .skews import (
     skew_from_phi,
     zeta,
 )
-from .constructions import (
-    Perspective,
-    axis_config,
-    pair_label,
-    parse_pair_label,
-    perspective,
-)
+from .constructions import Perspective, axis_config, perspective
 
 
 @dataclass(frozen=True)
@@ -115,9 +109,7 @@ def _star_point_ids(persp: Perspective, i0: int) -> list[int]:
 
 
 def _axis_star_ids(persp: Perspective, i0: int) -> list[int]:
-    return [
-        persp.axis.point_by_label(pair_label(u)) for u in all_pairs(persp.n) if i0 in u
-    ]
+    return [x for x, u in enumerate(all_pairs(persp.n)) if i0 in u]
 
 
 def free_star_indices(persp: Perspective) -> set[int]:
@@ -225,12 +217,12 @@ def reperspective(persp: Perspective) -> Reperspective:
     rho_inv_map: dict[Pair, Pair] = {}
     rho0_inv_map: dict[Pair, Pair] = {}
     ax = persp.axis
+    pairs = all_pairs(n)
+    index = {u: x for x, u in enumerate(pairs)}
     for i, j in all_pairs(n - 1):
-        p1 = ax.point_by_label(pair_label((i, n)))
-        p2 = ax.point_by_label(pair_label((j, n)))
-        third = join(ax, p1, p2)
+        third = join(ax, index[(i, n)], index[(j, n)])
         assert third is not None  # star is a clique
-        w = parse_pair_label(ax.labels[third])
+        w = pairs[third]
         rho_inv_map[(i, j)] = w
         rho0_inv_map[(i, j)] = w
     for i in range(1, n):
@@ -242,7 +234,7 @@ def reperspective(persp: Perspective) -> Reperspective:
     for L in ax.lines:
         if star_set & set(L):
             continue
-        new_lines.append(tuple(parse_pair_label(ax.labels[x]) for x in L))
+        new_lines.append(tuple(pairs[x] for x in L))
     for i, j in all_pairs(n - 1):
         new_lines.append(((i, n), (j, n), make_pair(j - i, j)))
     new_axis = axis_config(n, new_lines)
@@ -271,7 +263,7 @@ class StpDiagram:
     matching: tuple[tuple[tuple[int, int], tuple[int, int], int], ...]
 
 
-def _restrict_to_inner_pairs(skew_like, n: int) -> Optional[Perm]:
+def _restrict_to_inner_pairs(skew_like) -> Optional[Perm]:
     """The point permutation pi of {1,2,3} with pair images matching the
     given map on the pairs inside {1,2,3}, if any."""
     inner = list(all_pairs(3))
@@ -303,20 +295,20 @@ def stp_diagram(persp: Perspective) -> StpDiagram:
     config = persp.config
     # the join pattern of the axial points {i,4}: m({i,j}) = w with
     # c_{i,4} + c_{j,4} = c_w
+    pair_of = {x: u for u, x in lab.c.items()}
     m_map: dict[Pair, Pair] = {}
     for i, j in all_pairs(3):
         third = join(config, lab.c[(i, 4)], lab.c[(j, 4)])
         assert third is not None
-        w = parse_pair_label(config.labels[third][1:])
-        m_map[(i, j)] = w
+        m_map[(i, j)] = pair_of[third]
     for u in all_pairs(3):
         if max(m_map[u]) > 3:
             raise ValueError("axial join pattern leaves the inner pairs")
-    pi = _restrict_to_inner_pairs(persp.skew, 4)
+    pi = _restrict_to_inner_pairs(persp.skew)
     if pi is None:
         raise ValueError("skew does not act on the pairs inside {1,2,3}")
     m_inv = {v: u for u, v in m_map.items()}
-    x = _restrict_to_inner_pairs(lambda u: m_inv[u], 4)
+    x = _restrict_to_inner_pairs(lambda u: m_inv[u])
     if x is None:
         raise ValueError("axial join pattern is not induced by a point permutation")
     rows = (

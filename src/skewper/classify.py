@@ -208,12 +208,14 @@ def classify_all(threads: int = 1) -> ClassificationReport:
     links = _center_fixing_orbits()
     orbits_done = time.perf_counter()
     coords = [(k.f, k.s, k.i) for k in ALL_KEYS if links[k][0] == k]
-    if threads == 1:
+    # the pool forks all its workers at once: start no more than the work
+    workers = min(threads, len(coords))
+    if workers == 1:
         raw = [_instance_stats(c) for c in coords]
     else:
         # small chunks: one representative can cost as much as twenty others
-        chunksize = max(1, len(coords) // (4 * threads))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        chunksize = max(1, len(coords) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_instance_stats, coords, chunksize=chunksize))
     stats_done = time.perf_counter()
 

@@ -227,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker count (default 1)",
+        help="worker processes (default 1); at most one per orbit representative",
     )
     classify.set_defaults(handler=_cmd_classify)
 

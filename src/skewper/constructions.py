@@ -18,8 +18,8 @@ Four families on top of the incidence core:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from .incidence import Config, make_config, parameters, validate
 from .perms import Perm, parse_cycles
@@ -58,7 +58,8 @@ def parse_multiset_label(text: str) -> Multiset3:
 
 
 def axis_config(n: int, pair_lines: Iterable[Iterable[Pair]]) -> Config:
-    """A configuration on the 2-subsets of {1..n} in canonical point order."""
+    """A configuration on the 2-subsets of {1..n} in canonical point order:
+    point k is the pair ``all_pairs(n)[k]``, labeled by `pair_label`."""
     pairs = all_pairs(n)
     index = {u: i for i, u in enumerate(pairs)}
     lines = [tuple(sorted(index[make_pair(*u)] for u in L)) for L in pair_lines]
@@ -116,7 +117,7 @@ def veronesian_axis(k: int) -> Config:
     if k < 3:
         raise ValueError(f"need k >= 3, got {k}")
     v = veronesian(k - 2)
-    triples = [parse_multiset_label(v.labels[i]) for i in range(v.num_points)]
+    triples = _weight_triples(k - 2)  # the point order of `veronesian`
     return axis_config(
         k,
         (tuple(_triple_to_pair(triples[x]) for x in L) for L in v.lines),
@@ -163,10 +164,13 @@ class Perspective:
 
 
 def _check_axis_labels(n: int, axis: Config) -> None:
-    expected = {pair_label(u) for u in all_pairs(n)}
-    if axis.labels is None or set(axis.labels) != expected:
+    """Enforce the axis rule: point k is ``all_pairs(n)[k]``, as
+    `axis_config` builds it, so a point's pair is its position."""
+    expected = tuple(pair_label(u) for u in all_pairs(n))
+    if axis.labels != expected:
         raise ValueError(
-            f"axis must have its {len(expected)} points labeled by the 2-subsets of {{1..{n}}}"
+            f"axis must have its {len(expected)} points labeled by the 2-subsets of"
+            f" {{1..{n}}} in the order of all_pairs({n})"
         )
 
 
@@ -215,7 +219,7 @@ def perspective(
     for i, j in pairs:
         lines.append((b[i - 1], b[j - 1], c[sigma_inv((i, j))]))
     for L in axis.lines:
-        lines.append(tuple(c[parse_pair_label(axis.labels[x])] for x in L))
+        lines.append(tuple(c[pairs[x]] for x in L))
     config = make_config(2 * n + 1 + len(pairs), lines, labels)
     labeling = PerspectiveLabeling(n=n, center=center, a=a, b=b, c=c)
     return Perspective(config=config, labeling=labeling, skew=sigma, axis=axis)
@@ -282,40 +286,23 @@ def veblen(label: VeblenLabel) -> Config:
     return axis_config(4, lines)
 
 
-def apply_pair_map(config: Config, pm: Union[Skew, Mapping[Pair, Pair]]) -> Config:
-    """Transport the lines of a pair-labeled configuration along a pair
-    bijection, keeping the point/label assignment fixed."""
-    if config.labels is None:
-        raise ValueError("configuration has no labels to interpret as 2-subsets")
-    try:
-        point_pairs = [parse_pair_label(name) for name in config.labels]
-    except ValueError as exc:
-        raise ValueError(f"labels are not 2-subsets: {exc}") from exc
-    n = max(max(u) for u in point_pairs)
-    if sorted(point_pairs) != list(all_pairs(n)):
-        raise ValueError("labels do not cover the 2-subsets of an n-set exactly once")
-    if isinstance(pm, Skew):
-        if pm.n != n:
-            raise ValueError(f"pair map acts on a {pm.n}-set, labels use a {n}-set")
-        mapping = {u: pm(u) for u in all_pairs(n)}
-    else:
-        mapping = {make_pair(*u): make_pair(*v) for u, v in pm.items()}
-    index = {u: i for i, u in enumerate(point_pairs)}
-    lines = [
-        tuple(sorted(index[mapping[point_pairs[x]]] for x in L)) for L in config.lines
-    ]
+def apply_pair_map(config: Config, pm: Skew) -> Config:
+    """Transport the lines of an axis on the 2-subsets of {1..pm.n} along
+    the pair bijection pm, keeping the point/label assignment fixed."""
+    _check_axis_labels(pm.n, config)
+    index = {u: i for i, u in enumerate(all_pairs(pm.n))}
+    moved = [index[v] for v in pm.images]
+    lines = [tuple(sorted(moved[x] for x in L)) for L in config.lines]
     return Config(config.num_points, tuple(sorted(lines)), config.labels)
 
 
 def kappa(config: Config) -> Config:
     """Complement relabeling on the 2-subsets of a 4-set: each line's points
     are replaced by their complementary 2-subsets."""
-    if config.labels is None or len(config.labels) != 6:
-        raise ValueError("expected a configuration on the six 2-subsets of {1,2,3,4}")
     complement = {
         u: tuple(sorted(set(range(1, 5)) - set(u))) for u in all_pairs(4)
     }
-    return apply_pair_map(config, complement)
+    return apply_pair_map(config, Skew.from_map(4, complement))
 
 
 def perspective_from_config(config: Config) -> Perspective:

@@ -8,7 +8,8 @@ psts/1 layout::
 
 The parser rejects, with ValueError, a negative count in the header, a line
 whose points are not three distinct ids in 0..num_points-1, a line that
-repeats an earlier one and a second label for one point.  JSON is
+repeats an earlier one, a comment whose first word is ``label`` but which
+lacks an integer id or a name, and a second label for one point.  JSON is
 export-only.
 All emitters produce byte-stable output for equal configurations.
 """
@@ -44,11 +45,16 @@ def parse_psts(text: str) -> Config:
             continue
         if stripped.startswith("#"):
             parts = stripped[1:].strip().split(maxsplit=2)
-            if len(parts) >= 3 and parts[0] == "label":
-                point = int(parts[1])
+            if parts[:1] == ["label"]:
+                try:
+                    point, name = int(parts[1]), parts[2]
+                except (IndexError, ValueError):
+                    raise ValueError(
+                        f"bad label {stripped!r}; expected '# label <id> <name>'"
+                    ) from None
                 if point in labels:
                     raise ValueError(f"bad label {stripped!r}; point {point} is already labeled")
-                labels[point] = parts[2]
+                labels[point] = name
             continue
         if header is None:
             fields = stripped.split()

@@ -58,7 +58,7 @@ def _refine(num_points: int, lines_by_point, colors: list[int]) -> list[int]:
         colors = fresh
 
 
-def _leaves(num_points: int, lines, lines_by_point) -> list[tuple[int, ...]]:
+def _leaves(num_points: int, lines_by_point) -> list[tuple[int, ...]]:
     """All discrete colorings reached by refine-and-individualize."""
     out: list[tuple[int, ...]] = []
 
@@ -98,7 +98,7 @@ def _canonize(config: Config):
     if cached is not None:
         return cached
     num_points, lines = config.num_points, config.lines
-    leaves = _leaves(num_points, lines, config.lines_by_point)
+    leaves = _leaves(num_points, config.lines_by_point)
     best: Optional[tuple[Line, ...]] = None
     best_leaves: list[tuple[int, ...]] = []
     for leaf in leaves:

@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from skewper import classify
 from skewper.analysis import enumerate_free_cliques
 from skewper.classify import (
     ALL_KEYS,
@@ -203,6 +204,30 @@ class TestClassifyAll:
         assert [cls.members for cls in parallel.classes] == [
             cls.members for cls in report.classes
         ]
+
+    def test_pool_starts_no_more_workers_than_representatives(self, report, monkeypatch):
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(classify, "ProcessPoolExecutor", InProcessPool)
+        capped = classify_all(threads=10**6)
+        assert len(started) == 1 and 1 < started[0] <= 70
+        assert capped.instances == report.instances
+        assert capped.classes == report.classes
+        assert capped.three_plus_pairs_s5 == report.three_plus_pairs_s5
+        assert capped.nontrivial_aut == report.nontrivial_aut
 
 
 def center_fixing_witness(p1, p2, kind, phi):

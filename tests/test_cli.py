@@ -160,6 +160,24 @@ class TestAnalyze:
         assert "free -2-cliques" not in out
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "text, violation",
+        [
+            ("psts 4 2\n0 1 2\n0 1 3\n", "share 2 points (0, 1)"),
+            (
+                "psts 3 1\n0 1 2\n# label 0 x\n# label 1 x\n# label 2 y\n",
+                "labels are not pairwise distinct",
+            ),
+        ],
+    )
+    def test_invalid_configuration(self, run, tmp_path, text, violation):
+        path = tmp_path / "invalid.psts"
+        path.write_text(text)
+        code, out, _ = run("analyze", str(path))
+        assert code == 1
+        assert out.startswith("invalid configuration:\n")
+        assert violation in out
+
     def test_not_binomial(self, run, tmp_path):
         path = tmp_path / "one_line.psts"
         path.write_text("psts 4 1\n0 1 2\n")
@@ -230,6 +248,12 @@ class TestClassify:
         assert "two-free-clique class count" in out
         assert "47" in out
 
+    def test_plain_prints_the_golden_text_and_exits_zero(self, run):
+        code, out, _ = run("classify", "--threads", "1")
+        golden_code, golden_out, _ = run("classify", "--golden", "--threads", "1")
+        assert (code, golden_code) == (0, 1)
+        assert out == golden_out
+
     def test_bad_thread_count(self, run):
         code, _, err = run("classify", "--threads", "0")
         assert code == 1
@@ -285,6 +309,14 @@ class TestExport:
     def test_repeated_label_is_an_error(self, run, tmp_path):
         path = tmp_path / "relabeled.psts"
         path.write_text("psts 3 1\n0 1 2\n# label 0 a\n# label 0 b\n# label 1 c\n# label 2 d\n")
+        code, out, err = run("export", str(path), "--psts")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_label_without_name_is_an_error(self, run, tmp_path):
+        path = tmp_path / "unnamed.psts"
+        path.write_text("psts 3 1\n0 1 2\n# label 0\n")
         code, out, err = run("export", str(path), "--psts")
         assert code == 1
         assert out == ""

@@ -14,9 +14,12 @@ from math import comb
 
 import pytest
 
-from skewper.incidence import Config, parameters, validate
+from skewper import constructions
+from skewper.analysis import reperspective, star_clique_indices, stp_diagram
+from skewper.incidence import Config, parameters, relabel, validate
+from skewper.isomorphism import perspective_iso
 from skewper.perms import Perm, parse_cycles, symmetric_group
-from skewper.skews import all_pairs, bar_alpha, identity_skew, make_pair, zeta
+from skewper.skews import all_pairs, bar_alpha, identity_skew, make_pair, phi_from_skew, zeta
 from skewper.constructions import (
     Perspective,
     PerspectiveLabeling,
@@ -399,6 +402,55 @@ class TestApplyPairMap:
                     left = apply_pair_map(veblen(veblen_label(s, mu)), amap)
                     right = veblen(veblen_label(s, mu.conjugate(alpha)))
                     assert left == right
+
+
+class TestAxisOrder:
+    """Axis point k is the pair all_pairs(n)[k]; labels only echo it."""
+
+    def shifted(self) -> Config:
+        g = grassmannian(4)
+        return relabel(g, {x: (x + 1) % g.num_points for x in range(g.num_points)})
+
+    def test_out_of_order_axis_rejected(self):
+        moved = self.shifted()
+        with pytest.raises(ValueError, match="in the order of all_pairs"):
+            perspective(4, zeta(4), moved)
+        with pytest.raises(ValueError, match="in the order of all_pairs"):
+            apply_pair_map(moved, zeta(4))
+
+    def test_axis_config_restores_the_order(self):
+        moved = self.shifted()
+        rebuilt = axis_config(
+            4, ([parse_pair_label(moved.labels[x]) for x in L] for L in moved.lines)
+        )
+        assert perspective(4, zeta(4), rebuilt) == perspective(4, zeta(4), grassmannian(4))
+
+    def test_library_reads_positions_not_labels(self, monkeypatch):
+        v5 = veblen(veblen_label(5, parse_cycles("(1,2)", 4)))
+
+        def results():
+            host = perspective(4, zeta(4), grassmannian(4))
+            twisted = perspective(4, zeta(4), v5)
+            return (
+                host,
+                veronesian_axis(5),
+                apply_pair_map(v5, zeta(4)),
+                kappa(v5),
+                perspective_iso(twisted, twisted),
+                reperspective(perspective(5, zeta(5), grassmannian(5))),
+                stp_diagram(host),
+                star_clique_indices(host, phi_from_skew(zeta(4))),
+            )
+
+        expected = results()
+
+        def refuse(*args):
+            raise AssertionError("a label was parsed")
+
+        monkeypatch.setattr(constructions, "parse_pair_label", refuse)
+        monkeypatch.setattr(constructions, "parse_multiset_label", refuse)
+        monkeypatch.setattr(Config, "point_by_label", refuse)
+        assert results() == expected
 
 
 class TestPerspectiveFromConfig:

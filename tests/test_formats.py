@@ -75,6 +75,14 @@ class TestPstsFormat:
         with pytest.raises(ValueError, match="bad label '# label 0 b'; point 0 is already labeled"):
             parse_psts(text)
 
+    @pytest.mark.parametrize(
+        "comment", ["# label 0", "# label", "#label", "# label x y", "# label 1.5 y"]
+    )
+    def test_malformed_label_rejected(self, comment):
+        text = f"psts 3 1\n0 1 2\n{comment}\n"
+        with pytest.raises(ValueError, match="bad label"):
+            parse_psts(text)
+
     def test_plain_comments_ignored(self):
         text = "psts 3 1\n# just a note\n0 1 2\n"
         assert parse_psts(text) == make_config(3, [(0, 1, 2)])
