@@ -350,8 +350,11 @@ class ExpectationCheck:
     name: str
     expected: object
     actual: object
-    passed: bool
     detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.expected == self.actual
 
 
 def _set_diff_detail(expected, actual) -> str:
@@ -374,7 +377,6 @@ def expectation_checks(report: ClassificationReport) -> list[ExpectationCheck]:
             name="two-free-clique class count",
             expected=EXPECTED_TWO_K5_CLASSES,
             actual=report.class_count_two_k5,
-            passed=report.class_count_two_k5 == EXPECTED_TWO_K5_CLASSES,
         )
     )
     checks.append(
@@ -382,7 +384,6 @@ def expectation_checks(report: ClassificationReport) -> list[ExpectationCheck]:
             name="three-plus-free-clique class count",
             expected=EXPECTED_THREE_PLUS_CLASSES,
             actual=report.class_count_three_plus,
-            passed=report.class_count_three_plus == EXPECTED_THREE_PLUS_CLASSES,
         )
     )
     checks.append(
@@ -390,7 +391,6 @@ def expectation_checks(report: ClassificationReport) -> list[ExpectationCheck]:
             name="three-plus pair set at s=5",
             expected=EXPECTED_THREE_PLUS_PAIRS_S5,
             actual=report.three_plus_pairs_s5,
-            passed=report.three_plus_pairs_s5 == EXPECTED_THREE_PLUS_PAIRS_S5,
             detail=_set_diff_detail(
                 EXPECTED_THREE_PLUS_PAIRS_S5, report.three_plus_pairs_s5
             ),
@@ -403,7 +403,6 @@ def expectation_checks(report: ClassificationReport) -> list[ExpectationCheck]:
             name="nontrivial automorphism instances",
             expected=expected_keys,
             actual=actual_keys,
-            passed=actual_keys == expected_keys,
             detail=_set_diff_detail(
                 {(k.f, k.s, k.i) for k in expected_keys},
                 {(k.f, k.s, k.i) for k in actual_keys},
@@ -418,7 +417,6 @@ def expectation_checks(report: ClassificationReport) -> list[ExpectationCheck]:
             name="nontrivial automorphism orders",
             expected=dict(EXPECTED_NONTRIVIAL_AUT),
             actual=actual_orders,
-            passed=actual_orders == dict(EXPECTED_NONTRIVIAL_AUT),
             detail="; ".join(
                 f"({k.f},{k.s},{k.i}): expected {v}, computed {actual_orders[k]}"
                 for k, v in EXPECTED_NONTRIVIAL_AUT.items()
@@ -437,7 +435,6 @@ def expectation_checks(report: ClassificationReport) -> list[ExpectationCheck]:
                 name=f"pairwise non-isomorphic representative list f={f}",
                 expected=len(entries),
                 actual=len(by_class),
-                passed=len(by_class) == len(entries),
                 detail="; ".join(
                     "isomorphic entries "
                     + ", ".join(f"({k.f},{k.s},{k.i})" for k in group)
@@ -461,7 +458,6 @@ def expectation_checks(report: ClassificationReport) -> list[ExpectationCheck]:
             name="two-free-clique classes missed by the representative lists",
             expected=0,
             actual=len(missed),
-            passed=not missed,
             detail=", ".join(f"class {c}" for c in missed),
         )
     )

@@ -127,6 +127,10 @@ def _selfcheck(config: Config, seed: int) -> int:
 def _cmd_iso(args) -> int:
     c1 = _read_config(args.file1)
     c2 = _read_config(args.file2)
+    for config in (c1, c2):
+        violations = validate(config).violations
+        if violations:
+            raise ValueError("invalid configuration: " + "; ".join(violations))
     witness = are_isomorphic(c1, c2)
     if witness is None:
         print("not isomorphic")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Mapping
 
 from .incidence import Config, make_config, parameters, validate
@@ -32,29 +33,8 @@ def pair_label(u: Pair) -> str:
     return "{%d,%d}" % u
 
 
-def parse_pair_label(text: str) -> Pair:
-    stripped = text.strip()
-    if not (stripped.startswith("{") and stripped.endswith("}")):
-        raise ValueError(f"not a pair label: {text!r}")
-    parts = stripped[1:-1].split(",")
-    if len(parts) != 2:
-        raise ValueError(f"not a pair label: {text!r}")
-    return make_pair(int(parts[0]), int(parts[1]))
-
-
 def multiset_label(m: Multiset3) -> str:
     return "a^%d b^%d c^%d" % tuple(m)
-
-
-def parse_multiset_label(text: str) -> Multiset3:
-    parts = text.split()
-    if (
-        len(parts) != 3
-        or [p[0] for p in parts] != ["a", "b", "c"]
-        or any(len(p) < 3 or p[1] != "^" for p in parts)
-    ):
-        raise ValueError(f"not a multiset label: {text!r}")
-    return tuple(int(p[2:]) for p in parts)  # type: ignore[return-value]
 
 
 def axis_config(n: int, pair_lines: Iterable[Iterable[Pair]]) -> Config:
@@ -163,6 +143,17 @@ class Perspective:
         return self.labeling.n
 
 
+def _role_labels(n: int) -> tuple[str, ...]:
+    """The point names `perspective` writes, in its point order: a1..an,
+    b1..bn, p, then c{i,j} over ``all_pairs(n)``."""
+    return (
+        tuple(f"a{i}" for i in range(1, n + 1))
+        + tuple(f"b{i}" for i in range(1, n + 1))
+        + ("p",)
+        + tuple("c" + pair_label(u) for u in all_pairs(n))
+    )
+
+
 def _check_axis_labels(n: int, axis: Config) -> None:
     """Enforce the axis rule: point k is ``all_pairs(n)[k]``, as
     `axis_config` builds it, so a point's pair is its position."""
@@ -204,12 +195,6 @@ def perspective(
     b = tuple(range(n, 2 * n))
     center = 2 * n
     c = {u: 2 * n + 1 + i for i, u in enumerate(pairs)}
-    labels = (
-        tuple(f"a{i}" for i in range(1, n + 1))
-        + tuple(f"b{i}" for i in range(1, n + 1))
-        + ("p",)
-        + tuple("c" + pair_label(u) for u in pairs)
-    )
     sigma_inv = sigma.inverse()
     lines: list[tuple[int, int, int]] = []
     for i in range(1, n + 1):
@@ -220,7 +205,7 @@ def perspective(
         lines.append((b[i - 1], b[j - 1], c[sigma_inv((i, j))]))
     for L in axis.lines:
         lines.append(tuple(c[pairs[x]] for x in L))
-    config = make_config(2 * n + 1 + len(pairs), lines, labels)
+    config = make_config(2 * n + 1 + len(pairs), lines, _role_labels(n))
     labeling = PerspectiveLabeling(n=n, center=center, a=a, b=b, c=c)
     return Perspective(config=config, labeling=labeling, skew=sigma, axis=axis)
 
@@ -306,66 +291,40 @@ def kappa(config: Config) -> Config:
 
 
 def perspective_from_config(config: Config) -> Perspective:
-    """Recover the roles, skew, and axis of a labeled perspective.
+    """Read a labeled perspective onto the layout `perspective` builds.
 
-    Inverse to ``perspective`` up to point ids: labels p, a1.., b1..,
-    c{i,j} identify the roles; the skew is read off the b-side lines and
-    the axis from the lines inside the axial part.  Raises ValueError if
-    the labeled structure is not exactly a perspective.
+    The labels must be exactly the role names `perspective` writes for some
+    n, matched as whole names.  The skew is read off the b-side lines and
+    the axis off the axial lines; the result is the rebuilt perspective, in
+    `perspective`'s point ids.  Raises ValueError unless the lines are
+    exactly its lines.
     """
-    if config.labels is None:
-        raise ValueError("perspective recovery needs labeled points")
-    by_label = {name: i for i, name in enumerate(config.labels)}
-    if "p" not in by_label:
-        raise ValueError("no center point labeled 'p'")
-    a_ids = {}
-    b_ids = {}
-    c_ids = {}
-    for name, idx in by_label.items():
-        if name == "p":
-            continue
-        if name.startswith("a"):
-            a_ids[int(name[1:])] = idx
-        elif name.startswith("b"):
-            b_ids[int(name[1:])] = idx
-        elif name.startswith("c"):
-            c_ids[parse_pair_label(name[1:])] = idx
-        else:
-            raise ValueError(f"unexpected point label {name!r}")
-    n = len(a_ids)
-    if sorted(a_ids) != list(range(1, n + 1)) or sorted(b_ids) != list(range(1, n + 1)):
-        raise ValueError("row labels must be a1..an and b1..bn")
-    if sorted(c_ids) != list(all_pairs(n)):
-        raise ValueError("axial labels must cover the 2-subsets of {1..%d}" % n)
-    labeling = PerspectiveLabeling(
-        n=n,
-        center=by_label["p"],
-        a=tuple(a_ids[i] for i in range(1, n + 1)),
-        b=tuple(b_ids[i] for i in range(1, n + 1)),
-        c=c_ids,
-    )
-    id_to_pair = {idx: u for u, idx in c_ids.items()}
-    b_index = {idx: i for i, idx in b_ids.items()}
-    sigma_map: dict[Pair, Pair] = {}
-    axis_lines = []
-    for L in config.lines:
-        roles = [id_to_pair.get(x) for x in L]
-        axial = [r for r in roles if r is not None]
-        if len(axial) == 3:
-            axis_lines.append(axial)
-        elif len(axial) == 1:
-            bs = sorted(b_index[x] for x in L if x in b_index)
-            if len(bs) == 2:
-                sigma_map[axial[0]] = make_pair(*bs)
-    if sorted(sigma_map) != list(all_pairs(n)):
-        raise ValueError("b-side lines do not determine a skew")
-    sigma = Skew.from_map(n, sigma_map)
-    axis = axis_config(n, axis_lines)
-    rebuilt = perspective(n, sigma, axis, require_binomial=False)
-    expected = {
-        frozenset(rebuilt.config.labels[x] for x in L) for L in rebuilt.config.lines
+    n = 0
+    while 2 * n + 1 + comb(n, 2) < config.num_points:
+        n += 1
+    names = _role_labels(n)
+    if config.labels is None or sorted(config.labels) != sorted(names):
+        raise ValueError(
+            "point labels must be exactly the role names a1..an, b1..bn, p and"
+            " c{i,j} of a perspective"
+        )
+    role = {name: i for i, name in enumerate(names)}
+    to_role = [role[name] for name in config.labels]
+    lines = sorted(tuple(sorted(to_role[x] for x in L)) for L in config.lines)
+    pairs = all_pairs(n)
+    axial = 2 * n + 1  # the id of c over pairs[0]
+    # a b-side line {b_i, b_j, c_k} of `perspective` says sigma(pairs[k]) = {i, j}
+    sigma_map = {
+        pairs[z - axial]: (x - n + 1, y - n + 1)
+        for x, y, z in lines
+        if n <= x < y < 2 * n and z >= axial
     }
-    actual = {frozenset(config.labels[x] for x in L) for L in config.lines}
-    if expected != actual:
+    if len(sigma_map) != len(pairs):
+        raise ValueError("b-side lines do not determine a skew")
+    axis = axis_config(
+        n, ([pairs[x - axial] for x in L] for L in lines if L[0] >= axial)
+    )
+    rebuilt = perspective(n, Skew.from_map(n, sigma_map), axis, require_binomial=False)
+    if rebuilt.config.lines != tuple(lines):
         raise ValueError("labeled lines do not match a perspective construction")
-    return Perspective(config=config, labeling=labeling, skew=sigma, axis=axis)
+    return rebuilt

@@ -54,16 +54,14 @@ class Config:
             return self.labels[point]
         return str(point)
 
-    def point_by_label(self, name: str) -> int:
-        if self.labels is None:
-            return int(name)
-        return self.labels.index(name)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
     violations: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -122,7 +120,7 @@ def validate(config: Config) -> ValidationReport:
             )
         if len(set(config.labels)) != len(config.labels):
             violations.append("labels are not pairwise distinct")
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(violations=tuple(violations))
 
 
 def parameters(config: Config) -> ConfigParams:

@@ -34,9 +34,12 @@ class AutomorphismGroup:
     """All line-preserving point bijections, as image tuples, plus a small
     generating subset."""
 
-    order: int
     elements: tuple[tuple[int, ...], ...]
     generators: tuple[tuple[int, ...], ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
 
 
 def _refine(num_points: int, lines_by_point, colors: list[int]) -> list[int]:
@@ -170,7 +173,6 @@ def automorphism_group(config: Config) -> AutomorphismGroup:
         if not is_isomorphism(config, config, g):
             raise RuntimeError("internal error: invalid automorphism produced")
     return AutomorphismGroup(
-        order=len(elements),
         elements=elements,
         generators=_greedy_generators(config.num_points, elements),
     )

@@ -1,6 +1,6 @@
 """Oracles independent of the package's canonical-form machinery, its
-incidence views and its free-clique rule, plus seeded inputs, shared by
-the tests.
+incidence views and its free-clique rule, label decoders written from the
+label formats, plus seeded inputs, shared by the tests.
 
 Both isomorphism generators yield every line-preserving point bijection
 c1 -> c2 as an image tuple, in lexicographic order: `next(gen, None)` is a
@@ -9,8 +9,30 @@ group order.
 """
 
 import itertools
+import re
 
 from skewper.incidence import make_config
+
+
+def pair_of_label(name):
+    """The pair (i, j) named by a pair label "{i,j}"."""
+    match = re.fullmatch(r"\{(\d+),(\d+)\}", name)
+    if match is None:
+        raise ValueError(f"not a pair label: {name!r}")
+    return (int(match[1]), int(match[2]))
+
+
+def triple_of_label(name):
+    """The exponents (x, y, z) named by a multiset label "a^x b^y c^z"."""
+    match = re.fullmatch(r"a\^(\d+) b\^(\d+) c\^(\d+)", name)
+    if match is None:
+        raise ValueError(f"not a multiset label: {name!r}")
+    return (int(match[1]), int(match[2]), int(match[3]))
+
+
+def point_named(config, name):
+    """The point of a labeled configuration that carries this name."""
+    return config.labels.index(name)
 
 
 def random_partial_linear(rng, nu, tries, lines=()):

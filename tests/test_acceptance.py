@@ -58,6 +58,8 @@ from skewper.skews import (
     zeta,
 )
 
+from oracles import point_named
+
 SEED = 20260815
 
 
@@ -81,12 +83,12 @@ def test_01_grassmannian_identity():
         p = perspective(n, identity_skew(n), grassmannian(n))
         target = grassmannian(n + 2)
         lab = p.labeling
-        witness = {lab.center: target.point_by_label(pair_label((n + 1, n + 2)))}
+        witness = {lab.center: point_named(target, pair_label((n + 1, n + 2)))}
         for i in range(1, n + 1):
-            witness[lab.a[i - 1]] = target.point_by_label(pair_label((i, n + 1)))
-            witness[lab.b[i - 1]] = target.point_by_label(pair_label((i, n + 2)))
+            witness[lab.a[i - 1]] = point_named(target, pair_label((i, n + 1)))
+            witness[lab.b[i - 1]] = point_named(target, pair_label((i, n + 2)))
         for u in all_pairs(n):
-            witness[lab.c[u]] = target.point_by_label(pair_label(u))
+            witness[lab.c[u]] = point_named(target, pair_label(u))
         _verify_witness(p.config, target, witness)
     assert perf_counter() - start < 1.0
 
@@ -99,17 +101,17 @@ def test_02_veronesian_recursion():
         p = perspective(k, zeta(k), veronesian_axis(k))
         target = veronesian(k)
         lab = p.labeling
-        witness = {lab.center: target.point_by_label(multiset_label((k, 0, 0)))}
+        witness = {lab.center: point_named(target, multiset_label((k, 0, 0)))}
         for i in range(1, k + 1):
-            witness[lab.a[i - 1]] = target.point_by_label(
-                multiset_label((k - i, i, 0))
+            witness[lab.a[i - 1]] = point_named(
+                target, multiset_label((k - i, i, 0))
             )
-            witness[lab.b[i - 1]] = target.point_by_label(
-                multiset_label((k - i, 0, i))
+            witness[lab.b[i - 1]] = point_named(
+                target, multiset_label((k - i, 0, i))
             )
         for i, j in all_pairs(k):
-            witness[lab.c[(i, j)]] = target.point_by_label(
-                multiset_label((k - j, i, j - i))
+            witness[lab.c[(i, j)]] = point_named(
+                target, multiset_label((k - j, i, j - i))
             )
         _verify_witness(p.config, target, witness)
     assert perf_counter() - start < 5.0

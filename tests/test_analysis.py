@@ -27,7 +27,6 @@ from skewper.constructions import (
     veblen,
     veblen_label,
     veronesian,
-    parse_multiset_label,
 )
 from skewper.analysis import (
     FreeClique,
@@ -42,7 +41,13 @@ from skewper.analysis import (
     stp_equivalent,
 )
 
-from oracles import brute_free_cliques, is_free_by_definition, random_partial_linear
+from oracles import (
+    brute_free_cliques,
+    is_free_by_definition,
+    point_named,
+    random_partial_linear,
+    triple_of_label,
+)
 
 
 def planted_system(rng, k):
@@ -166,7 +171,7 @@ class TestEnumerateFreeCliques:
         for c in found:
             zero = {0, 1, 2}
             for x in c.vertices:
-                triple = parse_multiset_label(v.labels[x])
+                triple = triple_of_label(v.labels[x])
                 zero &= {i for i in range(3) if triple[i] == 0}
             assert len(zero) == 1
             supports |= zero
@@ -294,7 +299,7 @@ class TestReperspective:
         ax = rep.axis
 
         def pid(u):
-            return ax.point_by_label(pair_label(u))
+            return point_named(ax, pair_label(u))
 
         assert join(ax, pid((1, 5)), pid((2, 5))) == pid((1, 2))
         assert join(ax, pid((1, 5)), pid((3, 5))) == pid((2, 3))

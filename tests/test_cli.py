@@ -108,6 +108,9 @@ class TestBuild:
 
     def test_usage_errors(self, run):
         assert run("build", "grassmannian")[0] == 2  # missing --n
+        assert run("build", "veronesian")[0] == 2  # missing --k
+        assert run("build", "perspective", "--phi", "[(1,3),(1,2)]")[0] == 2  # no --axis
+        assert run("build", "perspective", "--axis", "grassmannian")[0] == 2  # no --phi
         assert run("frobnicate")[0] == 2  # unknown verb
         assert run()[0] == 2  # no verb
 
@@ -217,6 +220,15 @@ class TestIso:
         assert code == 1
         assert "not isomorphic" in out
 
+    def test_invalid_configuration_is_an_error(self, run, tmp_path):
+        path = tmp_path / "two_shared.psts"
+        path.write_text("psts 4 2\n0 1 2\n0 1 3\n")
+        code, out, err = run("iso", str(path), str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invalid configuration:")
+        assert "share 2 points" in err
+
     def test_out_of_range_point_is_an_error(self, run, tmp_path, grass_instance_file):
         config = parse_psts(open(grass_instance_file).read())
         lines = list(config.lines)
@@ -297,6 +309,17 @@ class TestExport:
         code, _, err = run("export", "--dot", "--stp", str(path))
         assert code == 1
         assert "error" in err
+
+    def test_stp_rejects_a_repeated_center_label(self, run, tmp_path, grass_instance_file):
+        config = parse_psts(open(grass_instance_file).read())
+        extra = make_config(config.num_points + 1, config.lines, config.labels + ("p",))
+        path = tmp_path / "two_centers.psts"
+        path.write_text(emit_psts(extra))
+        code, out, err = run("export", "--dot", "--stp", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "labels" in err
 
     def test_stp_rejected_for_unlabeled(self, run, tmp_path):
         cfg = make_config(6, [(0, 1, 2), (0, 3, 4)])

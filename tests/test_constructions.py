@@ -10,6 +10,7 @@ Oracles and anchors used here:
 """
 
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -30,8 +31,6 @@ from skewper.constructions import (
     kappa,
     multiset_label,
     pair_label,
-    parse_multiset_label,
-    parse_pair_label,
     parse_veblen_text,
     perspective,
     perspective_from_config,
@@ -41,12 +40,14 @@ from skewper.constructions import (
     veronesian_axis,
 )
 
+from oracles import pair_of_label, point_named, triple_of_label
+
 
 def lines_as_pairs(config: Config) -> set[frozenset]:
     """Translate a pair-labeled configuration's lines back to 2-subsets."""
     out = set()
     for L in config.lines:
-        out.add(frozenset(parse_pair_label(config.labels[x]) for x in L))
+        out.add(frozenset(pair_of_label(config.labels[x]) for x in L))
     return out
 
 
@@ -57,14 +58,14 @@ def pairset(*pairs) -> frozenset:
 class TestLabels:
     def test_pair_label_round_trip(self):
         for u in all_pairs(6):
-            assert parse_pair_label(pair_label(u)) == u
+            assert pair_of_label(pair_label(u)) == u
 
     def test_pair_label_text(self):
         assert pair_label((2, 5)) == "{2,5}"
 
     def test_multiset_label_round_trip(self):
         for m in itertools.product(range(4), repeat=3):
-            assert parse_multiset_label(multiset_label(m)) == m
+            assert triple_of_label(multiset_label(m)) == m
 
     def test_multiset_label_text(self):
         assert multiset_label((2, 0, 1)) == "a^2 b^0 c^1"
@@ -119,7 +120,7 @@ class TestVeronesian:
     def test_lines_are_one_letter_extensions(self):
         v = veronesian(3)
         for L in v.lines:
-            triples = [parse_multiset_label(v.labels[x]) for x in L]
+            triples = [triple_of_label(v.labels[x]) for x in L]
             base = tuple(map(min, zip(*triples)))
             s = 3 - sum(base)
             assert s >= 1
@@ -148,7 +149,7 @@ class TestVeronesian:
         assert lines_as_pairs(ax) == {
             frozenset(
                 (y + 1, y + z + 2)
-                for (x, y, z) in (parse_multiset_label(v.labels[q]) for q in L)
+                for (x, y, z) in (triple_of_label(v.labels[q]) for q in L)
             )
             for L in v.lines
         }
@@ -204,7 +205,7 @@ class TestPerspective:
         persp = perspective(4, identity_skew(4), ax)
         lab = persp.labeling
         for L in ax.lines:
-            pairs = [parse_pair_label(ax.labels[x]) for x in L]
+            pairs = [pair_of_label(ax.labels[x]) for x in L]
             line = tuple(sorted(lab.c[u] for u in pairs))
             assert line in persp.config.lines
 
@@ -239,12 +240,12 @@ class TestPerspective:
         persp = perspective(3, identity_skew(3), grassmannian(3))
         lab = persp.labeling
         g5 = grassmannian(5)
-        mapping = {lab.center: g5.point_by_label(pair_label((4, 5)))}
+        mapping = {lab.center: point_named(g5, pair_label((4, 5)))}
         for i in range(1, 4):
-            mapping[lab.a[i - 1]] = g5.point_by_label(pair_label((i, 4)))
-            mapping[lab.b[i - 1]] = g5.point_by_label(pair_label((i, 5)))
+            mapping[lab.a[i - 1]] = point_named(g5, pair_label((i, 4)))
+            mapping[lab.b[i - 1]] = point_named(g5, pair_label((i, 5)))
         for u, cid in lab.c.items():
-            mapping[cid] = g5.point_by_label(pair_label(u))
+            mapping[cid] = point_named(g5, pair_label(u))
         relined = {tuple(sorted(mapping[x] for x in L)) for L in persp.config.lines}
         assert relined == set(g5.lines)
 
@@ -288,7 +289,7 @@ class TestVeblen:
         c = veblen(veblen_label(5, parse_cycles("(1,2,3)", 4)))
 
         def star_is_triangle(i):
-            pts = [c.point_by_label(pair_label(u)) for u in all_pairs(4) if i in u]
+            pts = [point_named(c, pair_label(u)) for u in all_pairs(4) if i in u]
             if tuple(sorted(pts)) in c.lines:
                 return False
             return all(join(c, x, y) is not None for x, y in itertools.combinations(pts, 2))
@@ -421,11 +422,11 @@ class TestAxisOrder:
     def test_axis_config_restores_the_order(self):
         moved = self.shifted()
         rebuilt = axis_config(
-            4, ([parse_pair_label(moved.labels[x]) for x in L] for L in moved.lines)
+            4, ([pair_of_label(moved.labels[x]) for x in L] for L in moved.lines)
         )
         assert perspective(4, zeta(4), rebuilt) == perspective(4, zeta(4), grassmannian(4))
 
-    def test_library_reads_positions_not_labels(self, monkeypatch):
+    def test_library_reads_positions_not_labels(self):
         v5 = veblen(veblen_label(5, parse_cycles("(1,2)", 4)))
 
         def results():
@@ -443,13 +444,9 @@ class TestAxisOrder:
             )
 
         expected = results()
-
-        def refuse(*args):
-            raise AssertionError("a label was parsed")
-
-        monkeypatch.setattr(constructions, "parse_pair_label", refuse)
-        monkeypatch.setattr(constructions, "parse_multiset_label", refuse)
-        monkeypatch.setattr(Config, "point_by_label", refuse)
+        assert not hasattr(constructions, "parse_pair_label")
+        assert not hasattr(constructions, "parse_multiset_label")
+        assert not hasattr(Config, "point_by_label")
         assert results() == expected
 
 
@@ -470,3 +467,72 @@ class TestPerspectiveFromConfig:
     def test_rejects_unlabeled(self):
         with pytest.raises(ValueError):
             perspective_from_config(Config(num_points=3, lines=((0, 1, 2),), labels=None))
+
+    def test_relabeled_file_reads_onto_the_layout(self):
+        """Labels move with their points; the reader returns the perspective
+        as `perspective` built it, in its own point ids."""
+        rng = random.Random(20261018)
+        for persp in (
+            perspective(4, zeta(4), veblen(veblen_label(5, parse_cycles("(1,2)", 4)))),
+            perspective(3, identity_skew(3), grassmannian(3)),
+            perspective(5, zeta(5), veronesian_axis(5)),
+            perspective(4, bar_alpha(parse_cycles("(1,2,3)", 4)), grassmannian(4)),
+        ):
+            for _ in range(4):
+                images = list(range(persp.config.num_points))
+                rng.shuffle(images)
+                back = perspective_from_config(relabel(persp.config, dict(enumerate(images))))
+                assert back.skew == persp.skew
+                assert back.axis == persp.axis
+                assert back.config == persp.config
+                assert back.labeling == persp.labeling
+
+    def host(self) -> Perspective:
+        return perspective(4, zeta(4), grassmannian(4))
+
+    def test_rejects_a_repeated_center_label(self):
+        """An isolated extra point named p leaves the labels off the role set."""
+        c = self.host().config
+        extra = Config(c.num_points + 1, c.lines, c.labels + ("p",))
+        with pytest.raises(ValueError, match="role names"):
+            perspective_from_config(extra)
+
+    def test_rejects_a_label_outside_the_roles(self):
+        c = self.host().config
+        labels = tuple("q" if name == "c{1,2}" else name for name in c.labels)
+        with pytest.raises(ValueError, match="role names"):
+            perspective_from_config(Config(c.num_points, c.lines, labels))
+
+    def test_rejects_an_a_label_swapped_with_a_c_label(self):
+        c = self.host().config
+        swap = {"a1": "c{3,4}", "c{3,4}": "a1"}
+        labels = tuple(swap.get(name, name) for name in c.labels)
+        with pytest.raises(ValueError):
+            perspective_from_config(Config(c.num_points, c.lines, labels))
+
+    def test_rejects_b_side_lines_that_are_not_a_bijection(self):
+        """Two b-side lines through one axial point, none through another:
+        still a partial Steiner triple system, but no skew."""
+        c, lab = self.host()
+        b_lines = [L for L in c.lines if len(set(L) & set(lab.b)) == 2]
+        first = b_lines[0]
+        second = next(L for L in b_lines if not set(L) & set(first))
+        moved = tuple(sorted([*(set(first) & set(lab.b)), *(set(second) - set(lab.b))]))
+        bad = Config(
+            c.num_points, tuple(sorted(moved if L == first else L for L in c.lines)), c.labels
+        )
+        assert validate(bad).ok
+        with pytest.raises(ValueError, match="skew"):
+            perspective_from_config(bad)
+
+    def test_rejects_a_moved_axis_line(self):
+        c, lab = self.host()
+        axial = set(lab.c.values())
+        first = next(L for L in c.lines if set(L) <= axial)
+        other = min(axial - set(first))
+        moved = tuple(sorted((first[0], first[1], other)))
+        bad = Config(
+            c.num_points, tuple(sorted(moved if L == first else L for L in c.lines)), c.labels
+        )
+        with pytest.raises(ValueError):
+            perspective_from_config(bad)
