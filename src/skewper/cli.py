@@ -34,6 +34,14 @@ def _read_config(path: str) -> Config:
     return parse_psts(Path(path).read_text())
 
 
+def _read_valid_config(path: str) -> Config:
+    config = _read_config(path)
+    violations = validate(config).violations
+    if violations:
+        raise ValueError("invalid configuration: " + "; ".join(violations))
+    return config
+
+
 def _write_output(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -125,12 +133,8 @@ def _selfcheck(config: Config, seed: int) -> int:
 
 
 def _cmd_iso(args) -> int:
-    c1 = _read_config(args.file1)
-    c2 = _read_config(args.file2)
-    for config in (c1, c2):
-        violations = validate(config).violations
-        if violations:
-            raise ValueError("invalid configuration: " + "; ".join(violations))
+    c1 = _read_valid_config(args.file1)
+    c2 = _read_valid_config(args.file2)
     witness = are_isomorphic(c1, c2)
     if witness is None:
         print("not isomorphic")
@@ -151,7 +155,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    config = _read_config(args.file)
+    config = _read_valid_config(args.file)
     if args.stp:
         if not args.dot:
             raise ValueError("the --stp layout is only available with --dot")

@@ -2,10 +2,16 @@
 
 The canonizer iterates color refinement (a point's signature is its color
 plus the multiset of its lines' color profiles) and, while cells remain,
-individualizes every point of the first non-singleton cell.  Each discrete
-leaf yields a relabeled line list; the lexicographically least one is the
-certificate.  All leaves achieving it differ exactly by automorphisms,
-which gives the group for free.
+individualizes every point of the first non-singleton cell.  Every
+refinement pass has a relabel-invariant key, its sorted signatures, and
+the search keeps only the leaves whose sequence of keys (their trace) is
+least, abandoning a branch at the first pass that is worse than the
+least path found so far (the trace half of McKay & Piperno's Traces).
+Each surviving discrete leaf yields a relabeled line list; the
+lexicographically least one is the certificate.  An automorphism maps a
+leaf to a leaf with the same trace and certificate, so the surviving
+leaves achieving the certificate differ exactly by automorphisms, and
+there is one such leaf per automorphism: the group comes for free.
 """
 
 from __future__ import annotations
@@ -42,32 +48,44 @@ class AutomorphismGroup:
         return len(self.elements)
 
 
-def _refine(num_points: int, lines_by_point, colors: list[int]) -> list[int]:
-    """Iterate signature-based splitting to a stable, canonically numbered
-    partition.  Signatures extend the current color, so granularity only
-    grows; numbering follows sorted signature order."""
-    while True:
-        sigs = []
-        for p in range(num_points):
-            profile = sorted(
-                tuple(sorted(colors[q] for q in L if q != p))
-                for L in lines_by_point[p]
-            )
-            sigs.append((colors[p], tuple(profile)))
-        numbering = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        fresh = [numbering[s] for s in sigs]
-        if len(set(fresh)) == len(set(colors)):
-            return fresh
-        colors = fresh
-
-
 def _leaves(num_points: int, lines_by_point) -> list[tuple[int, ...]]:
-    """All discrete colorings reached by refine-and-individualize."""
+    """The discrete colorings on the least refinement trace.
+
+    A pass keys itself by its sorted distinct signatures and numbers
+    colors in that order.  A node's trace is the pass keys from the root
+    down; a key greater than the least path's at the same position
+    abandons the node, a smaller one makes it the least path and drops
+    the leaves kept so far.  Keys fix when passes stop and which nodes
+    are leaves, so no leaf's trace is a prefix of another's.
+    """
+    best: list[tuple] = []  # pass keys along the least path found so far
     out: list[tuple[int, ...]] = []
 
-    def descend(colors: list[int]):
-        colors = _refine(num_points, lines_by_point, colors)
-        if len(set(colors)) == num_points:
+    def descend(colors: list[int], position: int) -> None:
+        count = len(set(colors))
+        while True:
+            sigs = []
+            for p in range(num_points):
+                profile = sorted(
+                    tuple(sorted(colors[q] for q in L if q != p))
+                    for L in lines_by_point[p]
+                )
+                sigs.append((colors[p], tuple(profile)))
+            key = tuple(sorted(set(sigs)))
+            # At the end of the least path no leaf is kept yet.
+            if position == len(best) or key < best[position]:
+                del best[position:]
+                best.append(key)
+                out.clear()
+            elif key > best[position]:
+                return
+            position += 1
+            numbering = {s: i for i, s in enumerate(key)}
+            colors = [numbering[s] for s in sigs]
+            if len(key) == count:
+                break
+            count = len(key)
+        if count == num_points:
             out.append(tuple(colors))
             return
         counts: dict[int, int] = {}
@@ -78,9 +96,9 @@ def _leaves(num_points: int, lines_by_point) -> list[tuple[int, ...]]:
             if colors[p] == target:
                 branch = list(colors)
                 branch[p] = num_points  # distinct from every current color
-                descend(branch)
+                descend(branch, position)
 
-    descend([0] * num_points)
+    descend([0] * num_points, 0)
     return out
 
 

@@ -329,6 +329,18 @@ class TestExport:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "form", [["--psts"], ["--json"], ["--dot"], ["--dot", "--stp"]]
+    )
+    def test_invalid_configuration_is_an_error(self, run, tmp_path, form):
+        path = tmp_path / "two_shared.psts"
+        path.write_text("psts 4 2\n0 1 2\n0 1 3\n")
+        code, out, err = run("export", *form, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invalid configuration:")
+        assert "share 2 points" in err
+
     def test_repeated_label_is_an_error(self, run, tmp_path):
         path = tmp_path / "relabeled.psts"
         path.write_text("psts 3 1\n0 1 2\n# label 0 a\n# label 0 b\n# label 1 c\n# label 2 d\n")

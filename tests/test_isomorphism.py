@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from skewper.classify import ALL_KEYS, build_instance
 from skewper.constructions import (
     apply_pair_map,
     grassmannian,
@@ -331,3 +332,68 @@ class TestCanonizerMemo:
             (k.num_points, k.lines, k.labels) != fields
             for k in isomorphism._CANON_MEMO.keys()
         )
+
+
+def relabelings(c, seed):
+    """Three seeded random relabelings of c."""
+    rng = random.Random(seed)
+    for _ in range(3):
+        images = list(range(c.num_points))
+        rng.shuffle(images)
+        yield relabel(c, dict(enumerate(images)))
+
+
+def host(n):
+    return perspective(n, zeta(n), grassmannian(n)).config
+
+
+class TestTracePruning:
+    """The search keeps only the leaves on the least refinement trace.  An
+    automorphism maps a surviving leaf to a surviving leaf, so there is at
+    least one per automorphism; on these structures there is exactly one."""
+
+    def test_catalog_leaves_match_group_order(self):
+        for key in ALL_KEYS:
+            c = build_instance(key).config
+            leaves = isomorphism._leaves(c.num_points, c.lines_by_point)
+            assert len(leaves) == automorphism_group(c).order
+
+    @pytest.mark.parametrize(
+        "build, order",
+        [pytest.param(lambda k=k: veronesian(k), 6, id=f"V({k})") for k in range(4, 9)]
+        + [
+            pytest.param(lambda: host(8), 1, id="host(8)"),
+            pytest.param(lambda: grassmannian(5), 120, id="G(2,5)"),
+            pytest.param(lambda: grassmannian(6), 720, id="G(2,6)"),
+        ],
+    )
+    def test_leaves_match_group_order_under_relabeling(self, build, order):
+        c = build()
+        assert automorphism_group(c).order == order
+        assert len(isomorphism._leaves(c.num_points, c.lines_by_point)) == order
+        for moved in relabelings(c, c.num_points):
+            assert len(isomorphism._leaves(moved.num_points, moved.lines_by_point)) == order
+
+    @pytest.mark.parametrize(
+        "build, oracle",
+        [pytest.param(lambda k=k: veronesian(k), k <= 6, id=f"V({k})") for k in range(4, 8)]
+        + [pytest.param(lambda n=n: host(n), n <= 6, id=f"host({n})") for n in range(5, 9)],
+    )
+    def test_relabeled_structures(self, build, oracle):
+        c = build()
+        cert = canonical_certificate(c).canonical_lines
+        for moved in relabelings(c, c.num_points):
+            assert canonical_certificate(moved).canonical_lines == cert
+            witness = are_isomorphic(moved, c)
+            assert witness is not None
+            verify_witness(moved, c, witness)
+            if oracle:
+                assert set(automorphism_group(moved).elements) == set(
+                    backtrack_isos(moved, moved)
+                )
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_veronesian_is_not_the_host(self, k):
+        v, h = veronesian(k), host(k)
+        assert are_isomorphic(v, h) is None
+        assert next(backtrack_isos(v, h), None) is None
