@@ -12,6 +12,15 @@ lexicographically least one is the certificate.  An automorphism maps a
 leaf to a leaf with the same trace and certificate, so the surviving
 leaves achieving the certificate differ exactly by automorphisms, and
 there is one such leaf per automorphism: the group comes for free.
+
+An isomorphism decision searches only its first configuration in full.
+The second is searched against the first's least trace (the
+isomorphism-test mode of Traces): a key greater than the trace's prunes
+the branch, a smaller one means the second's least trace is smaller and
+the answer is "not isomorphic" at once, and the first leaf on the trace
+whose certificate equals the first configuration's gives the witness.
+That leaf is the one a full search of the second would take as its
+base, so the witness is the certificate formula's.
 """
 
 from __future__ import annotations
@@ -48,7 +57,9 @@ class AutomorphismGroup:
         return len(self.elements)
 
 
-def _leaves(num_points: int, lines_by_point) -> list[tuple[int, ...]]:
+def _leaves(
+    num_points: int, lines_by_point, trace=None, accept=None
+) -> list[tuple[int, ...]]:
     """The discrete colorings on the least refinement trace.
 
     A pass keys itself by its sorted distinct signatures and numbers
@@ -57,11 +68,18 @@ def _leaves(num_points: int, lines_by_point) -> list[tuple[int, ...]]:
     abandons the node, a smaller one makes it the least path and drops
     the leaves kept so far.  Keys fix when passes stop and which nodes
     are leaves, so no leaf's trace is a prefix of another's.
+
+    A given `trace` list receives the least trace.  With `accept` it is
+    instead another configuration's least trace, held fixed: a pass past
+    its end, or with a key smaller than its key at the same position,
+    ends the search with no leaf, and the search ends at the first leaf
+    that `accept` takes, returning that leaf alone.
     """
-    best: list[tuple] = []  # pass keys along the least path found so far
+    best: list[tuple] = [] if trace is None else trace  # the least path's pass keys
     out: list[tuple[int, ...]] = []
 
-    def descend(colors: list[int], position: int) -> None:
+    def descend(colors: list[int], position: int) -> bool:
+        """Search below a node; True ends the whole search."""
         count = len(set(colors))
         while True:
             sigs = []
@@ -74,11 +92,13 @@ def _leaves(num_points: int, lines_by_point) -> list[tuple[int, ...]]:
             key = tuple(sorted(set(sigs)))
             # At the end of the least path no leaf is kept yet.
             if position == len(best) or key < best[position]:
+                if accept is not None:
+                    return True
                 del best[position:]
                 best.append(key)
                 out.clear()
             elif key > best[position]:
-                return
+                return False
             position += 1
             numbering = {s: i for i, s in enumerate(key)}
             colors = [numbering[s] for s in sigs]
@@ -86,8 +106,11 @@ def _leaves(num_points: int, lines_by_point) -> list[tuple[int, ...]]:
                 break
             count = len(key)
         if count == num_points:
-            out.append(tuple(colors))
-            return
+            leaf = tuple(colors)
+            if accept is None or accept(leaf):
+                out.append(leaf)
+                return accept is not None
+            return False
         counts: dict[int, int] = {}
         for c in colors:
             counts[c] = counts.get(c, 0) + 1
@@ -96,7 +119,9 @@ def _leaves(num_points: int, lines_by_point) -> list[tuple[int, ...]]:
             if colors[p] == target:
                 branch = list(colors)
                 branch[p] = num_points  # distinct from every current color
-                descend(branch, position)
+                if descend(branch, position):
+                    return True
+        return False
 
     descend([0] * num_points, 0)
     return out
@@ -114,12 +139,15 @@ def _certificate_of(colors: tuple[int, ...], lines) -> tuple[Line, ...]:
 _CANON_MEMO: weakref.WeakKeyDictionary[Config, tuple] = weakref.WeakKeyDictionary()
 
 
-def _canonize(config: Config):
+def _canonize(config: Config, trace: Optional[list] = None):
+    """The memo entry of config.  A given `trace` list receives the least
+    trace, which takes a search even on a memoized config and is never
+    memoized."""
     cached = _CANON_MEMO.get(config)
-    if cached is not None:
+    if cached is not None and trace is None:
         return cached
     num_points, lines = config.num_points, config.lines
-    leaves = _leaves(num_points, config.lines_by_point)
+    leaves = _leaves(num_points, config.lines_by_point, trace)
     best: Optional[tuple[Line, ...]] = None
     best_leaves: list[tuple[int, ...]] = []
     for leaf in leaves:
@@ -146,17 +174,24 @@ def canonical_certificate(config: Config) -> CanonicalCertificate:
 
 def are_isomorphic(c1: Config, c2: Config) -> Optional[dict[int, int]]:
     """A verified point bijection carrying the lines of c1 onto those of
-    c2, or None."""
+    c2, or None.  Only c1 is searched in full; c2 is searched against
+    c1's least trace up to its first leaf with c1's certificate."""
     if c1.num_points != c2.num_points or len(c1.lines) != len(c2.lines):
         return None
-    cert1 = canonical_certificate(c1)
-    cert2 = canonical_certificate(c2)
-    if cert1.canonical_lines != cert2.canonical_lines:
+    trace: list[tuple] = []
+    cert1, base1, _ = _canonize(c1, trace)
+    match = _leaves(
+        c2.num_points,
+        c2.lines_by_point,
+        trace,
+        lambda leaf: _certificate_of(leaf, c2.lines) == cert1,
+    )
+    if not match:
         return None
     inverse2 = [0] * c2.num_points
-    for p, c in enumerate(cert2.relabeling):
+    for p, c in enumerate(match[0]):
         inverse2[c] = p
-    witness = {p: inverse2[cert1.relabeling[p]] for p in range(c1.num_points)}
+    witness = {p: inverse2[base1[p]] for p in range(c1.num_points)}
     if not is_isomorphism(c1, c2, witness):
         raise RuntimeError("internal error: certificate witness failed verification")
     return witness

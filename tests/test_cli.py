@@ -220,6 +220,17 @@ class TestIso:
         assert code == 1
         assert "not isomorphic" in out
 
+    @pytest.mark.parametrize("text", ["psts 0 0\n", "psts 3 1\n0 1 2\n"])
+    def test_smallest_files(self, run, tmp_path, text):
+        path = tmp_path / "small.psts"
+        path.write_text(text)
+        num_points = int(text.split()[1])
+        code, out, err = run("iso", str(path), str(path))
+        assert (code, err) == (0, "")
+        assert out == "isomorphic; witness:\n" + "".join(
+            f"  {x} -> {x}\n" for x in range(num_points)
+        )
+
     def test_invalid_configuration_is_an_error(self, run, tmp_path):
         path = tmp_path / "two_shared.psts"
         path.write_text("psts 4 2\n0 1 2\n0 1 3\n")

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from skewper.classify import ALL_KEYS, build_instance
+from skewper.classify import ALL_KEYS, build_instance, classify_all
 from skewper.constructions import (
     apply_pair_map,
     grassmannian,
@@ -397,3 +397,152 @@ class TestTracePruning:
         v, h = veronesian(k), host(k)
         assert are_isomorphic(v, h) is None
         assert next(backtrack_isos(v, h), None) is None
+
+
+def certificate_witness(c1, c2):
+    """The witness of a full search of both sides: inverse(cert2.relabeling)
+    composed with cert1.relabeling, or None when the certificates differ."""
+    cert1, cert2 = canonical_certificate(c1), canonical_certificate(c2)
+    if cert1.canonical_lines != cert2.canonical_lines:
+        return None
+    inverse2 = {c: p for p, c in enumerate(cert2.relabeling)}
+    return {p: inverse2[cert1.relabeling[p]] for p in range(c1.num_points)}
+
+
+@pytest.fixture(scope="module")
+def catalog_report():
+    return classify_all(threads=1)
+
+
+class TestReferenceSearch:
+    """`are_isomorphic` searches its second configuration against the
+    first's least trace; its answers and witnesses are those of the
+    certificate formula over two full searches."""
+
+    def test_catalog_members_against_their_class(self, catalog_report):
+        for cls in catalog_report.classes:
+            first = build_instance(cls.members[0]).config
+            for key in cls.members:
+                moved = next(relabelings(build_instance(key).config, key.s * key.i * key.f))
+                expected = certificate_witness(first, moved)
+                assert expected is not None
+                assert are_isomorphic(first, moved) == expected, key
+
+    def test_orbit_representatives_with_equal_invariants(self, catalog_report):
+        by_invariants = {}
+        for key, summary in catalog_report.instances.items():
+            if summary.kind == "representative":
+                invariants = (summary.free_clique_count, summary.aut_order)
+                by_invariants.setdefault(invariants, []).append(key)
+        negatives = 0
+        for keys in by_invariants.values():
+            for k1, k2 in itertools.combinations(keys, 2):
+                c1, c2 = build_instance(k1).config, build_instance(k2).config
+                expected = certificate_witness(c1, c2)
+                negatives += expected is None
+                assert are_isomorphic(c1, c2) == expected, (k1, k2)
+        assert negatives > 0
+
+    def test_smaller_root_key_aborts(self):
+        # the same size, but c2's root key is smaller: a point on two lines
+        # and one on none sort before points on one line
+        c1 = make_config(6, [(0, 1, 2), (3, 4, 5)])
+        c2 = make_config(6, [(0, 1, 2), (0, 3, 4)])
+        trace = []
+        isomorphism._leaves(c1.num_points, c1.lines_by_point, trace)
+        trace2 = []
+        isomorphism._leaves(c2.num_points, c2.lines_by_point, trace2)
+        assert trace2[0] < trace[0]
+        accepted = []
+        found = isomorphism._leaves(
+            c2.num_points, c2.lines_by_point, trace, accepted.append
+        )
+        assert found == [] and accepted == []
+        assert are_isomorphic(c1, c2) is None
+        assert are_isomorphic(c2, c1) is None
+
+    def test_smaller_key_below_the_root_ends_the_search(self):
+        # G(2,5) is one cell after the root pass and branches ten ways; a
+        # reference whose second key sorts after every key makes the first
+        # child's key smaller, which ends the search without its siblings
+        c = grassmannian(5)
+        reads = []
+
+        class Counted(tuple):
+            def __getitem__(self, p):
+                reads.append(p)
+                return tuple.__getitem__(self, p)
+
+        trace = []
+        isomorphism._leaves(c.num_points, c.lines_by_point, trace)
+        reference = [trace[0], ((c.num_points + 1,),)]
+        accepted = []
+        found = isomorphism._leaves(
+            c.num_points, Counted(c.lines_by_point), reference, accepted.append
+        )
+        assert found == [] and accepted == []
+        assert len(reads) == 2 * c.num_points  # the root pass and one child's
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_veronesian_against_the_host_visits_no_leaf(self, k, monkeypatch):
+        # the least traces share their root key and part further down, so
+        # one search aborts below the root and the other is pruned there
+        v, h = veronesian(k), host(k)
+        trace_v, trace_h = [], []
+        isomorphism._leaves(v.num_points, v.lines_by_point, trace_v)
+        isomorphism._leaves(h.num_points, h.lines_by_point, trace_h)
+        assert trace_v[0] == trace_h[0] and trace_v != trace_h
+        certified = []
+        certificate_of = isomorphism._certificate_of
+
+        def counted(colors, lines):
+            certified.append(lines)
+            return certificate_of(colors, lines)
+
+        monkeypatch.setattr(isomorphism, "_certificate_of", counted)
+        for c1, c2 in [(v, h), (h, v)]:
+            certified.clear()
+            assert are_isomorphic(c1, c2) is None
+            assert all(lines is not c2.lines for lines in certified)
+
+    def test_relabeled_grassmannian_found_early(self, monkeypatch):
+        c = grassmannian(6)
+        moved = next(relabelings(c, 6))
+        visited = []
+        certificate_of = isomorphism._certificate_of
+
+        def counted(colors, lines):
+            visited.append(lines is moved.lines)
+            return certificate_of(colors, lines)
+
+        monkeypatch.setattr(isomorphism, "_certificate_of", counted)
+        witness = are_isomorphic(c, moved)
+        verify_witness(c, moved, witness)
+        # c is searched in full; moved stops at its first trace leaf,
+        # since every one of its 720 leaves has c's certificate
+        assert visited.count(False) == 720
+        assert visited.count(True) == 1
+
+    @pytest.mark.parametrize("num_points, lines", [(0, []), (3, [(0, 1, 2)])])
+    def test_smallest_files(self, num_points, lines):
+        c = make_config(num_points, lines)
+        moved = relabel(c, {p: num_points - 1 - p for p in range(num_points)})
+        witness = are_isomorphic(c, moved)
+        assert witness == certificate_witness(c, moved)
+        verify_witness(c, moved, witness)
+
+    def test_no_trace_is_kept(self):
+        # unique labels keep this Config unequal to any other live one
+        base = grassmannian(5)
+        c1 = make_config(base.num_points, base.lines, [f"ref{x}" for x in range(10)])
+        c2 = next(relabelings(c1, 3))
+        state = dict(vars(isomorphism))
+        assert are_isomorphic(c1, c2) is not None
+        assert vars(isomorphism).keys() == state.keys()
+        assert all(vars(isomorphism)[name] is value for name, value in state.items())
+        assert c1 in isomorphism._CANON_MEMO
+        assert c2 not in isomorphism._CANON_MEMO
+        for certificate, relabeling, automorphisms in isomorphism._CANON_MEMO.values():
+            assert all(len(line) == 3 for line in certificate)
+            assert all(isinstance(x, int) for x in relabeling)
+            assert all(len(g) == len(relabeling) for g in automorphisms)
