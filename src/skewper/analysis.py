@@ -85,22 +85,25 @@ def enumerate_free_cliques(config: Config, m: int) -> list[FreeClique]:
     """All size-m vertex sets carrying a free complete graph, in ascending
     vertex order.  Backtracks over ascending vertex lists and the third
     points of their pair lines; the conditions are hereditary, so any
-    extension of a failing set is pruned."""
+    extension of a failing set is pruned.  Each list tries only the points
+    above its last vertex that are collinear with all of its vertices."""
     if m < 0:
         raise ValueError(f"clique size must be non-negative, got {m}")
     table = config.line_of_pair
     found: list[FreeClique] = []
 
-    def extend(current: list[int], thirds: set[int], start: int):
+    def extend(current: list[int], thirds: set[int], candidates: list[int]):
         if len(current) == m:
             found.append(_free_clique(table, current))
             return
-        for v in range(start, config.num_points - (m - len(current)) + 1):
+        for i in range(len(candidates) - (m - len(current)) + 1):
+            v = candidates[i]
             added = _add_vertex(table, current, thirds, v)
             if added is not None:
-                extend(current + [v], thirds.union(added), v + 1)
+                rest = [w for w in candidates[i + 1 :] if (v, w) in table]
+                extend(current + [v], thirds.union(added), rest)
 
-    extend([], set(), 0)
+    extend([], set(), list(range(config.num_points)))
     return found
 
 

@@ -1,9 +1,15 @@
 """Canonical forms, isomorphism decisions, and automorphism groups.
 
-The canonizer iterates color refinement (a point's signature is its color
-plus the multiset of its lines' color profiles) and, while cells remain,
-individualizes every point of the first non-singleton cell.  Every
-refinement pass has a relabel-invariant key, its sorted signatures, and
+The canonizer starts from a vertex invariant (McKay & Piperno), each
+point's counts of the triangles and Pasch configurations through it: on
+the regular structures built from Veblen configurations refinement alone
+splits nothing, while these counts give the Veronesians and the
+symmetry-skew hosts several root cells (a Grassmannian keeps one).  It
+iterates color refinement (a point's signature is its color plus the
+multiset of its lines' color profiles) and, while cells remain,
+individualizes every point of the first non-singleton cell, after which
+only that point and the points collinear with it change signature.
+Every refinement pass has a relabel-invariant key, its sorted signatures, and
 the search keeps only the leaves whose sequence of keys (their trace) is
 least, abandoning a branch at the first pass that is worse than the
 least path found so far (the trace half of McKay & Piperno's Traces).
@@ -25,6 +31,7 @@ base, so the witness is the certificate formula's.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass
 from typing import Optional
@@ -57,17 +64,65 @@ class AutomorphismGroup:
         return len(self.elements)
 
 
-def _leaves(
-    num_points: int, lines_by_point, trace=None, accept=None
-) -> list[tuple[int, ...]]:
+def _triangles_and_pasch(config: Config) -> list[tuple[int, int]]:
+    """The triangles and Pasch configurations (four lines on six points,
+    every point on two of them) through each point.
+
+    Over each pair of lines {p, a, b} and {p, c, d}: a collinear cross
+    pair such as (a, c) closes a triangle, and join(a, c) == join(b, d)
+    or join(a, d) == join(b, c) closes a Pasch configuration."""
+    # third[x][y]: the third point of the line through x and y
+    third: list[dict[int, int]] = [{} for _ in range(config.num_points)]
+    for x, y, z in config.lines:
+        third[x][y] = third[y][x] = z
+        third[x][z] = third[z][x] = y
+        third[y][z] = third[z][y] = x
+    counts = []
+    for p, through in enumerate(config.lines_by_point):
+        triangles = pasch = 0
+        for L1, L2 in itertools.combinations(through, 2):
+            a, b = (x for x in L1 if x != p)
+            c, d = (x for x in L2 if x != p)
+            ta, tb = third[a], third[b]
+            triangles += (c in ta) + (d in ta) + (c in tb) + (d in tb)
+            for e, f in ((ta.get(c), tb.get(d)), (ta.get(d), tb.get(c))):
+                pasch += e is not None and e == f
+        counts.append((triangles, pasch))
+    return counts
+
+
+def _root_colors(config: Config) -> list[int]:
+    """Each point's rank among the distinct `_triangles_and_pasch` counts:
+    a relabel-invariant first split of structures on which every point
+    lies on as many lines, where refinement alone splits nothing."""
+    counts = _triangles_and_pasch(config)
+    rank = {pair: i for i, pair in enumerate(sorted(set(counts)))}
+    return [rank[pair] for pair in counts]
+
+
+def _signature(lines_by_point, colors: list[int], p: int) -> tuple:
+    """p's color and the sorted color profiles of the lines through it."""
+    profile = sorted(
+        tuple(sorted(colors[q] for q in L if q != p)) for L in lines_by_point[p]
+    )
+    return (colors[p], tuple(profile))
+
+
+def _leaves(config: Config, trace=None, accept=None) -> list[tuple[int, ...]]:
     """The discrete colorings on the least refinement trace.
 
-    A pass keys itself by its sorted distinct signatures and numbers
-    colors in that order.  A node's trace is the pass keys from the root
-    down; a key greater than the least path's at the same position
-    abandons the node, a smaller one makes it the least path and drops
-    the leaves kept so far.  Keys fix when passes stop and which nodes
-    are leaves, so no leaf's trace is a prefix of another's.
+    The root coloring is `_root_colors`.  A pass keys itself by its sorted
+    distinct signatures and numbers colors in that order.  A node's trace
+    is the pass keys from the root down; a key greater than the least
+    path's at the same position abandons the node, a smaller one makes it
+    the least path and drops the leaves kept so far.  Keys fix when passes
+    stop and which nodes are leaves, so no leaf's trace is a prefix of
+    another's.
+
+    A stable pass renumbers every color to itself, so its signatures are
+    those of the coloring it yields.  A child individualizes p with the
+    next free color, and its first pass recomputes the signatures of p
+    and the points collinear with it only.
 
     A given `trace` list receives the least trace.  With `accept` it is
     instead another configuration's least trace, held fixed: a pass past
@@ -75,20 +130,16 @@ def _leaves(
     ends the search with no leaf, and the search ends at the first leaf
     that `accept` takes, returning that leaf alone.
     """
+    num_points, lines_by_point = config.num_points, config.lines_by_point
     best: list[tuple] = [] if trace is None else trace  # the least path's pass keys
     out: list[tuple[int, ...]] = []
 
-    def descend(colors: list[int], position: int) -> bool:
-        """Search below a node; True ends the whole search."""
+    def descend(colors: list[int], sigs: list, position: int) -> bool:
+        """Search below a node whose colors are numbered from 0 without
+        gaps and whose points have signatures `sigs`; True ends the whole
+        search."""
         count = len(set(colors))
         while True:
-            sigs = []
-            for p in range(num_points):
-                profile = sorted(
-                    tuple(sorted(colors[q] for q in L if q != p))
-                    for L in lines_by_point[p]
-                )
-                sigs.append((colors[p], tuple(profile)))
             key = tuple(sorted(set(sigs)))
             # At the end of the least path no leaf is kept yet.
             if position == len(best) or key < best[position]:
@@ -100,11 +151,12 @@ def _leaves(
             elif key > best[position]:
                 return False
             position += 1
-            numbering = {s: i for i, s in enumerate(key)}
-            colors = [numbering[s] for s in sigs]
             if len(key) == count:
                 break
+            numbering = {s: i for i, s in enumerate(key)}
+            colors = [numbering[s] for s in sigs]
             count = len(key)
+            sigs = [_signature(lines_by_point, colors, p) for p in range(num_points)]
         if count == num_points:
             leaf = tuple(colors)
             if accept is None or accept(leaf):
@@ -118,12 +170,17 @@ def _leaves(
         for p in range(num_points):
             if colors[p] == target:
                 branch = list(colors)
-                branch[p] = num_points  # distinct from every current color
-                if descend(branch, position):
+                branch[p] = count
+                child = list(sigs)
+                for q in {p}.union(*lines_by_point[p]):
+                    child[q] = _signature(lines_by_point, branch, q)
+                if descend(branch, child, position):
                     return True
         return False
 
-    descend([0] * num_points, 0)
+    colors = _root_colors(config)
+    sigs = [_signature(lines_by_point, colors, p) for p in range(num_points)]
+    descend(colors, sigs, 0)
     return out
 
 
@@ -147,7 +204,7 @@ def _canonize(config: Config, trace: Optional[list] = None):
     if cached is not None and trace is None:
         return cached
     num_points, lines = config.num_points, config.lines
-    leaves = _leaves(num_points, config.lines_by_point, trace)
+    leaves = _leaves(config, trace)
     best: Optional[tuple[Line, ...]] = None
     best_leaves: list[tuple[int, ...]] = []
     for leaf in leaves:
@@ -180,12 +237,7 @@ def are_isomorphic(c1: Config, c2: Config) -> Optional[dict[int, int]]:
         return None
     trace: list[tuple] = []
     cert1, base1, _ = _canonize(c1, trace)
-    match = _leaves(
-        c2.num_points,
-        c2.lines_by_point,
-        trace,
-        lambda leaf: _certificate_of(leaf, c2.lines) == cert1,
-    )
+    match = _leaves(c2, trace, lambda leaf: _certificate_of(leaf, c2.lines) == cert1)
     if not match:
         return None
     inverse2 = [0] * c2.num_points

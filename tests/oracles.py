@@ -77,6 +77,30 @@ def brute_free_cliques(num_points, lines, m):
     ]
 
 
+def brute_triangles_and_pasch(num_points, lines):
+    """Per point, (triangles, Pasch configurations) through it, from the
+    definitions over the raw line list: a triangle is three pairwise
+    collinear points not on one line, and a Pasch configuration is four
+    lines on six points with every point on two of them."""
+    lines = [frozenset(L) for L in lines]
+    collinear = {
+        frozenset(pair) for L in lines for pair in itertools.combinations(L, 2)
+    }
+    triangles = [0] * num_points
+    for triple in itertools.combinations(range(num_points), 3):
+        pairs = itertools.combinations(triple, 2)
+        if all(frozenset(pair) in collinear for pair in pairs) and frozenset(triple) not in lines:
+            for x in triple:
+                triangles[x] += 1
+    pasch = [0] * num_points
+    for four in itertools.combinations(lines, 4):
+        points = frozenset().union(*four)
+        if len(points) == 6 and all(sum(x in L for L in four) == 2 for x in points):
+            for x in points:
+                pasch[x] += 1
+    return list(zip(triangles, pasch))
+
+
 def brute_isos(c1, c2):
     """Every line-preserving bijection, by trying all permutations."""
     if c1.num_points != c2.num_points or len(c1.lines) != len(c2.lines):

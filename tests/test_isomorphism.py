@@ -35,7 +35,12 @@ from skewper.isomorphism import (
 from skewper.perms import Perm, parse_cycles, symmetric_group
 from skewper.skews import identity_skew, phi_sequence, skew_from_phi, zeta
 
-from oracles import backtrack_isos, brute_isos
+from oracles import (
+    backtrack_isos,
+    brute_isos,
+    brute_triangles_and_pasch,
+    random_partial_linear,
+)
 
 
 def verify_witness(c1, c2, witness):
@@ -316,7 +321,7 @@ class TestCanonizerMemo:
         c = self.fresh()
         cert = canonical_certificate(c)
         group = automorphism_group(c)
-        assert calls == [c.num_points]
+        assert calls == [c]
         assert group.order == 120
         assert canonical_certificate(c) == cert
         assert len(calls) == 1
@@ -355,14 +360,14 @@ class TestTracePruning:
     def test_catalog_leaves_match_group_order(self):
         for key in ALL_KEYS:
             c = build_instance(key).config
-            leaves = isomorphism._leaves(c.num_points, c.lines_by_point)
+            leaves = isomorphism._leaves(c)
             assert len(leaves) == automorphism_group(c).order
 
     @pytest.mark.parametrize(
         "build, order",
-        [pytest.param(lambda k=k: veronesian(k), 6, id=f"V({k})") for k in range(4, 9)]
+        [pytest.param(lambda k=k: veronesian(k), 6, id=f"V({k})") for k in range(4, 11)]
+        + [pytest.param(lambda n=n: host(n), 1, id=f"host({n})") for n in range(5, 11)]
         + [
-            pytest.param(lambda: host(8), 1, id="host(8)"),
             pytest.param(lambda: grassmannian(5), 120, id="G(2,5)"),
             pytest.param(lambda: grassmannian(6), 720, id="G(2,6)"),
         ],
@@ -370,9 +375,9 @@ class TestTracePruning:
     def test_leaves_match_group_order_under_relabeling(self, build, order):
         c = build()
         assert automorphism_group(c).order == order
-        assert len(isomorphism._leaves(c.num_points, c.lines_by_point)) == order
+        assert len(isomorphism._leaves(c)) == order
         for moved in relabelings(c, c.num_points):
-            assert len(isomorphism._leaves(moved.num_points, moved.lines_by_point)) == order
+            assert len(isomorphism._leaves(moved)) == order
 
     @pytest.mark.parametrize(
         "build, oracle",
@@ -397,6 +402,89 @@ class TestTracePruning:
         v, h = veronesian(k), host(k)
         assert are_isomorphic(v, h) is None
         assert next(backtrack_isos(v, h), None) is None
+
+
+class TestRootColors:
+    """The root coloring ranks each point's triangle and Pasch counts."""
+
+    def test_counts_match_definition_on_catalog(self, catalog_report):
+        for key, summary in catalog_report.instances.items():
+            if summary.kind == "representative":
+                c = build_instance(key).config
+                expected = brute_triangles_and_pasch(c.num_points, c.lines)
+                assert isomorphism._triangles_and_pasch(c) == expected, key
+
+    @pytest.mark.parametrize(
+        "build",
+        [pytest.param(lambda k=k: veronesian(k), id=f"V({k})") for k in range(4, 7)]
+        + [pytest.param(lambda: grassmannian(5), id="G(2,5)")]
+        + [pytest.param(lambda n=n: host(n), id=f"host({n})") for n in (5, 6)],
+    )
+    def test_counts_match_definition(self, build):
+        c = build()
+        expected = brute_triangles_and_pasch(c.num_points, c.lines)
+        assert isomorphism._triangles_and_pasch(c) == expected
+        ranks = sorted(set(expected))
+        assert isomorphism._root_colors(c) == [ranks.index(pair) for pair in expected]
+
+    def test_counts_match_definition_on_random_systems(self):
+        rng = random.Random(20261018)
+        for _ in range(40):
+            nu = rng.randint(3, 12)
+            c = random_partial_linear(rng, nu, rng.randint(0, 30))
+            expected = brute_triangles_and_pasch(c.num_points, c.lines)
+            assert isomorphism._triangles_and_pasch(c) == expected
+
+    @pytest.mark.parametrize(
+        "build, one_cell",
+        [pytest.param(lambda k=k: veronesian(k), False, id=f"V({k})") for k in range(4, 11)]
+        + [pytest.param(lambda n=n: host(n), False, id=f"host({n})") for n in range(5, 11)]
+        + [pytest.param(lambda n=n: grassmannian(n), True, id=f"G(2,{n})") for n in range(4, 8)],
+    )
+    def test_cells_move_with_relabeling(self, build, one_cell):
+        c = build()
+        colors = isomorphism._root_colors(c)
+        assert (len(set(colors)) == 1) == one_cell
+        rng = random.Random(c.num_points)
+        images = list(range(c.num_points))
+        rng.shuffle(images)
+        moved = isomorphism._root_colors(relabel(c, dict(enumerate(images))))
+        assert all(moved[images[p]] == colors[p] for p in range(c.num_points))
+
+
+def random_pairs(rng, count):
+    """Seeded pairs of random partial linear spaces with equal point and
+    line counts; every fourth second side is a relabeled copy of the
+    first."""
+    pairs = []
+    while len(pairs) < count:
+        nu = rng.randint(6, 9)
+        c1 = random_partial_linear(rng, nu, rng.randint(3, 20))
+        if len(pairs) % 4 == 3:
+            images = list(range(nu))
+            rng.shuffle(images)
+            pairs.append((c1, relabel(c1, dict(enumerate(images)))))
+            continue
+        for _ in range(50):
+            c2 = random_partial_linear(rng, nu, rng.randint(3, 20))
+            if len(c2.lines) == len(c1.lines):
+                pairs.append((c1, c2))
+                break
+    return pairs
+
+
+def test_decisions_match_backtracking_on_random_pairs():
+    # a negative answer rests on the canonizer alone, so every answer is
+    # checked against the backtracking oracle
+    answers = []
+    for c1, c2 in random_pairs(random.Random(1018), 120):
+        expected = next(backtrack_isos(c1, c2), None)
+        witness = are_isomorphic(c1, c2)
+        assert (witness is None) == (expected is None), (c1, c2)
+        if witness is not None:
+            verify_witness(c1, c2, witness)
+        answers.append(witness is None)
+    assert 10 < sum(answers) < len(answers) - 10
 
 
 def certificate_witness(c1, c2):
@@ -449,49 +537,49 @@ class TestReferenceSearch:
         c1 = make_config(6, [(0, 1, 2), (3, 4, 5)])
         c2 = make_config(6, [(0, 1, 2), (0, 3, 4)])
         trace = []
-        isomorphism._leaves(c1.num_points, c1.lines_by_point, trace)
+        isomorphism._leaves(c1, trace)
         trace2 = []
-        isomorphism._leaves(c2.num_points, c2.lines_by_point, trace2)
+        isomorphism._leaves(c2, trace2)
         assert trace2[0] < trace[0]
         accepted = []
-        found = isomorphism._leaves(
-            c2.num_points, c2.lines_by_point, trace, accepted.append
-        )
+        found = isomorphism._leaves(c2, trace, accepted.append)
         assert found == [] and accepted == []
         assert are_isomorphic(c1, c2) is None
         assert are_isomorphic(c2, c1) is None
 
-    def test_smaller_key_below_the_root_ends_the_search(self):
-        # G(2,5) is one cell after the root pass and branches ten ways; a
-        # reference whose second key sorts after every key makes the first
-        # child's key smaller, which ends the search without its siblings
+    def test_smaller_key_below_the_root_ends_the_search(self, monkeypatch):
+        # G(2,5) is one cell at the root and branches ten ways; a reference
+        # whose second key sorts after every key makes the first child's
+        # key smaller, which ends the search without its siblings
         c = grassmannian(5)
-        reads = []
-
-        class Counted(tuple):
-            def __getitem__(self, p):
-                reads.append(p)
-                return tuple.__getitem__(self, p)
-
         trace = []
-        isomorphism._leaves(c.num_points, c.lines_by_point, trace)
+        isomorphism._leaves(c, trace)
         reference = [trace[0], ((c.num_points + 1,),)]
+        colorings = []
+        signature = isomorphism._signature
+
+        def counted(lines_by_point, colors, p):
+            colorings.append(tuple(colors))
+            return signature(lines_by_point, colors, p)
+
+        monkeypatch.setattr(isomorphism, "_signature", counted)
         accepted = []
-        found = isomorphism._leaves(
-            c.num_points, Counted(c.lines_by_point), reference, accepted.append
-        )
+        found = isomorphism._leaves(c, reference, accepted.append)
         assert found == [] and accepted == []
-        assert len(reads) == 2 * c.num_points  # the root pass and one child's
+        # the root pass and one child's, which recomputes the signatures
+        # of the individualized point and its six collinear points only
+        assert len(set(colorings)) == 2
+        assert len(colorings) == c.num_points + 1 + 6
 
     @pytest.mark.parametrize("k", [5, 6])
     def test_veronesian_against_the_host_visits_no_leaf(self, k, monkeypatch):
-        # the least traces share their root key and part further down, so
-        # one search aborts below the root and the other is pruned there
+        # the root colorings already tell the two apart, so one search
+        # aborts at the root and the other is pruned there
         v, h = veronesian(k), host(k)
         trace_v, trace_h = [], []
-        isomorphism._leaves(v.num_points, v.lines_by_point, trace_v)
-        isomorphism._leaves(h.num_points, h.lines_by_point, trace_h)
-        assert trace_v[0] == trace_h[0] and trace_v != trace_h
+        isomorphism._leaves(v, trace_v)
+        isomorphism._leaves(h, trace_h)
+        assert trace_v[0] != trace_h[0]
         certified = []
         certificate_of = isomorphism._certificate_of
 
