@@ -22,9 +22,10 @@ class Config:
 
     ``lines`` is a sorted tuple of sorted 3-tuples of point ids, and
     ``labels``, when present, maps point id -> name positionally.  The
-    derived incidence views are computed on first use and kept on the
-    instance; they are not fields, so equality, hashing and every emitter
-    see only the three fields.
+    derived views (``lines_by_point``, ``line_of_pair``, ``line_set`` and
+    the per-point ``triangles_and_pasch`` counts) are computed on first
+    use and kept on the instance; they are not fields, so equality,
+    hashing and every emitter see only the three fields.
     """
 
     num_points: int
@@ -48,6 +49,37 @@ class Config:
     @cached_property
     def line_set(self) -> frozenset[Line]:
         return frozenset(self.lines)
+
+    @cached_property
+    def triangles_and_pasch(self) -> tuple[tuple[int, int], ...]:
+        """The triangles and Pasch configurations (four lines on six
+        points, every point on two of them) through each point.
+
+        Over each pair of lines {p, a, b} and {p, c, d}: a collinear cross
+        pair such as (a, c) closes a triangle, and join(a, c) == join(b, d)
+        or join(a, d) == join(b, c) closes a Pasch configuration."""
+        # third[x][y]: the third point of the line through x and y
+        third: list[dict[int, int]] = [{} for _ in range(self.num_points)]
+        for x, y, z in self.lines:
+            third[x][y] = third[y][x] = z
+            third[x][z] = third[z][x] = y
+            third[y][z] = third[z][y] = x
+        counts = []
+        for p, through in enumerate(self.lines_by_point):
+            # one row per line {p, a, b}: a, b and their third-point tables;
+            # a lookup gives -1 for a pair that is not collinear
+            rows = []
+            for L in through:
+                a, b = [x for x in L if x != p]
+                rows.append((a, b, third[a], third[b]))
+            triangles = pasch = 0
+            for (_, _, ta, tb), (c, d, _, _) in itertools.combinations(rows, 2):
+                ac, bd = ta.get(c, -1), tb.get(d, -1)
+                ad, bc = ta.get(d, -1), tb.get(c, -1)
+                triangles += (ac >= 0) + (bd >= 0) + (ad >= 0) + (bc >= 0)
+                pasch += (ac == bd >= 0) + (ad == bc >= 0)
+            counts.append((triangles, pasch))
+        return tuple(counts)
 
     def label_of(self, point: int) -> str:
         if self.labels is not None:

@@ -1,14 +1,15 @@
 """Canonical forms, isomorphism decisions, and automorphism groups.
 
 The canonizer starts from a vertex invariant (McKay & Piperno), each
-point's counts of the triangles and Pasch configurations through it: on
-the regular structures built from Veblen configurations refinement alone
-splits nothing, while these counts give the Veronesians and the
-symmetry-skew hosts several root cells (a Grassmannian keeps one).  It
-iterates color refinement (a point's signature is its color plus the
-multiset of its lines' color profiles) and, while cells remain,
-individualizes every point of the first non-singleton cell, after which
-only that point and the points collinear with it change signature.
+point's counts of the triangles and Pasch configurations through it
+(`Config.triangles_and_pasch`): on the regular structures built from
+Veblen configurations refinement alone splits nothing, while these
+counts give the Veronesians and the symmetry-skew hosts several root
+cells (a Grassmannian keeps one).  It iterates color refinement (a
+point's signature is its color plus the multiset of its lines' color
+profiles) and, while cells remain, individualizes every point of the
+first non-singleton cell, after which only that point and the points
+collinear with it change signature.
 Every refinement pass has a relabel-invariant key, its sorted signatures, and
 the search keeps only the leaves whose sequence of keys (their trace) is
 least, abandoning a branch at the first pass that is worse than the
@@ -19,7 +20,9 @@ leaf to a leaf with the same trace and certificate, so the surviving
 leaves achieving the certificate differ exactly by automorphisms, and
 there is one such leaf per automorphism: the group comes for free.
 
-An isomorphism decision searches only its first configuration in full.
+An isomorphism decision first compares the sizes and the multisets of
+the per-point counts; a difference answers "not isomorphic" before any
+search.  Otherwise it searches only its first configuration in full.
 The second is searched against the first's least trace (the
 isomorphism-test mode of Traces): a key greater than the trace's prunes
 the branch, a smaller one means the second's least trace is smaller and
@@ -31,7 +34,6 @@ base, so the witness is the certificate formula's.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass
 from typing import Optional
@@ -64,38 +66,11 @@ class AutomorphismGroup:
         return len(self.elements)
 
 
-def _triangles_and_pasch(config: Config) -> list[tuple[int, int]]:
-    """The triangles and Pasch configurations (four lines on six points,
-    every point on two of them) through each point.
-
-    Over each pair of lines {p, a, b} and {p, c, d}: a collinear cross
-    pair such as (a, c) closes a triangle, and join(a, c) == join(b, d)
-    or join(a, d) == join(b, c) closes a Pasch configuration."""
-    # third[x][y]: the third point of the line through x and y
-    third: list[dict[int, int]] = [{} for _ in range(config.num_points)]
-    for x, y, z in config.lines:
-        third[x][y] = third[y][x] = z
-        third[x][z] = third[z][x] = y
-        third[y][z] = third[z][y] = x
-    counts = []
-    for p, through in enumerate(config.lines_by_point):
-        triangles = pasch = 0
-        for L1, L2 in itertools.combinations(through, 2):
-            a, b = (x for x in L1 if x != p)
-            c, d = (x for x in L2 if x != p)
-            ta, tb = third[a], third[b]
-            triangles += (c in ta) + (d in ta) + (c in tb) + (d in tb)
-            for e, f in ((ta.get(c), tb.get(d)), (ta.get(d), tb.get(c))):
-                pasch += e is not None and e == f
-        counts.append((triangles, pasch))
-    return counts
-
-
 def _root_colors(config: Config) -> list[int]:
-    """Each point's rank among the distinct `_triangles_and_pasch` counts:
-    a relabel-invariant first split of structures on which every point
-    lies on as many lines, where refinement alone splits nothing."""
-    counts = _triangles_and_pasch(config)
+    """Each point's rank among the distinct `Config.triangles_and_pasch`
+    counts: a relabel-invariant first split of structures on which every
+    point lies on as many lines, where refinement alone splits nothing."""
+    counts = config.triangles_and_pasch
     rank = {pair: i for i, pair in enumerate(sorted(set(counts)))}
     return [rank[pair] for pair in counts]
 
@@ -231,9 +206,13 @@ def canonical_certificate(config: Config) -> CanonicalCertificate:
 
 def are_isomorphic(c1: Config, c2: Config) -> Optional[dict[int, int]]:
     """A verified point bijection carrying the lines of c1 onto those of
-    c2, or None.  Only c1 is searched in full; c2 is searched against
-    c1's least trace up to its first leaf with c1's certificate."""
+    c2, or None.  Different sizes or different multisets of per-point
+    triangle and Pasch counts answer None before any search.  Otherwise
+    only c1 is searched in full; c2 is searched against c1's least trace
+    up to its first leaf with c1's certificate."""
     if c1.num_points != c2.num_points or len(c1.lines) != len(c2.lines):
+        return None
+    if sorted(c1.triangles_and_pasch) != sorted(c2.triangles_and_pasch):
         return None
     trace: list[tuple] = []
     cert1, base1, _ = _canonize(c1, trace)

@@ -209,6 +209,7 @@ class TestIso:
         assert code == 0
 
     def test_non_isomorphic_exits_one(self, run, tmp_path, grass_instance_file):
+        # the triangle and Pasch counts differ: answered before any search
         from skewper.skews import identity_skew
 
         other_cfg = perspective(
@@ -216,9 +217,20 @@ class TestIso:
         ).config
         other = tmp_path / "other.psts"
         other.write_text(emit_psts(other_cfg))
-        code, out, _ = run("iso", grass_instance_file, str(other))
-        assert code == 1
-        assert "not isomorphic" in out
+        result = run("iso", grass_instance_file, str(other))
+        assert result == (1, "not isomorphic\n", "")
+
+    def test_non_isomorphic_after_search_exits_one(self, run, tmp_path):
+        # catalog classes 8 and 9 agree on the counts, so the search answers
+        from skewper.classify import InstanceKey, build_instance
+
+        paths = []
+        for key in (InstanceKey(2, 5, 6), InstanceKey(2, 5, 7)):
+            path = tmp_path / f"m{key.f}{key.s}{key.i}.psts"
+            path.write_text(emit_psts(build_instance(key).config))
+            paths.append(str(path))
+        result = run("iso", *paths)
+        assert result == (1, "not isomorphic\n", "")
 
     @pytest.mark.parametrize("text", ["psts 0 0\n", "psts 3 1\n0 1 2\n"])
     def test_smallest_files(self, run, tmp_path, text):

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from skewper.classify import ALL_KEYS, build_instance, classify_all
+from skewper.classify import ALL_KEYS, InstanceKey, build_instance, classify_all
 from skewper.constructions import (
     apply_pair_map,
     grassmannian,
@@ -412,7 +412,7 @@ class TestRootColors:
             if summary.kind == "representative":
                 c = build_instance(key).config
                 expected = brute_triangles_and_pasch(c.num_points, c.lines)
-                assert isomorphism._triangles_and_pasch(c) == expected, key
+                assert list(c.triangles_and_pasch) == expected, key
 
     @pytest.mark.parametrize(
         "build",
@@ -423,7 +423,7 @@ class TestRootColors:
     def test_counts_match_definition(self, build):
         c = build()
         expected = brute_triangles_and_pasch(c.num_points, c.lines)
-        assert isomorphism._triangles_and_pasch(c) == expected
+        assert list(c.triangles_and_pasch) == expected
         ranks = sorted(set(expected))
         assert isomorphism._root_colors(c) == [ranks.index(pair) for pair in expected]
 
@@ -433,7 +433,7 @@ class TestRootColors:
             nu = rng.randint(3, 12)
             c = random_partial_linear(rng, nu, rng.randint(0, 30))
             expected = brute_triangles_and_pasch(c.num_points, c.lines)
-            assert isomorphism._triangles_and_pasch(c) == expected
+            assert list(c.triangles_and_pasch) == expected
 
     @pytest.mark.parametrize(
         "build, one_cell",
@@ -450,6 +450,75 @@ class TestRootColors:
         rng.shuffle(images)
         moved = isomorphism._root_colors(relabel(c, dict(enumerate(images))))
         assert all(moved[images[p]] == colors[p] for p in range(c.num_points))
+
+
+def no_search(*args):
+    raise AssertionError("the pre-check should have answered")
+
+
+def count_multiset(c):
+    return sorted(brute_triangles_and_pasch(c.num_points, c.lines))
+
+
+class TestPreCheck:
+    """`are_isomorphic` compares the multisets of per-point triangle and
+    Pasch counts before any search and answers None on a difference."""
+
+    @pytest.mark.parametrize("k", [5, 6, 7])
+    def test_veronesian_against_the_host(self, k, monkeypatch):
+        v, h = veronesian(k), host(k)
+        if k <= 6:
+            assert count_multiset(v) != count_multiset(h)
+        monkeypatch.setattr(isomorphism, "_leaves", no_search)
+        assert are_isomorphic(v, h) is None
+        assert are_isomorphic(h, v) is None
+
+    def test_hard_catalog_negatives(self, catalog_report, monkeypatch):
+        # pairs of representatives that agree on free-clique count and
+        # group order, the invariants `classify` reports
+        by_invariants = {}
+        for key, summary in catalog_report.instances.items():
+            if summary.kind == "representative":
+                invariants = (summary.free_clique_count, summary.aut_order)
+                by_invariants.setdefault(invariants, []).append(key)
+        configs = {
+            key: build_instance(key).config for keys in by_invariants.values() for key in keys
+        }
+        oracle = {key: count_multiset(c) for key, c in configs.items()}
+        monkeypatch.setattr(isomorphism, "_leaves", no_search)
+        answered = 0
+        for keys in by_invariants.values():
+            for k1, k2 in itertools.combinations(keys, 2):
+                c1, c2 = configs[k1], configs[k2]
+                differ = sorted(c1.triangles_and_pasch) != sorted(c2.triangles_and_pasch)
+                assert differ == (oracle[k1] != oracle[k2]), (k1, k2)
+                if not differ:
+                    continue
+                assert are_isomorphic(c1, c2) is None, (k1, k2)
+                assert are_isomorphic(c2, c1) is None, (k2, k1)
+                answered += 1
+        assert answered > 0
+
+    def test_equal_multisets_reach_the_search(self, catalog_report, monkeypatch):
+        # the representatives of classes 8 and 9: 2 free five-cliques, a
+        # trivial group and equal multisets
+        k1, k2 = InstanceKey(2, 5, 6), InstanceKey(2, 5, 7)
+        s1, s2 = catalog_report.instances[k1], catalog_report.instances[k2]
+        assert s1.kind == s2.kind == "representative"
+        assert s1.class_id != s2.class_id
+        c1, c2 = build_instance(k1).config, build_instance(k2).config
+        assert count_multiset(c1) == count_multiset(c2)
+        searched = []
+        leaves = isomorphism._leaves
+
+        def counted(*args):
+            searched.append(args[0])
+            return leaves(*args)
+
+        monkeypatch.setattr(isomorphism, "_leaves", counted)
+        assert are_isomorphic(c1, c2) is None
+        assert searched
+        assert next(backtrack_isos(c1, c2), None) is None
 
 
 def random_pairs(rng, count):
@@ -473,18 +542,32 @@ def random_pairs(rng, count):
     return pairs
 
 
-def test_decisions_match_backtracking_on_random_pairs():
-    # a negative answer rests on the canonizer alone, so every answer is
-    # checked against the backtracking oracle
+def test_decisions_match_backtracking_on_random_pairs(monkeypatch):
+    # a negative answer rests on the pre-check or the canonizer alone, so
+    # every answer is checked against the backtracking oracle, and both
+    # paths must decide some of the negatives
+    searches = []
+    leaves = isomorphism._leaves
+
+    def counted(*args):
+        searches.append(args[0])
+        return leaves(*args)
+
+    monkeypatch.setattr(isomorphism, "_leaves", counted)
     answers = []
+    negatives_by = {"pre-check": 0, "search": 0}
     for c1, c2 in random_pairs(random.Random(1018), 120):
         expected = next(backtrack_isos(c1, c2), None)
+        searches.clear()
         witness = are_isomorphic(c1, c2)
         assert (witness is None) == (expected is None), (c1, c2)
         if witness is not None:
             verify_witness(c1, c2, witness)
+        else:
+            negatives_by["search" if searches else "pre-check"] += 1
         answers.append(witness is None)
     assert 10 < sum(answers) < len(answers) - 10
+    assert all(count > 0 for count in negatives_by.values()), negatives_by
 
 
 def certificate_witness(c1, c2):
@@ -573,8 +656,9 @@ class TestReferenceSearch:
 
     @pytest.mark.parametrize("k", [5, 6])
     def test_veronesian_against_the_host_visits_no_leaf(self, k, monkeypatch):
-        # the root colorings already tell the two apart, so one search
-        # aborts at the root and the other is pruned there
+        # the root colorings tell the two apart, and so do the multisets
+        # of triangle and Pasch counts they are ranked from: the pre-check
+        # answers, and no certificate is computed on either side
         v, h = veronesian(k), host(k)
         trace_v, trace_h = [], []
         isomorphism._leaves(v, trace_v)
@@ -589,9 +673,8 @@ class TestReferenceSearch:
 
         monkeypatch.setattr(isomorphism, "_certificate_of", counted)
         for c1, c2 in [(v, h), (h, v)]:
-            certified.clear()
             assert are_isomorphic(c1, c2) is None
-            assert all(lines is not c2.lines for lines in certified)
+        assert certified == []
 
     def test_relabeled_grassmannian_found_early(self, monkeypatch):
         c = grassmannian(6)
