@@ -29,10 +29,10 @@ from .constructions import (
 )
 from .isomorphism import (
     _build_iso,
+    _canonize,
     _center_fixing_maps,
     _row_lifts,
-    automorphism_group,
-    canonical_certificate,
+    _verified,
 )
 from .perms import Perm, parse_cycles
 from .skews import PhiSequence, Skew, phi_sequence, skew_from_phi
@@ -100,6 +100,11 @@ ALL_KEYS: tuple[InstanceKey, ...] = tuple(
 
 @lru_cache(maxsize=None)
 def build_instance(key: InstanceKey) -> Perspective:
+    """The perspective at `key`, memoized.  `InstanceKey` admits only the
+    240 catalog keys, which bounds the table; it pays because callers
+    rebuild instances (`classify_all` for the orbit quotient and again
+    per representative, the benchmark's `iso` set-up ~200 sides from ~110
+    keys)."""
     axis = veblen(veblen_label(key.s, MU_CATALOG[key.i]))
     return perspective(4, skew_from_phi(PHI_CATALOG[key.f]), axis)
 
@@ -150,9 +155,8 @@ def _instance_stats(coords: tuple[int, int, int]):
     key = InstanceKey(*coords)
     persp = build_instance(key)
     cliques = len(enumerate_free_cliques(persp.config, 5))
-    cert = canonical_certificate(persp.config).canonical_lines
-    order = automorphism_group(persp.config).order
-    return coords, cliques, cert, order
+    cert, _, automorphisms = _canonize(persp.config)
+    return coords, cliques, cert, len(_verified(persp.config, automorphisms))
 
 
 OrbitLink = tuple[InstanceKey, str, Optional[Perm]]

@@ -26,8 +26,8 @@ from .constructions import (
     veronesian_axis,
 )
 from .formats import emit_dot, emit_json, emit_psts, emit_stp_dot, parse_psts
-from .incidence import Config, parameters, relabel, validate
-from .isomorphism import are_isomorphic, automorphism_group, canonical_certificate
+from .incidence import Config, is_isomorphism, parameters, relabel, validate
+from .isomorphism import _canonize, _group, are_isomorphic, canonical_certificate
 from .skews import parse_phi_text, skew_from_phi
 
 
@@ -103,32 +103,34 @@ def _cmd_analyze(args) -> int:
         print(f"free {args.cliques}-cliques: {len(cliques)}")
         for clique in cliques:
             print(f"  {tuple(sorted(clique.vertices))}")
+    if args.aut or args.selfcheck:  # one search serves both
+        cert, relabeling, automorphisms = _canonize(config)
     if args.aut:
-        group = automorphism_group(config)
+        group = _group(config, automorphisms)
         print(
             f"automorphism group order {group.order}"
             f" ({len(group.generators)} generators)"
         )
     if args.selfcheck:
-        return _selfcheck(config, args.seed)
+        return _selfcheck(config, args.seed, cert, relabeling)
     return 0
 
 
-def _selfcheck(config: Config, seed: int) -> int:
-    """Relabel at random a few times and confirm the canonical form does
-    not move and a verified witness exists."""
+def _selfcheck(config: Config, seed: int, cert, relabeling) -> int:
+    """Relabel config at random a few times and confirm its canonical form
+    `cert` does not move and the canonical relabelings give a witness."""
     rng = random.Random(seed)
-    cert = canonical_certificate(config).canonical_lines
+    to_config = {c: p for p, c in enumerate(relabeling)}
     for round_number in range(3):
         images = list(range(config.num_points))
         rng.shuffle(images)
         moved = relabel(config, dict(enumerate(images)))
-        # first: its full search of moved also memoizes moved's certificate
-        witness = are_isomorphic(moved, config)
-        if canonical_certificate(moved).canonical_lines != cert:
+        moved_canon = canonical_certificate(moved)
+        if moved_canon.canonical_lines != cert:
             print(f"selfcheck FAILED at relabeling {round_number + 1}")
             return 1
-        if witness is None:
+        witness = {p: to_config[c] for p, c in enumerate(moved_canon.relabeling)}
+        if not is_isomorphism(moved, config, witness):
             print(f"selfcheck FAILED to produce a witness {round_number + 1}")
             return 1
     print("selfcheck passed (3 random relabelings, seeded)")

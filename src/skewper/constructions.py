@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Iterable, Mapping
 
@@ -106,23 +107,27 @@ def veronesian_axis(k: int) -> Config:
 
 @dataclass(frozen=True)
 class PerspectiveLabeling:
-    """Roles of the points of a perspective: center p, rows a_1..a_n and
-    b_1..b_n, and the axial points c_u indexed by 2-subsets."""
+    """Roles of the points of a perspective, a function of n alone: rows
+    a_1..a_n and b_1..b_n are points 0..n-1 and n..2n-1, the center p is
+    2n, and the axial point c_u over ``all_pairs(n)[k]`` is 2n + 1 + k."""
 
     n: int
-    center: int
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    c: Mapping[Pair, int]
 
-    def __post_init__(self):
-        ids = [self.center, *self.a, *self.b, *self.c.values()]
-        if len(set(ids)) != len(ids):
-            raise ValueError("labeling assigns one point to two roles")
-        if len(self.a) != self.n or len(self.b) != self.n:
-            raise ValueError(f"expected {self.n} points in each row")
-        if sorted(self.c.keys()) != list(all_pairs(self.n)):
-            raise ValueError("axial points must be indexed by every 2-subset")
+    @property
+    def a(self) -> tuple[int, ...]:
+        return tuple(range(self.n))
+
+    @property
+    def b(self) -> tuple[int, ...]:
+        return tuple(range(self.n, 2 * self.n))
+
+    @property
+    def center(self) -> int:
+        return 2 * self.n
+
+    @cached_property
+    def c(self) -> Mapping[Pair, int]:
+        return {u: 2 * self.n + 1 + k for k, u in enumerate(all_pairs(self.n))}
 
 
 @dataclass(frozen=True)
@@ -191,10 +196,8 @@ def perspective(
             f"rank {n - 2}; pass require_binomial=False to build anyway"
         )
     pairs = all_pairs(n)
-    a = tuple(range(n))
-    b = tuple(range(n, 2 * n))
-    center = 2 * n
-    c = {u: 2 * n + 1 + i for i, u in enumerate(pairs)}
+    labeling = PerspectiveLabeling(n)
+    a, b, center, c = labeling.a, labeling.b, labeling.center, labeling.c
     sigma_inv = sigma.inverse()
     lines: list[tuple[int, int, int]] = []
     for i in range(1, n + 1):
@@ -206,7 +209,6 @@ def perspective(
     for L in axis.lines:
         lines.append(tuple(c[pairs[x]] for x in L))
     config = make_config(2 * n + 1 + len(pairs), lines, _role_labels(n))
-    labeling = PerspectiveLabeling(n=n, center=center, a=a, b=b, c=c)
     return Perspective(config=config, labeling=labeling, skew=sigma, axis=axis)
 
 

@@ -18,7 +18,9 @@ Each surviving discrete leaf yields a relabeled line list; the
 lexicographically least one is the certificate.  An automorphism maps a
 leaf to a leaf with the same trace and certificate, so the surviving
 leaves achieving the certificate differ exactly by automorphisms, and
-there is one such leaf per automorphism: the group comes for free.
+there is one such leaf per automorphism: one search (`_canonize`) gives
+the certificate, a relabeling realizing it and the group, and nothing is
+kept between calls.
 
 An isomorphism decision first compares the sizes and the multisets of
 the per-point counts; a difference answers "not isomorphic" before any
@@ -34,7 +36,6 @@ base, so the witness is the certificate formula's.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -165,19 +166,10 @@ def _certificate_of(colors: tuple[int, ...], lines) -> tuple[Line, ...]:
     )
 
 
-# Config -> (certificate, relabeling, automorphisms).  The certificate and
-# the group of one configuration come from one tree search; an entry lives
-# as long as its Config.
-_CANON_MEMO: weakref.WeakKeyDictionary[Config, tuple] = weakref.WeakKeyDictionary()
-
-
 def _canonize(config: Config, trace: Optional[list] = None):
-    """The memo entry of config.  A given `trace` list receives the least
-    trace, which takes a search even on a memoized config and is never
-    memoized."""
-    cached = _CANON_MEMO.get(config)
-    if cached is not None and trace is None:
-        return cached
+    """(certificate, relabeling, automorphisms) of config from one search:
+    the least certificate, the first leaf achieving it, and the unverified
+    automorphisms.  A given `trace` list receives the least trace."""
     num_points, lines = config.num_points, config.lines
     leaves = _leaves(config, trace)
     best: Optional[tuple[Line, ...]] = None
@@ -189,14 +181,11 @@ def _canonize(config: Config, trace: Optional[list] = None):
         elif cert == best:
             best_leaves.append(leaf)
     base = best_leaves[0]
-    base_inv = [0] * num_points
-    for p, c in enumerate(base):
-        base_inv[c] = p
+    base_inv = {c: p for p, c in enumerate(base)}
     automorphisms = sorted(
         {tuple(base_inv[leaf[p]] for p in range(num_points)) for leaf in best_leaves}
     )
-    result = _CANON_MEMO[config] = (best, base, tuple(automorphisms))
-    return result
+    return best, base, tuple(automorphisms)
 
 
 def canonical_certificate(config: Config) -> CanonicalCertificate:
@@ -228,12 +217,21 @@ def are_isomorphic(c1: Config, c2: Config) -> Optional[dict[int, int]]:
     return witness
 
 
-def _greedy_generators(
-    num_points: int, elements: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, ...], ...]:
-    identity = tuple(range(num_points))
+def _verified(config: Config, automorphisms):
+    """automorphisms, each checked line for line."""
+    for g in automorphisms:
+        if not is_isomorphism(config, config, g):
+            raise RuntimeError("internal error: invalid automorphism produced")
+    return automorphisms
+
+
+def _group(config: Config, automorphisms) -> AutomorphismGroup:
+    """The group of the verified automorphisms; an element is a generator
+    when the generators before it do not generate it."""
+    elements = _verified(config, automorphisms)
+    num_points = config.num_points
     generators: list[tuple[int, ...]] = []
-    generated = {identity}
+    generated = {tuple(range(num_points))}
     for g in elements:
         if g in generated:
             continue
@@ -248,18 +246,11 @@ def _greedy_generators(
                         generated.add(prod)
                         new.append(prod)
             frontier = new
-    return tuple(generators)
+    return AutomorphismGroup(elements=elements, generators=tuple(generators))
 
 
 def automorphism_group(config: Config) -> AutomorphismGroup:
-    _, _, elements = _canonize(config)
-    for g in elements:
-        if not is_isomorphism(config, config, g):
-            raise RuntimeError("internal error: invalid automorphism produced")
-    return AutomorphismGroup(
-        elements=elements,
-        generators=_greedy_generators(config.num_points, elements),
-    )
+    return _group(config, _canonize(config)[2])
 
 
 def s_map(persp: Perspective) -> dict[int, int]:

@@ -9,10 +9,12 @@ import random
 
 import pytest
 
+from skewper import cli, isomorphism
 from skewper.cli import main
 from skewper.constructions import grassmannian, perspective, veblen, veblen_label
 from skewper.formats import emit_psts, parse_psts
 from skewper.incidence import make_config
+from skewper.isomorphism import CanonicalCertificate, canonical_certificate
 from skewper.perms import parse_cycles
 from skewper.skews import zeta
 
@@ -144,6 +146,49 @@ class TestAnalyze:
         )
         assert code2 == 0
         assert out2 == out
+
+    @pytest.mark.parametrize("flags", [(), ("--aut",)])
+    def test_selfcheck_searches_each_structure_once(
+        self, run, grass_instance_file, monkeypatch, flags
+    ):
+        full = []
+        leaves = isomorphism._leaves
+
+        def counted(config, trace=None, accept=None):
+            if accept is None:
+                full.append(config)
+            return leaves(config, trace, accept)
+
+        monkeypatch.setattr(isomorphism, "_leaves", counted)
+        code, out, _ = run("analyze", grass_instance_file, *flags, "--selfcheck")
+        assert code == 0
+        assert out.endswith("\nselfcheck passed (3 random relabelings, seeded)\n")
+        # the input and its three relabelings
+        assert len(full) == 4
+
+    def test_selfcheck_reports_a_moved_certificate(
+        self, run, grass_instance_file, monkeypatch
+    ):
+        def moved(config):
+            cert = canonical_certificate(config)
+            return CanonicalCertificate(cert.canonical_lines[1:], cert.relabeling)
+
+        monkeypatch.setattr(cli, "canonical_certificate", moved)
+        code, out, _ = run("analyze", grass_instance_file, "--selfcheck")
+        assert code == 1
+        assert out.endswith("\nselfcheck FAILED at relabeling 1\n")
+
+    def test_selfcheck_reports_a_failed_witness(
+        self, run, grass_instance_file, monkeypatch
+    ):
+        def unrelabeled(config):
+            cert = canonical_certificate(config)
+            return CanonicalCertificate(cert.canonical_lines, tuple(range(config.num_points)))
+
+        monkeypatch.setattr(cli, "canonical_certificate", unrelabeled)
+        code, out, _ = run("analyze", grass_instance_file, "--selfcheck")
+        assert code == 1
+        assert out.endswith("\nselfcheck FAILED to produce a witness 1\n")
 
     def test_missing_file(self, run, tmp_path):
         code, _, err = run("analyze", str(tmp_path / "absent.psts"))

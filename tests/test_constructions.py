@@ -178,6 +178,14 @@ class TestPerspective:
         assert persp.config.labels[lab.b[3]] == "b4"
         assert persp.config.labels[lab.c[(1, 2)]] == "c{1,2}"
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_labeling_is_a_function_of_n(self, n):
+        lab = perspective(n, identity_skew(n), grassmannian(n)).labeling
+        assert lab == PerspectiveLabeling(n)
+        assert (lab.a, lab.b, lab.center) == (tuple(range(n)), tuple(range(n, 2 * n)), 2 * n)
+        assert list(lab.c) == list(all_pairs(n))
+        assert sorted(lab.c.values()) == list(range(2 * n + 1, 2 * n + 1 + len(lab.c)))
+
     def test_center_lines(self):
         persp = perspective(4, zeta(4), grassmannian(4))
         lab = persp.labeling

@@ -5,7 +5,6 @@ the canonizer; the specialized center-fixing search is cross-checked
 against the general decision procedure.
 """
 
-import gc
 import itertools
 import random
 
@@ -21,8 +20,8 @@ from skewper.constructions import (
     veronesian,
     veronesian_axis,
 )
-from skewper import isomorphism
-from skewper.incidence import make_config, relabel
+from skewper import classify, isomorphism
+from skewper.incidence import is_isomorphism, make_config, relabel
 from skewper.isomorphism import (
     AutomorphismGroup,
     CanonicalCertificate,
@@ -303,13 +302,8 @@ class TestPerspectiveIso:
                 assert general is not None
 
 
-class TestCanonizerMemo:
-    def fresh(self):
-        # unique labels keep this Config unequal to any other live one
-        c = grassmannian(5)
-        return make_config(c.num_points, c.lines, [f"memo{x}" for x in range(c.num_points)])
-
-    def test_certificate_and_group_share_one_search(self, monkeypatch):
+class TestOneSearch:
+    def test_classify_all_searches_each_representative_once(self, monkeypatch):
         calls = []
         leaves = isomorphism._leaves
 
@@ -318,25 +312,33 @@ class TestCanonizerMemo:
             return leaves(*args)
 
         monkeypatch.setattr(isomorphism, "_leaves", counted)
-        c = self.fresh()
-        cert = canonical_certificate(c)
-        group = automorphism_group(c)
-        assert calls == [c]
-        assert group.order == 120
-        assert canonical_certificate(c) == cert
-        assert len(calls) == 1
+        report = classify_all(1)
+        representatives = {s.representative for s in report.instances.values()}
+        assert len(representatives) == 70
+        assert len(calls) == 70
+        assert set(calls) == {build_instance(k).config for k in representatives}
 
-    def test_entry_goes_with_its_config(self):
-        c = self.fresh()
-        fields = (c.num_points, c.lines, c.labels)
-        canonical_certificate(c)
-        assert c in isomorphism._CANON_MEMO
-        del c
-        gc.collect()
-        assert all(
-            (k.num_points, k.lines, k.labels) != fields
-            for k in isomorphism._CANON_MEMO.keys()
-        )
+    def test_invalid_automorphism_is_caught(self, monkeypatch):
+        # a trivial group: with the bogus element its closure has order 2
+        key = InstanceKey(2, 5, 6)
+        config = build_instance(key).config
+        canonize = isomorphism._canonize
+        # a transposition of a row point with the center moves a line off
+        bogus = list(range(config.num_points))
+        bogus[0], bogus[8] = bogus[8], bogus[0]
+        assert not is_isomorphism(config, config, dict(enumerate(bogus)))
+
+        def corrupted(c, trace=None):
+            cert, relabeling, automorphisms = canonize(c, trace)
+            return cert, relabeling, automorphisms + (tuple(bogus),)
+
+        monkeypatch.setattr(isomorphism, "_canonize", corrupted)
+        monkeypatch.setattr(classify, "_canonize", corrupted)
+        message = "internal error: invalid automorphism produced"
+        with pytest.raises(RuntimeError, match=message):
+            automorphism_group(config)
+        with pytest.raises(RuntimeError, match=message):
+            classify._instance_stats((key.f, key.s, key.i))
 
 
 def relabelings(c, seed):
@@ -703,17 +705,15 @@ class TestReferenceSearch:
         verify_witness(c, moved, witness)
 
     def test_no_trace_is_kept(self):
-        # unique labels keep this Config unequal to any other live one
-        base = grassmannian(5)
-        c1 = make_config(base.num_points, base.lines, [f"ref{x}" for x in range(10)])
+        c1 = grassmannian(5)
         c2 = next(relabelings(c1, 3))
         state = dict(vars(isomorphism))
-        assert are_isomorphic(c1, c2) is not None
-        assert vars(isomorphism).keys() == state.keys()
-        assert all(vars(isomorphism)[name] is value for name, value in state.items())
-        assert c1 in isomorphism._CANON_MEMO
-        assert c2 not in isomorphism._CANON_MEMO
-        for certificate, relabeling, automorphisms in isomorphism._CANON_MEMO.values():
-            assert all(len(line) == 3 for line in certificate)
-            assert all(isinstance(x, int) for x in relabeling)
-            assert all(len(g) == len(relabeling) for g in automorphisms)
+        calls = [
+            lambda: are_isomorphic(c1, c2),
+            lambda: canonical_certificate(c1),
+            lambda: automorphism_group(c2),
+        ]
+        for call in calls:
+            assert call() is not None
+            assert vars(isomorphism).keys() == state.keys()
+            assert all(vars(isomorphism)[name] is value for name, value in state.items())
