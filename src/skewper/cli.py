@@ -89,6 +89,10 @@ def _cmd_analyze(args) -> int:
         for violation in report.violations:
             print(f"  {violation}")
         return 1
+    # before any output, so that a bad clique size prints nothing
+    cliques = None
+    if args.cliques is not None:
+        cliques = enumerate_free_cliques(config, args.cliques)
     print(f"{config.num_points} points, {len(config.lines)} lines")
     params = parameters(config)
     if params.binomial_n is None:
@@ -98,8 +102,7 @@ def _cmd_analyze(args) -> int:
             f"binomial parameters: ({params.nu}_{params.binomial_n - 2}"
             f" {params.b}_3), n = {params.binomial_n}"
         )
-    if args.cliques is not None:
-        cliques = enumerate_free_cliques(config, args.cliques)
+    if cliques is not None:
         print(f"free {args.cliques}-cliques: {len(cliques)}")
         for clique in cliques:
             print(f"  {tuple(sorted(clique.vertices))}")

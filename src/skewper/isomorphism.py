@@ -9,7 +9,10 @@ cells (a Grassmannian keeps one).  It iterates color refinement (a
 point's signature is its color plus the multiset of its lines' color
 profiles) and, while cells remain, individualizes every point of the
 first non-singleton cell, after which only that point and the points
-collinear with it change signature.
+collinear with it change signature.  A line through p whose other two
+points have colors a <= b enters p's signature as the integer a*N + b (N
+points): colors are below N, so these codes order lines, and sorted
+profiles, exactly as the color pairs (a, b) would.
 Every refinement pass has a relabel-invariant key, its sorted signatures, and
 the search keeps only the leaves whose sequence of keys (their trace) is
 least, abandoning a branch at the first pass that is worse than the
@@ -77,11 +80,20 @@ def _root_colors(config: Config) -> list[int]:
 
 
 def _signature(lines_by_point, colors: list[int], p: int) -> tuple:
-    """p's color and the sorted color profiles of the lines through it."""
-    profile = sorted(
-        tuple(sorted(colors[q] for q in L if q != p)) for L in lines_by_point[p]
-    )
-    return (colors[p], tuple(profile))
+    """p's color and the sorted codes of the lines through it.
+
+    A line {p, x, y} whose other two points have colors a <= b codes as
+    a*N + b, N = len(colors) the number of points.  Every color is below
+    N, so the codes order lines as the pairs (a, b) would, and sorted
+    codes order signatures exactly as sorted tuples of color pairs do:
+    passes, traces and leaves are those of the pair profiles."""
+    n = len(colors)
+    codes = []
+    for L in lines_by_point[p]:
+        a, b = [colors[q] for q in L if q != p]
+        codes.append(a * n + b if a <= b else b * n + a)
+    codes.sort()
+    return (colors[p], tuple(codes))
 
 
 def _leaves(config: Config, trace=None, accept=None) -> list[tuple[int, ...]]:

@@ -60,15 +60,30 @@ class Skew:
     def __call__(self, pair: Pair) -> Pair:
         return self._table[make_pair(*pair)]
 
+    @classmethod
+    def _unchecked(cls, n: int, images: tuple[Pair, ...]) -> "Skew":
+        """A skew from images known to form a bijection, not re-validated."""
+        skew = object.__new__(cls)
+        object.__setattr__(skew, "n", n)
+        object.__setattr__(skew, "images", images)
+        return skew
+
     def __mul__(self, other: "Skew") -> "Skew":
-        """(s * t)(u) = s(t(u)): apply the right factor first."""
+        """(s * t)(u) = s(t(u)): apply the right factor first.
+
+        Both factors were validated when built and the composite of two
+        bijections is one, so the product is not validated again; the
+        images of t are normalized pairs and index s's table directly."""
         if self.n != other.n:
             raise ValueError("cannot compose skews on different ground sets")
-        return Skew(self.n, tuple(self(v) for v in other.images))
+        table = self._table
+        return Skew._unchecked(self.n, tuple(table[v] for v in other.images))
 
     def inverse(self) -> "Skew":
-        inv = {v: u for u, v in zip(all_pairs(self.n), self.images)}
-        return Skew.from_map(self.n, inv)
+        """The inverse bijection, not validated again (as for a product)."""
+        pairs = all_pairs(self.n)
+        inv = dict(zip(self.images, pairs))
+        return Skew._unchecked(self.n, tuple(inv[u] for u in pairs))
 
     def is_identity(self) -> bool:
         return self.images == all_pairs(self.n)

@@ -101,6 +101,16 @@ def brute_triangles_and_pasch(num_points, lines):
     return list(zip(triangles, pasch))
 
 
+def tuple_signature(lines_by_point, colors, p):
+    """The refinement signature with each line's color pair kept as a
+    sorted tuple: p's color and the sorted pairs of the lines through it.
+    Integer line codes must order signatures exactly as these do."""
+    profile = sorted(
+        tuple(sorted(colors[q] for q in L if q != p)) for L in lines_by_point[p]
+    )
+    return (colors[p], tuple(profile))
+
+
 def brute_isos(c1, c2):
     """Every line-preserving bijection, by trying all permutations."""
     if c1.num_points != c2.num_points or len(c1.lines) != len(c2.lines):

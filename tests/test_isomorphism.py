@@ -39,6 +39,7 @@ from oracles import (
     brute_isos,
     brute_triangles_and_pasch,
     random_partial_linear,
+    tuple_signature,
 )
 
 
@@ -452,6 +453,93 @@ class TestRootColors:
         rng.shuffle(images)
         moved = isomorphism._root_colors(relabel(c, dict(enumerate(images))))
         assert all(moved[images[p]] == colors[p] for p in range(c.num_points))
+
+
+def search_outcome(c):
+    """The least-trace leaves of c and its (certificate, relabeling,
+    automorphisms)."""
+    return isomorphism._leaves(c), isomorphism._canonize(c)
+
+
+def integer_and_tuple_outcomes(c, monkeypatch):
+    shipped = search_outcome(c)
+    with monkeypatch.context() as m:
+        m.setattr(isomorphism, "_signature", tuple_signature)
+        reference = search_outcome(c)
+    return shipped, reference
+
+
+class TestIntegerSignature:
+    """`_signature` codes a line whose other points have colors a <= b as
+    a*N + b; the search must take the same path as with the tuple (a, b)
+    of `oracles.tuple_signature`."""
+
+    def test_codes_order_signatures_as_pairs_do(self):
+        rng = random.Random(1301)
+        for _ in range(30):
+            nu = rng.randint(3, 15)
+            c = random_partial_linear(rng, nu, rng.randint(0, 40))
+            colors = [rng.randrange(nu) for _ in range(nu)]
+            coded = [isomorphism._signature(c.lines_by_point, colors, p) for p in range(nu)]
+            paired = [tuple_signature(c.lines_by_point, colors, p) for p in range(nu)]
+            for p, q in itertools.product(range(nu), repeat=2):
+                assert (coded[p] < coded[q]) == (paired[p] < paired[q])
+                assert (coded[p] == coded[q]) == (paired[p] == paired[q])
+
+    def test_catalog(self, monkeypatch):
+        for key in ALL_KEYS:
+            shipped, reference = integer_and_tuple_outcomes(
+                build_instance(key).config, monkeypatch
+            )
+            assert shipped == reference, key
+
+    @pytest.mark.parametrize(
+        "build",
+        [pytest.param(lambda k=k: veronesian(k), id=f"V({k})") for k in range(4, 9)]
+        + [pytest.param(lambda n=n: host(n), id=f"host({n})") for n in range(5, 9)]
+        + [pytest.param(lambda n=n: grassmannian(n), id=f"G(2,{n})") for n in (5, 6)],
+    )
+    def test_structures(self, build, monkeypatch):
+        shipped, reference = integer_and_tuple_outcomes(build(), monkeypatch)
+        assert shipped == reference
+
+    def test_random_systems(self, monkeypatch):
+        rng = random.Random(1493)
+        for _ in range(40):
+            nu = rng.randint(6, 9)
+            c = random_partial_linear(rng, nu, rng.randint(3, 20))
+            shipped, reference = integer_and_tuple_outcomes(c, monkeypatch)
+            assert shipped == reference, c
+
+
+class TestSearchSize:
+    """Counts of `_signature` calls pin the size of the search on any
+    machine."""
+
+    @staticmethod
+    def count_signatures(monkeypatch, work):
+        calls = [0]
+        signature = isomorphism._signature
+
+        def counted(*args):
+            calls[0] += 1
+            return signature(*args)
+
+        monkeypatch.setattr(isomorphism, "_signature", counted)
+        work()
+        return calls[0]
+
+    def test_classify_all(self, monkeypatch):
+        assert self.count_signatures(monkeypatch, lambda: classify_all(1)) == 40302
+
+    @pytest.mark.parametrize(
+        "build, calls",
+        [(lambda: grassmannian(6), 28455), (lambda: veronesian(8), 732)],
+        ids=["G(2,6)", "V(8)"],
+    )
+    def test_leaves(self, monkeypatch, build, calls):
+        config = build()
+        assert self.count_signatures(monkeypatch, lambda: isomorphism._leaves(config)) == calls
 
 
 def no_search(*args):

@@ -86,6 +86,53 @@ class TestSkewBasics:
         assert zeta(4).order() == 2
 
 
+def validated_product(s: Skew, t: Skew) -> Skew:
+    return Skew(s.n, tuple(s(v) for v in t.images))
+
+
+def assert_same_skew(unchecked: Skew, validated: Skew):
+    assert unchecked == validated
+    assert hash(unchecked) == hash(validated)
+    assert all(unchecked(u) == validated(u) for u in all_pairs(validated.n))
+    assert unchecked.order() == validated.order()
+    assert unchecked.inverse() == validated.inverse()
+
+
+class TestUncheckedProduct:
+    """Products and inverses are built without re-validation; they must be
+    the skews the validating constructor gives."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_level_skews(self, n):
+        rng = random.Random(n)
+        for _ in range(15):
+            s = skew_from_phi(random_phi(rng, n))
+            t = skew_from_phi(random_phi(rng, n))
+            assert_same_skew(s * t, validated_product(s, t))
+            inv = {v: u for u, v in zip(all_pairs(n), s.images)}
+            assert_same_skew(s.inverse(), Skew.from_map(n, inv))
+
+    def test_all_lifts_at_four(self):
+        lifts = [bar_alpha(a) for a in symmetric_group(4)]
+        assert len(lifts) == 24
+        for s, t in itertools.product(lifts, repeat=2):
+            assert_same_skew(s * t, validated_product(s, t))
+
+    def test_constructors_still_validate(self):
+        pairs = all_pairs(4)
+        repeated = (pairs[0],) + pairs[:-1]
+        with pytest.raises(ValueError, match="bijection"):
+            Skew(4, repeated)
+        with pytest.raises(ValueError, match="expected 6 images"):
+            Skew(4, pairs[:-1])
+        with pytest.raises(ValueError, match="bijection"):
+            Skew.from_map(4, dict(zip(pairs, repeated)))
+
+    def test_different_ground_sets_do_not_compose(self):
+        with pytest.raises(ValueError, match="different ground sets"):
+            identity_skew(4) * identity_skew(5)
+
+
 class TestSkewFromPhi:
     def test_all_identity_gives_identity(self):
         phi = phi_sequence(5, {})
