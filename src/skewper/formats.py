@@ -6,8 +6,9 @@ psts/1 layout::
     <p> <q> <r>          (one line per triple, 0-based ids, sorted)
     # label <id> <name>  (optional; all points or none; name runs to EOL)
 
-The parser rejects, with ValueError, a negative count in the header, a line
-whose points are not three distinct ids in 0..num_points-1, a line that
+The parser rejects, with ValueError, a header that is not the format name
+and two integers, a negative count in the header, a line whose points are
+not three distinct integer ids in 0..num_points-1, a line that
 repeats an earlier one, a comment whose first word is ``label`` but which
 lacks an integer id or a name, and a second label for one point.  JSON is
 export-only.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .incidence import Config, make_config
+from .incidence import Config
 
 FORMAT_NAME = "psts"
 
@@ -34,10 +35,17 @@ def emit_psts(config: Config) -> str:
     return "\n".join(out) + "\n"
 
 
+def _integers(fields: list[str]) -> Optional[tuple[int, ...]]:
+    """The fields as integers, or None when one is not an integer."""
+    try:
+        return tuple(map(int, fields))
+    except ValueError:
+        return None
+
+
 def parse_psts(text: str) -> Config:
-    header: Optional[tuple[int, int]] = None
-    lines: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int, int]] = set()
+    header: Optional[tuple[int, ...]] = None
+    lines: set[tuple[int, ...]] = set()
     labels: dict[int, str] = {}
     for raw in text.splitlines():
         stripped = raw.strip()
@@ -58,24 +66,23 @@ def parse_psts(text: str) -> Config:
             continue
         if header is None:
             fields = stripped.split()
-            if len(fields) != 3 or fields[0] != FORMAT_NAME:
+            header = _integers(fields[1:]) if fields[:1] == [FORMAT_NAME] else None
+            if header is None or len(header) != 2:
                 raise ValueError(f"bad header {stripped!r}; expected '{FORMAT_NAME} <points> <lines>'")
-            header = (int(fields[1]), int(fields[2]))
             if min(header) < 0:
                 raise ValueError(f"bad header {stripped!r}; counts must be non-negative")
             continue
-        pts = stripped.split()
-        if len(pts) != 3:
+        ids = _integers(stripped.split())
+        if ids is None or len(ids) != 3:
             raise ValueError(f"bad line {stripped!r}; expected three point ids")
-        line = tuple(sorted(int(x) for x in pts))
-        if len(set(line)) != 3:
+        x, y, z = line = tuple(sorted(ids))
+        if not x < y < z:
             raise ValueError(f"bad line {stripped!r}; expected three distinct points")
-        if not all(0 <= x < header[0] for x in line):
+        if x < 0 or z >= header[0]:
             raise ValueError(f"bad line {stripped!r}; point ids must lie in 0..{header[0] - 1}")
-        if line in seen:
+        if line in lines:
             raise ValueError(f"bad line {stripped!r}; it repeats an earlier line")
-        seen.add(line)
-        lines.append(line)
+        lines.add(line)
     if header is None:
         raise ValueError("missing header")
     nu, b = header
@@ -86,7 +93,9 @@ def parse_psts(text: str) -> Config:
         if sorted(labels) != list(range(nu)):
             raise ValueError("label comments must cover every point exactly once or be absent")
         label_tuple = tuple(labels[i] for i in range(nu))
-    return make_config(nu, lines, label_tuple)
+    # every line is a sorted triple of distinct points in range, and none
+    # repeats: the Config needs no further normalizing
+    return Config(nu, tuple(sorted(lines)), label_tuple)
 
 
 def emit_json(config: Config) -> str:

@@ -65,13 +65,11 @@ class Config:
             third[x][z] = third[z][x] = y
             third[y][z] = third[z][y] = x
         counts = []
-        for p, through in enumerate(self.lines_by_point):
-            # one row per line {p, a, b}: a, b and their third-point tables;
-            # a lookup gives -1 for a pair that is not collinear
-            rows = []
-            for L in through:
-                a, b = [x for x in L if x != p]
-                rows.append((a, b, third[a], third[b]))
+        for pairs in third:
+            # one row per line {p, a, b}, a < b, read off p's own table: a,
+            # b and their third-point tables; a lookup gives -1 for a pair
+            # that is not collinear
+            rows = [(a, b, third[a], third[b]) for a, b in pairs.items() if a < b]
             triangles = pasch = 0
             for (_, _, ta, tb), (c, d, _, _) in itertools.combinations(rows, 2):
                 ac, bd = ta.get(c, -1), tb.get(d, -1)
@@ -124,7 +122,20 @@ def make_config(
 
 
 def validate(config: Config) -> ValidationReport:
-    """Check the partial-Steiner axioms and label sanity; report all violations."""
+    """Check the partial-Steiner axioms and label sanity; report all violations.
+
+    A valid configuration passes in one sweep: every line is an increasing
+    triple in range, and the lines' pairs are all distinct (a repeated
+    line or two lines sharing a pair would repeat one).  Only a
+    configuration that fails it is walked line by line for the messages.
+    The sweep keeps nothing on the Config."""
+    n, lines, labels = config.num_points, config.lines, config.labels
+    if (
+        all(len(L) == 3 and 0 <= L[0] < L[1] < L[2] < n for L in lines)
+        and len({p for x, y, z in lines for p in ((x, y), (x, z), (y, z))}) == 3 * len(lines)
+        and (labels is None or len(labels) == len(set(labels)) == n)
+    ):
+        return ValidationReport(violations=())
     violations: list[str] = []
     if len({frozenset(L) for L in config.lines}) != len(config.lines):
         violations.append("line list contains a repeated line")

@@ -27,14 +27,15 @@ kept between calls.
 
 An isomorphism decision first compares the sizes and the multisets of
 the per-point counts; a difference answers "not isomorphic" before any
-search.  Otherwise it searches only its first configuration in full.
-The second is searched against the first's least trace (the
-isomorphism-test mode of Traces): a key greater than the trace's prunes
-the branch, a smaller one means the second's least trace is smaller and
-the answer is "not isomorphic" at once, and the first leaf on the trace
-whose certificate equals the first configuration's gives the witness.
-That leaf is the one a full search of the second would take as its
-base, so the witness is the certificate formula's.
+search.  Otherwise it canonizes neither configuration: it descends the
+first once, to its first leaf, and searches the second with that leaf's
+trace held fixed (the isomorphism-test mode of Traces).  A key that
+differs from the trace's prunes only its own branch, and the first leaf
+of the second whose certificate equals the first leaf's gives the
+witness, which is verified before it is returned.  The search is
+complete: an isomorphism carries the first path onto a path of the
+second with the same keys, ending at a leaf with the same certificate,
+so only non-isomorphic configurations exhaust it.
 """
 
 from __future__ import annotations
@@ -112,14 +113,17 @@ def _leaves(config: Config, trace=None, accept=None) -> list[tuple[int, ...]]:
     next free color, and its first pass recomputes the signatures of p
     and the points collinear with it only.
 
-    A given `trace` list receives the least trace.  With `accept` it is
-    instead another configuration's least trace, held fixed: a pass past
-    its end, or with a key smaller than its key at the same position,
-    ends the search with no leaf, and the search ends at the first leaf
-    that `accept` takes, returning that leaf alone.
+    A given `trace` list receives the least trace.  With `accept` the
+    search instead follows the given trace: a pass whose key differs from
+    the trace's at the same position prunes its own branch only (the
+    trace need not be least, so a smaller key proves nothing), a pass
+    past the trace's end extends it, and the search ends at the first
+    leaf that `accept` takes, returning that leaf alone.  On an empty
+    trace the first path writes the trace, so an `accept` that takes
+    every leaf makes the search one descent to the first leaf.
     """
     num_points, lines_by_point = config.num_points, config.lines_by_point
-    best: list[tuple] = [] if trace is None else trace  # the least path's pass keys
+    best: list[tuple] = [] if trace is None else trace  # the least or the followed path's keys
     out: list[tuple[int, ...]] = []
 
     def descend(colors: list[int], sigs: list, position: int) -> bool:
@@ -129,15 +133,15 @@ def _leaves(config: Config, trace=None, accept=None) -> list[tuple[int, ...]]:
         count = len(set(colors))
         while True:
             key = tuple(sorted(set(sigs)))
-            # At the end of the least path no leaf is kept yet.
-            if position == len(best) or key < best[position]:
-                if accept is not None:
-                    return True
+            if position == len(best):
+                # a pass past the path's end extends it; no leaf is kept yet
+                best.append(key)
+            elif key != best[position]:
+                if accept is not None or key > best[position]:
+                    return False
                 del best[position:]
                 best.append(key)
                 out.clear()
-            elif key > best[position]:
-                return False
             position += 1
             if len(key) == count:
                 break
@@ -178,12 +182,12 @@ def _certificate_of(colors: tuple[int, ...], lines) -> tuple[Line, ...]:
     )
 
 
-def _canonize(config: Config, trace: Optional[list] = None):
+def _canonize(config: Config):
     """(certificate, relabeling, automorphisms) of config from one search:
     the least certificate, the first leaf achieving it, and the unverified
-    automorphisms.  A given `trace` list receives the least trace."""
+    automorphisms."""
     num_points, lines = config.num_points, config.lines
-    leaves = _leaves(config, trace)
+    leaves = _leaves(config)
     best: Optional[tuple[Line, ...]] = None
     best_leaves: list[tuple[int, ...]] = []
     for leaf in leaves:
@@ -209,21 +213,22 @@ def are_isomorphic(c1: Config, c2: Config) -> Optional[dict[int, int]]:
     """A verified point bijection carrying the lines of c1 onto those of
     c2, or None.  Different sizes or different multisets of per-point
     triangle and Pasch counts answer None before any search.  Otherwise
-    only c1 is searched in full; c2 is searched against c1's least trace
-    up to its first leaf with c1's certificate."""
+    c1 is descended once, to its first leaf, and c2 is searched against
+    that leaf's trace up to its first leaf with the same certificate."""
     if c1.num_points != c2.num_points or len(c1.lines) != len(c2.lines):
         return None
     if sorted(c1.triangles_and_pasch) != sorted(c2.triangles_and_pasch):
         return None
     trace: list[tuple] = []
-    cert1, base1, _ = _canonize(c1, trace)
+    (leaf1,) = _leaves(c1, trace, lambda leaf: True)
+    cert1 = _certificate_of(leaf1, c1.lines)
     match = _leaves(c2, trace, lambda leaf: _certificate_of(leaf, c2.lines) == cert1)
     if not match:
         return None
     inverse2 = [0] * c2.num_points
     for p, c in enumerate(match[0]):
         inverse2[c] = p
-    witness = {p: inverse2[base1[p]] for p in range(c1.num_points)}
+    witness = {p: inverse2[leaf1[p]] for p in range(c1.num_points)}
     if not is_isomorphism(c1, c2, witness):
         raise RuntimeError("internal error: certificate witness failed verification")
     return witness

@@ -202,6 +202,20 @@ class TestAnalyze:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("psts a b\n", "bad header 'psts a b'; expected 'psts <points> <lines>'"),
+            ("psts 3 1\n0 1 x\n", "bad line '0 1 x'; expected three point ids"),
+        ],
+    )
+    def test_non_integer_field_is_named(self, run, tmp_path, text, message):
+        bad = tmp_path / "bad.psts"
+        bad.write_text(text)
+        code, out, err = run("analyze", str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
     def test_negative_clique_size_is_an_error(self, run, grass_instance_file):
         code, out, err = run("analyze", grass_instance_file, "--cliques", "-2")
         assert code == 1

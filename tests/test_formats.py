@@ -109,6 +109,56 @@ class TestPstsFormat:
         with pytest.raises(ValueError, match="bad line"):
             parse_psts(f"psts 4 1\n{line}\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("psts 3 1\n0 1 2\n# label 0\n", "bad label '# label 0'; expected '# label <id> <name>'"),
+            (
+                "psts 3 1\n0 1 2\n# label 0 a\n# label 0 b\n",
+                "bad label '# label 0 b'; point 0 is already labeled",
+            ),
+            ("nope 3 1\n0 1 2\n", "bad header 'nope 3 1'; expected 'psts <points> <lines>'"),
+            ("psts 3\n", "bad header 'psts 3'; expected 'psts <points> <lines>'"),
+            ("0 1 2\npsts 3 1\n", "bad header '0 1 2'; expected 'psts <points> <lines>'"),
+            ("psts -3 0\n", "bad header 'psts -3 0'; counts must be non-negative"),
+            ("psts 3 1\n0 1\n", "bad line '0 1'; expected three point ids"),
+            ("psts 3 1\n0 1 1\n", "bad line '0 1 1'; expected three distinct points"),
+            ("psts 4 1\n0 1 4\n", "bad line '0 1 4'; point ids must lie in 0..3"),
+            ("psts 4 1\n0 1 -1\n", "bad line '0 1 -1'; point ids must lie in 0..3"),
+            ("psts 4 2\n0 1 2\n2 1 0\n", "bad line '2 1 0'; it repeats an earlier line"),
+            ("", "missing header"),
+            ("# just a note\n", "missing header"),
+            ("psts 3 2\n0 1 2\n", "expected 2 lines, found 1"),
+            (
+                "psts 3 1\n0 1 2\n# label 0 x\n# label 1 y\n# label 3 z\n",
+                "label comments must cover every point exactly once or be absent",
+            ),
+        ],
+    )
+    def test_rejection_messages(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_psts(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("psts a b\n", "bad header 'psts a b'; expected 'psts <points> <lines>'"),
+            ("psts 3 1.5\n", "bad header 'psts 3 1.5'; expected 'psts <points> <lines>'"),
+            ("psts 3 1\n0 1 x\n", "bad line '0 1 x'; expected three point ids"),
+            ("psts 3 1\n0 1 2.0\n", "bad line '0 1 2.0'; expected three point ids"),
+        ],
+    )
+    def test_non_integer_fields_are_named(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_psts(text)
+        assert str(info.value) == message
+
+    def test_lines_sorted_whatever_the_file_order(self):
+        c = parse_psts("psts 6 2\n5 4 3\n2 0 1\n")
+        assert c == make_config(6, [(0, 1, 2), (3, 4, 5)])
+        assert c.lines == ((0, 1, 2), (3, 4, 5))
+
     def test_emission_independent_of_input_order(self):
         a = make_config(5, [(2, 1, 0), (4, 3, 0)])
         b = make_config(5, [(0, 3, 4), (0, 1, 2)])

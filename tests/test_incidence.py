@@ -70,6 +70,68 @@ class TestValidate:
         report = validate(c)
         assert any("label" in v for v in report.violations)
 
+    @pytest.mark.parametrize(
+        "num_points, lines, labels, violations",
+        [
+            (4, ((0, 1, 2), (0, 1, 2)), None, ["line list contains a repeated line"]),
+            (
+                4,
+                ((0, 1, 2), (2, 1, 0)),
+                None,
+                [
+                    "line list contains a repeated line",
+                    "lines (0, 1, 2) and (2, 1, 0) share 2 points (0, 1)",
+                    "lines (0, 1, 2) and (2, 1, 0) share 2 points (0, 2)",
+                    "lines (0, 1, 2) and (2, 1, 0) share 2 points (1, 2)",
+                ],
+            ),
+            (3, ((0, 1, 1),), None, ["line (0, 1, 1) does not consist of 3 distinct points"]),
+            (3, ((0, 1),), None, ["line (0, 1) does not consist of 3 distinct points"]),
+            (3, ((0, 1, 7),), None, ["line (0, 1, 7) uses point 7 outside 0..2"]),
+            (3, ((-1, 0, 1),), None, ["line (-1, 0, 1) uses point -1 outside 0..2"]),
+            (
+                4,
+                ((0, 1, 2), (0, 1, 3)),
+                None,
+                ["lines (0, 1, 2) and (0, 1, 3) share 2 points (0, 1)"],
+            ),
+            (3, (), ("x", "y"), ["label count 2 differs from point count 3"]),
+            (3, (), ("x", "x", "y"), ["labels are not pairwise distinct"]),
+            (
+                4,
+                ((0, 0, 9), (0, 1, 2), (0, 1, 2), (0, 1, 3), (1, 2, 3)),
+                ("a", "a"),
+                [
+                    "line list contains a repeated line",
+                    "line (0, 0, 9) does not consist of 3 distinct points",
+                    "line (0, 0, 9) uses point 9 outside 0..3",
+                    "lines (0, 1, 2) and (0, 1, 3) share 2 points (0, 1)",
+                    "lines (0, 1, 2) and (1, 2, 3) share 2 points (1, 2)",
+                    "lines (0, 1, 3) and (1, 2, 3) share 2 points (1, 3)",
+                    "label count 2 differs from point count 4",
+                    "labels are not pairwise distinct",
+                ],
+            ),
+            (3, ((2, 1, 0),), None, []),
+        ],
+        ids=[
+            "repeated",
+            "repeated-reordered",
+            "not-distinct",
+            "short",
+            "out-of-range",
+            "negative",
+            "shared-pair",
+            "label-count",
+            "repeated-labels",
+            "several-kinds",
+            "unsorted-valid",
+        ],
+    )
+    def test_exact_violations(self, num_points, lines, labels, violations):
+        report = validate(Config(num_points=num_points, lines=lines, labels=labels))
+        assert list(report.violations) == violations
+
     def test_random_structures_against_brute_force(self):
         rng = random.Random(20240817)
         for _ in range(200):

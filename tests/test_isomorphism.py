@@ -329,8 +329,8 @@ class TestOneSearch:
         bogus[0], bogus[8] = bogus[8], bogus[0]
         assert not is_isomorphism(config, config, dict(enumerate(bogus)))
 
-        def corrupted(c, trace=None):
-            cert, relabeling, automorphisms = canonize(c, trace)
+        def corrupted(c):
+            cert, relabeling, automorphisms = canonize(c)
             return cert, relabeling, automorphisms + (tuple(bogus),)
 
         monkeypatch.setattr(isomorphism, "_canonize", corrupted)
@@ -541,6 +541,45 @@ class TestSearchSize:
         config = build()
         assert self.count_signatures(monkeypatch, lambda: isomorphism._leaves(config)) == calls
 
+    @staticmethod
+    def count_certificates(monkeypatch):
+        calls = []
+        certificate_of = isomorphism._certificate_of
+
+        def counted(colors, lines):
+            calls.append(lines)
+            return certificate_of(colors, lines)
+
+        monkeypatch.setattr(isomorphism, "_certificate_of", counted)
+        return calls
+
+    def test_are_isomorphic_on_catalog_classes(self, monkeypatch, catalog_report):
+        # each member, relabelled, against its class's first member: one
+        # certificate on each side, the first leaf of each search
+        pairs = []
+        for cls in catalog_report.classes:
+            first = build_instance(cls.members[0]).config
+            for key in cls.members:
+                moved = next(relabelings(build_instance(key).config, key.s * key.i * key.f))
+                pairs.append((first, moved))
+        assert len(pairs) == 240
+        certified = self.count_certificates(monkeypatch)
+
+        def decide_all():
+            for first, moved in pairs:
+                certified.clear()
+                assert are_isomorphic(first, moved) is not None
+                assert certified == [first.lines, moved.lines]
+
+        assert self.count_signatures(monkeypatch, decide_all) == 25164
+
+    def test_are_isomorphic_on_relabelled_grassmannian(self, monkeypatch):
+        c = grassmannian(7)
+        moved = next(relabelings(c, 7))
+        certified = self.count_certificates(monkeypatch)
+        verify_witness(c, moved, are_isomorphic(c, moved))
+        assert certified == [c.lines, moved.lines]
+
 
 def no_search(*args):
     raise AssertionError("the pre-check should have answered")
@@ -677,8 +716,9 @@ def catalog_report():
 
 class TestReferenceSearch:
     """`are_isomorphic` searches its second configuration against the
-    first's least trace; its answers and witnesses are those of the
-    certificate formula over two full searches."""
+    trace of the first's first leaf; on these inputs its answers and
+    witnesses are those of the certificate formula over two full
+    searches."""
 
     def test_catalog_members_against_their_class(self, catalog_report):
         for cls in catalog_report.classes:
@@ -720,10 +760,11 @@ class TestReferenceSearch:
         assert are_isomorphic(c1, c2) is None
         assert are_isomorphic(c2, c1) is None
 
-    def test_smaller_key_below_the_root_ends_the_search(self, monkeypatch):
+    def test_differing_key_prunes_only_its_branch(self, monkeypatch):
         # G(2,5) is one cell at the root and branches ten ways; a reference
-        # whose second key sorts after every key makes the first child's
-        # key smaller, which ends the search without its siblings
+        # whose second key sorts after every key differs from each child's
+        # first key, which prunes that child alone: each of the ten is
+        # tried once and none descends
         c = grassmannian(5)
         trace = []
         isomorphism._leaves(c, trace)
@@ -739,10 +780,12 @@ class TestReferenceSearch:
         accepted = []
         found = isomorphism._leaves(c, reference, accepted.append)
         assert found == [] and accepted == []
-        # the root pass and one child's, which recomputes the signatures
-        # of the individualized point and its six collinear points only
-        assert len(set(colorings)) == 2
-        assert len(colorings) == c.num_points + 1 + 6
+        # the root pass and each child's first pass, which recomputes the
+        # signatures of the individualized point and its six collinear
+        # points only
+        assert len(set(colorings)) == 1 + c.num_points
+        assert len(colorings) == c.num_points + c.num_points * (1 + 6)
+        assert reference == [trace[0], ((c.num_points + 1,),)]
 
     @pytest.mark.parametrize("k", [5, 6])
     def test_veronesian_against_the_host_visits_no_leaf(self, k, monkeypatch):
@@ -779,9 +822,9 @@ class TestReferenceSearch:
         monkeypatch.setattr(isomorphism, "_certificate_of", counted)
         witness = are_isomorphic(c, moved)
         verify_witness(c, moved, witness)
-        # c is searched in full; moved stops at its first trace leaf,
-        # since every one of its 720 leaves has c's certificate
-        assert visited.count(False) == 720
+        # c is descended to its first leaf; moved stops at its first leaf
+        # on that trace, since every such leaf has c's leaf's certificate
+        assert visited.count(False) == 1
         assert visited.count(True) == 1
 
     @pytest.mark.parametrize("num_points, lines", [(0, []), (3, [(0, 1, 2)])])
