@@ -218,20 +218,18 @@ def reperspective(persp: Perspective) -> Reperspective:
     # inner part of the new skew: the join of the axial points {i,n},{j,n}
     # is an axial point over a pair inside {1..n-1}
     rho_inv_map: dict[Pair, Pair] = {}
-    rho0_inv_map: dict[Pair, Pair] = {}
     ax = persp.axis
     pairs = all_pairs(n)
     index = {u: x for x, u in enumerate(pairs)}
     for i, j in all_pairs(n - 1):
         third = join(ax, index[(i, n)], index[(j, n)])
         assert third is not None  # star is a clique
-        w = pairs[third]
-        rho_inv_map[(i, j)] = w
-        rho0_inv_map[(i, j)] = w
+        rho_inv_map[(i, j)] = pairs[third]
     for i in range(1, n):
         rho_inv_map[(i, n)] = make_pair(n - i, n)
     rho = Skew.from_map(n, rho_inv_map).inverse()
-    rho0 = Skew.from_map(n - 1, rho0_inv_map).inverse()
+    # from_map(n - 1, ...) reads only the pairs inside {1..n-1}
+    rho0 = Skew.from_map(n - 1, rho_inv_map).inverse()
     # the new axis: axial lines missing the top star, plus the b-side rule
     new_lines: list[tuple[Pair, ...]] = []
     for L in ax.lines:

@@ -74,27 +74,28 @@ MU_CATALOG: dict[int, Perm] = {
 
 @dataclass(frozen=True, order=True)
 class InstanceKey:
-    """Catalog coordinates: level-sequence index f, axis type s, and
-    fixed-point permutation index i."""
+    """Catalog coordinates: level-sequence index f (a key of
+    `PHI_CATALOG`), axis type s, and fixed-point permutation index i (a key
+    of `MU_CATALOG`).  Prints as ``(f,s,i)``."""
 
     f: int
     s: int
     i: int
 
     def __post_init__(self):
-        if self.f not in range(1, 9):
-            raise ValueError(f"f must be in 1..8, got {self.f}")
+        if self.f not in PHI_CATALOG:
+            raise ValueError(f"f must be in 1..{len(PHI_CATALOG)}, got {self.f}")
         if self.s not in (5, 6):
             raise ValueError(f"s must be 5 or 6, got {self.s}")
-        if self.i not in range(1, 16):
-            raise ValueError(f"i must be in 1..15, got {self.i}")
+        if self.i not in MU_CATALOG:
+            raise ValueError(f"i must be in 1..{len(MU_CATALOG)}, got {self.i}")
+
+    def __str__(self) -> str:
+        return f"({self.f},{self.s},{self.i})"
 
 
 ALL_KEYS: tuple[InstanceKey, ...] = tuple(
-    InstanceKey(f, s, i)
-    for f in range(1, 9)
-    for s in (5, 6)
-    for i in range(1, 16)
+    InstanceKey(f, s, i) for f in PHI_CATALOG for s in (5, 6) for i in MU_CATALOG
 )
 
 
@@ -151,12 +152,20 @@ class ClassificationReport:
     timings: dict[str, float]
 
 
-def _instance_stats(coords: tuple[int, int, int]):
-    key = InstanceKey(*coords)
-    persp = build_instance(key)
-    cliques = len(enumerate_free_cliques(persp.config, 5))
-    cert, _, automorphisms = _canonize(persp.config)
-    return coords, cliques, cert, len(_verified(persp.config, automorphisms))
+def _instance_stats(key: InstanceKey) -> tuple[int, tuple, int]:
+    """Free five-clique count, certificate and group order at `key`."""
+    config = build_instance(key).config
+    cliques = len(enumerate_free_cliques(config, 5))
+    cert, _, automorphisms = _canonize(config)
+    return cliques, cert, len(_verified(config, automorphisms))
+
+
+def _class_ids(instances, cliques) -> set[int]:
+    """The classes over f >= 2 of the instances whose free five-clique
+    count satisfies `cliques`."""
+    return {
+        s.class_id for s in instances if s.key.f >= 2 and cliques(s.free_clique_count)
+    }
 
 
 OrbitLink = tuple[InstanceKey, str, Optional[Perm]]
@@ -211,19 +220,19 @@ def classify_all(threads: int = 1) -> ClassificationReport:
     start = time.perf_counter()
     links = _center_fixing_orbits()
     orbits_done = time.perf_counter()
-    coords = [(k.f, k.s, k.i) for k in ALL_KEYS if links[k][0] == k]
+    reps = [k for k in ALL_KEYS if links[k][0] == k]
     # the pool forks all its workers at once: start no more than the work
-    workers = min(threads, len(coords))
+    workers = min(threads, len(reps))
     if workers == 1:
-        raw = [_instance_stats(c) for c in coords]
+        raw = [_instance_stats(k) for k in reps]
     else:
         # small chunks: one representative can cost as much as twenty others
-        chunksize = max(1, len(coords) // (4 * workers))
+        chunksize = max(1, len(reps) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_instance_stats, coords, chunksize=chunksize))
+            raw = list(pool.map(_instance_stats, reps, chunksize=chunksize))
     stats_done = time.perf_counter()
 
-    stats = {InstanceKey(*c): (cliques, cert, order) for c, cliques, cert, order in raw}
+    stats = dict(zip(reps, raw))
     class_of_cert: dict[tuple, int] = {}
     members: dict[int, list[InstanceKey]] = {}
     instances: dict[InstanceKey, InstanceSummary] = {}
@@ -251,16 +260,8 @@ def classify_all(threads: int = 1) -> ClassificationReport:
         )
         for cid, ks in sorted(members.items())
     )
-    two = {
-        s.class_id
-        for s in instances.values()
-        if s.key.f >= 2 and s.free_clique_count == 2
-    }
-    three = {
-        s.class_id
-        for s in instances.values()
-        if s.key.f >= 2 and s.free_clique_count >= 3
-    }
+    two = _class_ids(instances.values(), lambda c: c == 2)
+    three = _class_ids(instances.values(), lambda c: c >= 3)
     pairs = frozenset(
         (s.key.f, s.key.i)
         for s in instances.values()
@@ -338,8 +339,8 @@ def _build_representatives() -> dict[int, tuple[InstanceKey, ...]]:
         )
     for f in (7, 8):
         named = {i for g, i in EXPECTED_THREE_PLUS_PAIRS_S5 if g == f}
-        keys = [InstanceKey(f, 5, i) for i in range(1, 16) if i not in named]
-        keys += [InstanceKey(f, 6, i) for i in range(1, 16)]
+        keys = [InstanceKey(f, 5, i) for i in MU_CATALOG if i not in named]
+        keys += [InstanceKey(f, 6, i) for i in MU_CATALOG]
         out[f] = tuple(keys)
     return out
 
@@ -422,7 +423,7 @@ def expectation_checks(report: ClassificationReport) -> list[ExpectationCheck]:
             expected=dict(EXPECTED_NONTRIVIAL_AUT),
             actual=actual_orders,
             detail="; ".join(
-                f"({k.f},{k.s},{k.i}): expected {v}, computed {actual_orders[k]}"
+                f"{k}: expected {v}, computed {actual_orders[k]}"
                 for k, v in EXPECTED_NONTRIVIAL_AUT.items()
                 if actual_orders[k] != v
             ),
@@ -441,7 +442,7 @@ def expectation_checks(report: ClassificationReport) -> list[ExpectationCheck]:
                 actual=len(by_class),
                 detail="; ".join(
                     "isomorphic entries "
-                    + ", ".join(f"({k.f},{k.s},{k.i})" for k in group)
+                    + ", ".join(map(str, group))
                     for group in collisions
                 ),
             )
@@ -451,11 +452,7 @@ def expectation_checks(report: ClassificationReport) -> list[ExpectationCheck]:
         for keys in EXPECTED_REPRESENTATIVES.values()
         for k in keys
     }
-    two_clique_ids = {
-        s.class_id
-        for s in report.instances.values()
-        if s.key.f >= 2 and s.free_clique_count == 2
-    }
+    two_clique_ids = _class_ids(report.instances.values(), lambda c: c == 2)
     missed = sorted(two_clique_ids - listed_ids)
     checks.append(
         ExpectationCheck(
@@ -493,11 +490,11 @@ def diagnostic_text(
     out.append(f"  {sorted(report.three_plus_pairs_s5)}")
     out.append("instances with nontrivial automorphism group (computed):")
     for key, order in report.nontrivial_aut.items():
-        out.append(f"  ({key.f},{key.s},{key.i}): order {order}")
+        out.append(f"  {key}: order {order}")
     out.append("classes with more than one instance:")
     for cls in report.classes:
         if len(cls.members) > 1:
-            names = ", ".join(f"({k.f},{k.s},{k.i})" for k in cls.members)
+            names = ", ".join(map(str, cls.members))
             out.append(
                 f"  class {cls.class_id} ({cls.free_clique_count} free"
                 f" five-cliques, automorphism order {cls.aut_order}): {names}"

@@ -31,15 +31,9 @@ from .isomorphism import _canonize, _group, are_isomorphic, canonical_certificat
 from .skews import parse_phi_text, skew_from_phi
 
 
-def _read_config(path: str) -> Config:
-    return parse_psts(Path(path).read_text())
-
-
 def _read_valid_config(path: str) -> Config:
-    config = _read_config(path)
-    violations = validate(config).violations
-    if violations:
-        raise ValueError("invalid configuration: " + "; ".join(violations))
+    config = parse_psts(Path(path).read_text())
+    validate(config).check()
     return config
 
 
@@ -82,13 +76,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    config = _read_config(args.file)
-    report = validate(config)
-    if not report.ok:
-        print("invalid configuration:")
-        for violation in report.violations:
-            print(f"  {violation}")
-        return 1
+    config = _read_valid_config(args.file)
     # before any output, so that a bad clique size prints nothing
     cliques = None
     if args.cliques is not None:

@@ -93,6 +93,11 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
+    def check(self) -> None:
+        """Raise ValueError naming every violation, if there is any."""
+        if self.violations:
+            raise ValueError("invalid configuration: " + "; ".join(self.violations))
+
 
 @dataclass(frozen=True)
 class ConfigParams:
@@ -168,9 +173,7 @@ def validate(config: Config) -> ValidationReport:
 
 def parameters(config: Config) -> ConfigParams:
     """Compute counts and ranks; raises ValueError on an invalid structure."""
-    report = validate(config)
-    if not report.ok:
-        raise ValueError("invalid configuration: " + "; ".join(report.violations))
+    validate(config).check()
     rank = [len(through) for through in config.lines_by_point]
     nu, b = config.num_points, len(config.lines)
     binomial_n: Optional[int] = None

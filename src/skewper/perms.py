@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterator, Sequence
 
 
@@ -87,19 +88,10 @@ class Perm:
         return tuple(i for i in range(1, self.n + 1) if self(i) == i)
 
     def order(self) -> int:
-        result = 1
-        for c in self.cycles():
-            result = _lcm(result, len(c))
-        return result
+        return lcm(*map(len, self.cycles()))
 
     def __str__(self) -> str:
         return format_cycles(self)
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 def format_cycles(p: Perm, include_fixed: bool = False) -> str:

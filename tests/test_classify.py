@@ -107,6 +107,23 @@ class TestBuildInstance:
         with pytest.raises(ValueError, match="i"):
             InstanceKey(2, 5, 16)
 
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ((9, 5, 1), "f must be in 1..8, got 9"),
+            ((2, 4, 1), "s must be 5 or 6, got 4"),
+            ((2, 6, 0), "i must be in 1..15, got 0"),
+        ],
+    )
+    def test_invalid_key_messages(self, key, message):
+        with pytest.raises(ValueError) as exc:
+            InstanceKey(*key)
+        assert str(exc.value) == message
+
+    def test_key_text(self):
+        assert str(InstanceKey(4, 5, 12)) == "(4,5,12)"
+        assert repr(InstanceKey(4, 5, 12)) == "InstanceKey(f=4, s=5, i=12)"
+
 
 class TestConjugationCollisions:
     def test_claimed_distinct_instances_can_coincide(self):

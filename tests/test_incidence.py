@@ -132,6 +132,18 @@ class TestValidate:
         report = validate(Config(num_points=num_points, lines=lines, labels=labels))
         assert list(report.violations) == violations
 
+    def test_check(self):
+        assert validate(make_config(7, [(0, 1, 2), (3, 4, 5), (0, 3, 6)])).check() is None
+        bad = Config(num_points=4, lines=((0, 1, 2), (0, 1, 3), (1, 2, 5)), labels=None)
+        message = (
+            "invalid configuration: line (1, 2, 5) uses point 5 outside 0..3;"
+            " lines (0, 1, 2) and (0, 1, 3) share 2 points (0, 1);"
+            " lines (0, 1, 2) and (1, 2, 5) share 2 points (1, 2)"
+        )
+        with pytest.raises(ValueError) as exc:
+            validate(bad).check()
+        assert str(exc.value) == message
+
     def test_random_structures_against_brute_force(self):
         rng = random.Random(20240817)
         for _ in range(200):
@@ -149,8 +161,11 @@ class TestValidate:
 class TestParameters:
     def test_rejects_invalid(self):
         c = make_config(4, [(0, 1, 2), (0, 1, 3)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             parameters(c)
+        assert str(exc.value) == (
+            "invalid configuration: lines (0, 1, 2) and (0, 1, 3) share 2 points (0, 1)"
+        )
 
     def test_triangle(self):
         p = parameters(make_config(3, [(0, 1, 2)]))

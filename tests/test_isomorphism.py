@@ -339,7 +339,7 @@ class TestOneSearch:
         with pytest.raises(RuntimeError, match=message):
             automorphism_group(config)
         with pytest.raises(RuntimeError, match=message):
-            classify._instance_stats((key.f, key.s, key.i))
+            classify._instance_stats(key)
 
 
 def relabelings(c, seed):
@@ -786,6 +786,26 @@ class TestReferenceSearch:
         assert len(set(colorings)) == 1 + c.num_points
         assert len(colorings) == c.num_points + c.num_points * (1 + 6)
         assert reference == [trace[0], ((c.num_points + 1,),)]
+
+    def test_rejected_leaf_continues_the_search(self):
+        # on its own least trace, the search meets the leaves that the
+        # unguided search keeps, in the same order; a rejected leaf passes
+        # the search on to the next
+        moved = next(relabelings(grassmannian(5), 5))
+        trace = []
+        leaves = isomorphism._leaves(moved, trace)
+        assert len(leaves) > 2
+        seen = []
+
+        def second(leaf):
+            seen.append(leaf)
+            return len(seen) == 2
+
+        assert isomorphism._leaves(moved, trace, second) == [leaves[1]]
+        assert seen == leaves[:2]
+        seen.clear()
+        assert isomorphism._leaves(moved, trace, lambda leaf: seen.append(leaf)) == []
+        assert seen == leaves
 
     @pytest.mark.parametrize("k", [5, 6])
     def test_veronesian_against_the_host_visits_no_leaf(self, k, monkeypatch):
