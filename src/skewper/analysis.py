@@ -36,49 +36,52 @@ class FreeClique:
     points of the pair lines are pairwise distinct and lie outside the
     vertex set: two edges share a line exactly when its third point is a
     vertex, and, that excluded, lines of disjoint edges can meet only in a
-    common third point."""
+    common third point.  The search reads those third points from
+    `Config.third`."""
 
     vertices: frozenset
     edge_lines: Mapping[frozenset, Line]
 
 
-def _add_vertex(table, current: list[int], thirds: set[int], v: int) -> Optional[list[int]]:
-    """The third points of the lines joining v to the free clique `current`
-    (ascending, below v, its pair lines' third points `thirds`), or None
-    when adding v breaks the rule stated on `FreeClique`."""
+def _add_vertex(third, current: list[int], thirds: set[int], v: int) -> Optional[list[int]]:
+    """The third points `third[v][u]` of the lines joining v to the free
+    clique `current` (ascending, below v, its pair lines' third points
+    `thirds`), or None when adding v breaks the rule stated on
+    `FreeClique`."""
     # v outside `thirds` also keeps every new third point z out of
     # `current`: z in `current` would make v the third point of (u, z)
     if v in thirds:
         return None
+    row = third[v]
     added: list[int] = []
     for u in current:
-        line = table.get((u, v))
-        if line is None:
-            return None
-        z = sum(line) - u - v
-        if z in thirds or z in added:
+        z = row.get(u)
+        if z is None or z in thirds or z in added:
             return None
         added.append(z)
     return added
 
 
-def _free_clique(table, vs: list[int]) -> FreeClique:
-    pairs = itertools.combinations(vs, 2)
-    return FreeClique(frozenset(vs), {frozenset(pair): table[pair] for pair in pairs})
+def _free_clique(third, vs: list[int]) -> FreeClique:
+    edge_lines = {
+        frozenset((u, v)): tuple(sorted((u, v, third[u][v])))
+        for u, v in itertools.combinations(vs, 2)
+    }
+    return FreeClique(frozenset(vs), edge_lines)
 
 
 def freely_contains(config: Config, vertices: Iterable[int]) -> Optional[FreeClique]:
     """The free complete subgraph on the given vertices, or None, under
     the line axioms stated on `FreeClique`."""
     vs = sorted(set(vertices))
-    table = config.line_of_pair
+    third = config.third
     thirds: set[int] = set()
     for j, v in enumerate(vs):
-        added = _add_vertex(table, vs[:j], thirds, v)
+        added = _add_vertex(third, vs[:j], thirds, v)
         if added is None:
             return None
         thirds.update(added)
-    return _free_clique(table, vs)
+    return _free_clique(third, vs)
 
 
 def enumerate_free_cliques(config: Config, m: int) -> list[FreeClique]:
@@ -89,18 +92,18 @@ def enumerate_free_cliques(config: Config, m: int) -> list[FreeClique]:
     above its last vertex that are collinear with all of its vertices."""
     if m < 0:
         raise ValueError(f"clique size must be non-negative, got {m}")
-    table = config.line_of_pair
+    third = config.third
     found: list[FreeClique] = []
 
     def extend(current: list[int], thirds: set[int], candidates: list[int]):
         if len(current) == m:
-            found.append(_free_clique(table, current))
+            found.append(_free_clique(third, current))
             return
         for i in range(len(candidates) - (m - len(current)) + 1):
             v = candidates[i]
-            added = _add_vertex(table, current, thirds, v)
+            added = _add_vertex(third, current, thirds, v)
             if added is not None:
-                rest = [w for w in candidates[i + 1 :] if (v, w) in table]
+                rest = [w for w in candidates[i + 1 :] if w in third[v]]
                 extend(current + [v], thirds.union(added), rest)
 
     extend([], set(), list(range(config.num_points)))

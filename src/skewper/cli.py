@@ -76,13 +76,14 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    config = _read_valid_config(args.file)
-    # before any output, so that a bad clique size prints nothing
+    config = parse_psts(Path(args.file).read_text())
+    # parameters rejects an invalid file, and enumerate_free_cliques a bad
+    # clique size, before any output
+    params = parameters(config)
     cliques = None
     if args.cliques is not None:
         cliques = enumerate_free_cliques(config, args.cliques)
     print(f"{config.num_points} points, {len(config.lines)} lines")
-    params = parameters(config)
     if params.binomial_n is None:
         print("not a binomial configuration")
     else:

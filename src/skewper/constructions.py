@@ -23,7 +23,7 @@ from functools import cached_property
 from math import comb
 from typing import Iterable, Mapping
 
-from .incidence import Config, make_config, parameters, validate
+from .incidence import Config, make_config, parameters
 from .perms import Perm, parse_cycles
 from .skews import Pair, Skew, all_pairs, make_pair
 
@@ -187,10 +187,8 @@ def perspective(
     if sigma.n != n:
         raise ValueError(f"skew acts on a {sigma.n}-element ground set, expected {n}")
     _check_axis_labels(n, axis)
-    report = validate(axis)
-    if not report.ok:
-        raise ValueError("axis is not a valid structure: " + "; ".join(report.violations))
-    if require_binomial and parameters(axis).binomial_n != n:
+    binomial_n = parameters(axis).binomial_n  # raises on an invalid axis
+    if require_binomial and binomial_n != n:
         raise ValueError(
             f"axis is not binomial on {{1..{n}}}: expected {len(all_pairs(n))} points of "
             f"rank {n - 2}; pass require_binomial=False to build anyway"

@@ -22,7 +22,7 @@ class Config:
 
     ``lines`` is a sorted tuple of sorted 3-tuples of point ids, and
     ``labels``, when present, maps point id -> name positionally.  The
-    derived views (``lines_by_point``, ``line_of_pair``, ``line_set`` and
+    derived views (``lines_by_point``, the third-point index ``third`` and
     the per-point ``triangles_and_pasch`` counts) are computed on first
     use and kept on the instance; they are not fields, so equality,
     hashing and every emitter see only the three fields.
@@ -42,13 +42,15 @@ class Config:
         return tuple(map(tuple, through))
 
     @cached_property
-    def line_of_pair(self) -> dict[tuple[int, int], Line]:
-        """The line through each collinear pair (x, y) with x < y."""
-        return {pair: L for L in self.lines for pair in itertools.combinations(L, 2)}
-
-    @cached_property
-    def line_set(self) -> frozenset[Line]:
-        return frozenset(self.lines)
+    def third(self) -> tuple[dict[int, int], ...]:
+        """third[x][y]: the third point of the line through x and y, for
+        every collinear pair in both orders."""
+        third: list[dict[int, int]] = [{} for _ in range(self.num_points)]
+        for x, y, z in self.lines:
+            third[x][y] = third[y][x] = z
+            third[x][z] = third[z][x] = y
+            third[y][z] = third[z][y] = x
+        return tuple(third)
 
     @cached_property
     def triangles_and_pasch(self) -> tuple[tuple[int, int], ...]:
@@ -58,12 +60,7 @@ class Config:
         Over each pair of lines {p, a, b} and {p, c, d}: a collinear cross
         pair such as (a, c) closes a triangle, and join(a, c) == join(b, d)
         or join(a, d) == join(b, c) closes a Pasch configuration."""
-        # third[x][y]: the third point of the line through x and y
-        third: list[dict[int, int]] = [{} for _ in range(self.num_points)]
-        for x, y, z in self.lines:
-            third[x][y] = third[y][x] = z
-            third[x][z] = third[z][x] = y
-            third[y][z] = third[z][y] = x
+        third = self.third
         counts = []
         for pairs in third:
             # one row per line {p, a, b}, a < b, read off p's own table: a,
@@ -195,12 +192,7 @@ def join(config: Config, x: int, y: int) -> Optional[int]:
 
     join(c, x, x) == x by convention.
     """
-    if x == y:
-        return x
-    line = config.line_of_pair.get((x, y) if x < y else (y, x))
-    if line is None:
-        return None
-    return sum(line) - x - y
+    return x if x == y else config.third[x].get(y)
 
 
 def is_isomorphism(
@@ -217,11 +209,9 @@ def is_isomorphism(
         return False
     if sorted(images) != list(range(n)):
         return False
-    lines2 = c2.line_set
-    return all(
-        tuple(sorted([images[x], images[y], images[z]])) in lines2
-        for x, y, z in c1.lines
-    )
+    # a hit means the image triple is a line of c2
+    third2 = c2.third
+    return all(third2[images[x]].get(images[y]) == images[z] for x, y, z in c1.lines)
 
 
 def relabel(config: Config, f: Mapping[int, int]) -> Config:

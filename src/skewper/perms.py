@@ -116,30 +116,28 @@ def parse_cycles(text: str, n: int | None = None) -> Perm:
         return Perm.identity(n)
     cycles: list[list[int]] = []
     depth = 0
-    current: list[str] = []
-    buf = ""
+    buf = ""  # the text inside the open parenthesis
     for ch in text:
         if ch == "(":
             if depth != 0:
                 raise ValueError(f"nested parenthesis in {text!r}")
-            depth, current, buf = 1, [], ""
+            depth, buf = 1, ""
         elif ch == ")":
             if depth != 1:
                 raise ValueError(f"unbalanced parenthesis in {text!r}")
-            if buf.strip():
-                current.append(buf)
-            cycles.append([int(tok) for tok in current])
+            tokens = [tok.strip() for tok in buf.split(",")]
+            if not tokens[-1]:
+                tokens.pop()  # "()" or a trailing comma
+            if not all(tok.isdigit() for tok in tokens):
+                raise ValueError(f"malformed cycle ({buf}) in {text!r}")
+            cycles.append([int(tok) for tok in tokens])
             depth = 0
-        elif ch in ", ":
-            if ch == "," and depth == 1:
-                current.append(buf)
-                buf = ""
-        elif ch.isdigit():
-            if depth != 1:
-                raise ValueError(f"digit outside parenthesis in {text!r}")
-            buf += ch
-        else:
+        elif not (ch.isdigit() or ch in ", "):
             raise ValueError(f"unexpected character {ch!r} in {text!r}")
+        elif depth == 1:
+            buf += ch
+        elif ch.isdigit():
+            raise ValueError(f"digit outside parenthesis in {text!r}")
     if depth != 0:
         raise ValueError(f"unbalanced parenthesis in {text!r}")
     mentioned = [e for cyc in cycles for e in cyc]

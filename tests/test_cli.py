@@ -9,9 +9,9 @@ import random
 
 import pytest
 
-from skewper import cli, isomorphism
+from skewper import cli, incidence, isomorphism
 from skewper.cli import main
-from skewper.constructions import grassmannian, perspective, veblen, veblen_label
+from skewper.constructions import grassmannian, perspective, veblen, veblen_label, veronesian
 from skewper.formats import emit_psts, parse_psts
 from skewper.incidence import make_config, validate
 from skewper.isomorphism import CanonicalCertificate, canonical_certificate
@@ -253,6 +253,21 @@ class TestAnalyze:
         violations = "; ".join(validate(parse_psts(text)).violations)
         assert err == f"error: invalid configuration: {violations}\n"
         assert err.endswith(f"{violation}\n")
+
+    def test_validates_once(self, run, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(config):
+            calls.append(config)
+            return validate(config)
+
+        monkeypatch.setattr(incidence, "validate", counted)
+        monkeypatch.setattr(cli, "validate", counted)
+        path = tmp_path / "v6.psts"
+        path.write_text(emit_psts(veronesian(6)))
+        code, out, _ = run("analyze", str(path))
+        assert code == 0 and "binomial parameters" in out
+        assert len(calls) == 1
 
     def test_not_binomial(self, run, tmp_path):
         path = tmp_path / "one_line.psts"

@@ -15,7 +15,7 @@ from math import comb
 
 import pytest
 
-from skewper import constructions
+from skewper import constructions, incidence
 from skewper.analysis import reperspective, star_clique_indices, stp_diagram
 from skewper.incidence import Config, parameters, relabel, validate
 from skewper.isomorphism import perspective_iso
@@ -156,6 +156,28 @@ class TestVeronesian:
 
 
 class TestPerspective:
+    def test_validates_the_axis_once(self, monkeypatch):
+        calls = []
+
+        def counted(config):
+            calls.append(config)
+            return validate(config)
+
+        monkeypatch.setattr(incidence, "validate", counted)
+        perspective(4, zeta(4), grassmannian(4))
+        perspective(5, zeta(5), grassmannian(5), require_binomial=False)
+        assert len(calls) == 2
+
+    def test_invalid_axis_message(self):
+        g = grassmannian(4)
+        bad = Config(num_points=6, lines=g.lines + ((0, 1, 5),), labels=g.labels)
+        message = "invalid configuration: " + "; ".join(validate(bad).violations)
+        assert "share 2 points" in message
+        for require_binomial in (True, False):
+            with pytest.raises(ValueError) as exc:
+                perspective(4, zeta(4), bad, require_binomial=require_binomial)
+            assert str(exc.value) == message
+
     def test_shape_and_parameters(self):
         persp = perspective(4, zeta(4), grassmannian(4))
         p = parameters(persp.config)

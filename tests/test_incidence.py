@@ -6,6 +6,7 @@ compared with the validator; join results and the incidence views are
 recovered by scanning the raw line list.
 """
 
+import dataclasses
 import itertools
 import random
 from math import comb
@@ -22,7 +23,7 @@ from skewper.incidence import (
     validate,
 )
 
-from oracles import random_partial_linear
+from oracles import brute_isos, random_partial_linear
 
 
 def brute_is_partial_linear(lines) -> bool:
@@ -208,18 +209,21 @@ class TestJoin:
             assert c.lines_by_point == tuple(
                 tuple(L for L in c.lines if p in L) for p in range(nu)
             )
-            assert c.line_of_pair == {
-                (x, y): L
-                for x, y in itertools.combinations(range(nu), 2)
-                for L in c.lines
-                if x in L and y in L
-            }
-            assert c.line_set == set(c.lines)
+            # exactly the collinear pairs, in both orders
+            assert [dict(row) for row in c.third] == [
+                {
+                    y: brute_join(c, x, y)
+                    for y in range(nu)
+                    if y != x and brute_join(c, x, y) is not None
+                }
+                for x in range(nu)
+            ]
 
     def test_views_are_not_fields(self):
         c = make_config(5, [(0, 1, 2), (0, 3, 4)])
         before = repr(c)
-        assert c.lines_by_point and c.line_of_pair and c.line_set
+        assert c.lines_by_point and c.third
+        assert {f.name for f in dataclasses.fields(c)} == {"num_points", "lines", "labels"}
         assert repr(c) == before
         assert c == make_config(5, [(0, 3, 4), (0, 1, 2)])
         assert hash(c) == hash(make_config(5, [(0, 1, 2), (0, 3, 4)]))
@@ -270,6 +274,15 @@ class TestIsIsomorphism:
         # swapping 4 and 5 keeps (0, 1, 2) and sends (1, 3, 5) to (1, 3, 4)
         c = make_config(7, [(0, 1, 2), (1, 3, 5)])
         assert not is_isomorphism(c, c, (0, 1, 2, 3, 5, 4, 6))
+
+    def test_matches_brute_over_all_maps(self):
+        rng = random.Random(17)
+        for _ in range(30):
+            nu = rng.randint(3, 6)
+            c = random_partial_linear(rng, nu, rng.randint(0, 6))
+            isos = set(brute_isos(c, c))
+            for f in itertools.permutations(range(nu)):
+                assert is_isomorphism(c, c, f) == (f in isos)
 
     def test_rejects_different_counts(self):
         c = make_config(4, [(0, 1, 2)])

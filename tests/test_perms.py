@@ -6,6 +6,7 @@ never copied from the implementation.
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -66,6 +67,25 @@ class TestCycleNotation:
     def test_parse_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             parse_cycles("(1,5)", 4)
+
+    @pytest.mark.parametrize("text", ["(1 2,3)", "(1,2 3)", "(1,,2)", "(,)", "(1,2)(3 4)"])
+    def test_parse_rejects_malformed_cycle(self, text):
+        # a space never joins two digits, and every element is a number
+        with pytest.raises(ValueError, match="^malformed cycle .* in " + re.escape(repr(text))):
+            parse_cycles(text)
+
+    @pytest.mark.parametrize(
+        "text, images",
+        [
+            ("( 1 , 2 )", (2, 1)),
+            ("(1,2,)", (2, 1)),
+            ("( )(2,3)", (1, 3, 2)),
+            ("(1,2) (3)", (2, 1, 3)),
+            ("(1,2),(3,4)", (2, 1, 4, 3)),
+        ],
+    )
+    def test_parse_spacing_and_separators(self, text, images):
+        assert parse_cycles(text).images == images
 
     def test_format_roundtrip_all_s4(self):
         for p in symmetric_group(4):
