@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import locale  # noqa: F401  (else argparse's gettext imports it inside the first command)
 import random
 import sys
 from pathlib import Path
@@ -143,7 +144,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    report = classify_all(threads=args.threads)
+    report = classify_all()
     checks = expectation_checks(report)
     print(diagnostic_text(report, checks))
     if args.golden:
@@ -230,12 +231,6 @@ def _parser() -> argparse.ArgumentParser:
         "--golden",
         action="store_true",
         help="exit 0 only if every reference check passes",
-    )
-    classify.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker processes (default 1); at most one per orbit representative",
     )
     classify.set_defaults(handler=_cmd_classify)
 

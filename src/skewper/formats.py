@@ -10,7 +10,8 @@ The parser rejects, with ValueError, a header that is not the format name
 and two integers, a negative count in the header, a line whose points are
 not three distinct integer ids in 0..num_points-1, a line that
 repeats an earlier one, a comment whose first word is ``label`` but which
-lacks an integer id or a name, and a second label for one point.  JSON is
+lacks an integer id or a name, and a second label for one point.  An
+integer is an optional "-" followed by the ASCII digits 0-9.  JSON is
 export-only.
 All emitters produce byte-stable output for equal configurations.
 """
@@ -36,11 +37,16 @@ def emit_psts(config: Config) -> str:
 
 
 def _integers(fields: list[str]) -> Optional[tuple[int, ...]]:
-    """The fields as integers, or None when one is not an integer."""
-    try:
-        return tuple(map(int, fields))
-    except ValueError:
-        return None
+    """The fields as integers, or None when one is not an optional "-"
+    followed by ASCII digits (`int` alone would also take "+2", "1_5" and
+    non-ASCII digits)."""
+    digits = "".join(fields).replace("-", "")
+    if digits.isascii() and digits.isdigit():
+        try:  # fails on a "-" out of place
+            return tuple(map(int, fields))
+        except ValueError:
+            pass
+    return None
 
 
 def parse_psts(text: str) -> Config:
@@ -54,12 +60,9 @@ def parse_psts(text: str) -> Config:
         if stripped.startswith("#"):
             parts = stripped[1:].strip().split(maxsplit=2)
             if parts[:1] == ["label"]:
-                try:
-                    point, name = int(parts[1]), parts[2]
-                except (IndexError, ValueError):
-                    raise ValueError(
-                        f"bad label {stripped!r}; expected '# label <id> <name>'"
-                    ) from None
+                if len(parts) < 3 or _integers(parts[1:2]) is None:
+                    raise ValueError(f"bad label {stripped!r}; expected '# label <id> <name>'")
+                point, name = int(parts[1]), parts[2]
                 if point in labels:
                     raise ValueError(f"bad label {stripped!r}; point {point} is already labeled")
                 labels[point] = name

@@ -107,13 +107,11 @@ def parse_cycles(text: str, n: int | None = None) -> Perm:
 
     Fixed points may be omitted.  ``id``, ``()`` and the empty string denote
     the identity.  When ``n`` is omitted it is inferred from the largest
-    element mentioned.
+    element mentioned.  Elements are written in the ASCII digits 0-9.
     """
     text = text.strip()
-    if text in ("", "id", "()"):
-        if n is None:
-            raise ValueError("cannot infer the degree of an identity permutation")
-        return Perm.identity(n)
+    if text == "id":
+        text = ""
     cycles: list[list[int]] = []
     depth = 0
     buf = ""  # the text inside the open parenthesis
@@ -132,11 +130,11 @@ def parse_cycles(text: str, n: int | None = None) -> Perm:
                 raise ValueError(f"malformed cycle ({buf}) in {text!r}")
             cycles.append([int(tok) for tok in tokens])
             depth = 0
-        elif not (ch.isdigit() or ch in ", "):
+        elif ch not in "0123456789, ":
             raise ValueError(f"unexpected character {ch!r} in {text!r}")
         elif depth == 1:
             buf += ch
-        elif ch.isdigit():
+        elif ch not in ", ":
             raise ValueError(f"digit outside parenthesis in {text!r}")
     if depth != 0:
         raise ValueError(f"unbalanced parenthesis in {text!r}")
@@ -145,6 +143,8 @@ def parse_cycles(text: str, n: int | None = None) -> Perm:
         raise ValueError(f"element repeated in {text!r}")
     if any(e < 1 for e in mentioned):
         raise ValueError(f"elements must be positive in {text!r}")
+    if n is None and not mentioned:
+        raise ValueError("cannot infer the degree of an identity permutation")
     degree = n if n is not None else max(mentioned)
     if any(e > degree for e in mentioned):
         raise ValueError(f"element out of range 1..{degree} in {text!r}")

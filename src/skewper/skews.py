@@ -254,7 +254,8 @@ def parse_phi_text(text: str) -> PhiSequence:
     """Parse "[phi_n,...,phi_3]" where each entry is in cycle notation.
 
     The list runs from the top level down to level 3 (level 2 is forced to
-    the identity), so the ground-set size is the entry count plus 2.
+    the identity), so the ground-set size is the entry count plus 2.  An
+    identity entry is written ``()`` or ``id``, never left empty.
     """
     stripped = text.strip()
     if not (stripped.startswith("[") and stripped.endswith("]")):
@@ -278,9 +279,11 @@ def parse_phi_text(text: str) -> PhiSequence:
         items.append(body[start:])
     n = len(items) + 2
     levels = {}
-    for slot, item in enumerate(items):
+    for slot, item in enumerate(map(str.strip, items)):
+        if not item:
+            raise ValueError(f"empty entry in {text!r}")
         j = n - slot
-        levels[j] = parse_cycles(item.strip(), j - 1)
+        levels[j] = parse_cycles(item, j - 1)
     return phi_sequence(n, levels)
 
 

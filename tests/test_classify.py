@@ -5,11 +5,12 @@ data; known coincidences (the Grassmannian instance, conjugation
 collisions) serve as anchors.
 """
 
+import multiprocessing
+import os
 from collections import Counter
 
 import pytest
 
-from skewper import classify
 from skewper.analysis import enumerate_free_cliques
 from skewper.classify import (
     ALL_KEYS,
@@ -26,15 +27,15 @@ from skewper.classify import (
     diagnostic_text,
     expectation_checks,
 )
-from skewper.constructions import grassmannian, kappa, perspective
+from skewper.constructions import grassmannian, kappa, perspective, veblen, veblen_label
 from skewper.isomorphism import (
     are_isomorphic,
     automorphism_group,
     canonical_certificate,
     perspective_iso,
 )
-from skewper.perms import parse_cycles
-from skewper.skews import all_pairs, bar_alpha, skew_from_phi, zeta
+from skewper.perms import parse_cycles, symmetric_group
+from skewper.skews import all_pairs, bar_alpha, phi_sequence, skew_from_phi, zeta
 
 from oracles import backtrack_isos
 
@@ -212,39 +213,21 @@ class TestClassifyAll:
             if summary.aut_order > 1:
                 assert key in report.nontrivial_aut
 
-    def test_deterministic_across_thread_counts(self, report):
-        parallel = classify_all(threads=2)
-        assert parallel.instances == report.instances
-        assert parallel.class_count_two_k5 == report.class_count_two_k5
-        assert parallel.class_count_three_plus == report.class_count_three_plus
-        assert parallel.three_plus_pairs_s5 == report.three_plus_pairs_s5
-        assert [cls.members for cls in parallel.classes] == [
-            cls.members for cls in report.classes
-        ]
+    def test_threads_keyword_starts_no_process(self, report, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("classify_all started a process")
 
-    def test_pool_starts_no_more_workers_than_representatives(self, report, monkeypatch):
-        started = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(classify, "ProcessPoolExecutor", InProcessPool)
-        capped = classify_all(threads=10**6)
-        assert len(started) == 1 and 1 < started[0] <= 70
-        assert capped.instances == report.instances
-        assert capped.classes == report.classes
-        assert capped.three_plus_pairs_s5 == report.three_plus_pairs_s5
-        assert capped.nontrivial_aut == report.nontrivial_aut
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        two = classify_all(threads=2)
+        assert two.instances == report.instances
+        assert two.classes == report.classes
+        assert two.class_count_two_k5 == report.class_count_two_k5
+        assert two.class_count_three_plus == report.class_count_three_plus
+        assert two.three_plus_pairs_s5 == report.three_plus_pairs_s5
+        assert two.nontrivial_aut == report.nontrivial_aut
+        with pytest.raises(ValueError, match="thread count must be positive"):
+            classify_all(threads=0)
 
 
 def center_fixing_witness(p1, p2, kind, phi):
@@ -304,9 +287,7 @@ def canonized_directly():
     return out
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_orbit_quotient_matches_direct_canonization(canonized_directly, threads):
-    report = classify_all(threads=threads)
+def test_orbit_quotient_matches_direct_canonization(canonized_directly, report):
     class_of_cert = {}
     for key in ALL_KEYS:
         cliques, order, cert = canonized_directly[key]
@@ -315,6 +296,27 @@ def test_orbit_quotient_matches_direct_canonization(canonized_directly, threads)
         assert canonized_directly[summary.representative][2] == cert, key
         assert summary.class_id == class_of_cert.setdefault(cert, len(class_of_cert))
     assert len(report.classes) == len(class_of_cert)
+
+
+def test_catalog_is_complete_for_level_skews(canonized_directly):
+    """Every level sequence (phi_4 in S3, phi_3 in S2), not only the eight
+    cataloged ones, over the 30 catalog Veblen axes lands in a catalog
+    class: the catalog misses no class of level-skew perspectives."""
+    axes = [veblen(veblen_label(s, mu)) for s in (5, 6) for mu in MU_CATALOG.values()]
+    skews = [
+        skew_from_phi(phi_sequence(4, {4: top, 3: inner}))
+        for top in symmetric_group(3)
+        for inner in symmetric_group(2)
+    ]
+    level = {
+        canonical_certificate(perspective(4, skew, axis).config).canonical_lines
+        for skew in skews
+        for axis in axes
+    }
+    catalog = {cert for _, _, cert in canonized_directly.values()}
+    distinct = (len(set(skews)), len({axis.lines for axis in axes}), len(catalog))
+    assert distinct == (12, 30, 65)
+    assert level == catalog
 
 
 # Values computed by this package's exhaustive run and re-verified by the

@@ -111,6 +111,13 @@ class TestBuild:
             " v5:<cycles>, or v6:<cycles>\n"
         )
 
+    def test_build_perspective_empty_phi_entry(self, run):
+        code, out, err = run(
+            "build", "perspective", "--phi", "[(1,2),]", "--axis", "grassmannian"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: empty entry in '[(1,2),]'\n"
+
     def test_out_file_matches_stdout(self, run, tmp_path):
         target = tmp_path / "g.psts"
         code, _, _ = run("build", "grassmannian", "--n", "4", "--out", str(target))
@@ -365,22 +372,24 @@ class TestIso:
 
 class TestClassify:
     def test_golden_reports_failures_and_exits_one(self, run):
-        code, out, _ = run("classify", "--golden", "--threads", "1")
+        code, out, _ = run("classify", "--golden")
         assert code == 1
         assert "[FAIL]" in out
         assert "two-free-clique class count" in out
         assert "47" in out
 
     def test_plain_prints_the_golden_text_and_exits_zero(self, run):
-        code, out, _ = run("classify", "--threads", "1")
-        golden_code, golden_out, _ = run("classify", "--golden", "--threads", "1")
+        code, out, _ = run("classify")
+        golden_code, golden_out, _ = run("classify", "--golden")
         assert (code, golden_code) == (0, 1)
         assert out == golden_out
 
-    def test_bad_thread_count(self, run):
-        code, _, err = run("classify", "--threads", "0")
-        assert code == 1
-        assert "error" in err
+    def test_threads_flag_is_a_usage_error(self, run):
+        code, out, err = run("classify", "--threads", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: skewper")
+        assert "error: unrecognized arguments: --threads 1" in err
 
 
 class TestExport:

@@ -147,12 +147,34 @@ class TestPstsFormat:
             ("psts 3 1.5\n", "bad header 'psts 3 1.5'; expected 'psts <points> <lines>'"),
             ("psts 3 1\n0 1 x\n", "bad line '0 1 x'; expected three point ids"),
             ("psts 3 1\n0 1 2.0\n", "bad line '0 1 2.0'; expected three point ids"),
+            ("psts 1_5 0\n", "bad header 'psts 1_5 0'; expected 'psts <points> <lines>'"),
+            ("psts +3 1\n", "bad header 'psts +3 1'; expected 'psts <points> <lines>'"),
+            ("psts ３ 1\n", "bad header 'psts ３ 1'; expected 'psts <points> <lines>'"),
+            ("psts --3 0\n", "bad header 'psts --3 0'; expected 'psts <points> <lines>'"),
+            ("psts - 0\n", "bad header 'psts - 0'; expected 'psts <points> <lines>'"),
+            ("psts 4 1\n0 1 +2\n", "bad line '0 1 +2'; expected three point ids"),
+            ("psts 4 1\n0 1 ３\n", "bad line '0 1 ３'; expected three point ids"),
+            ("psts 4 1\n0 1 ²\n", "bad line '0 1 ²'; expected three point ids"),
+            ("psts 4 1\n0 1 1_0\n", "bad line '0 1 1_0'; expected three point ids"),
+            (
+                "psts 3 1\n0 1 2\n# label +0 a\n",
+                "bad label '# label +0 a'; expected '# label <id> <name>'",
+            ),
+            (
+                "psts 3 1\n0 1 2\n# label ０ a\n",
+                "bad label '# label ０ a'; expected '# label <id> <name>'",
+            ),
         ],
     )
     def test_non_integer_fields_are_named(self, text, message):
         with pytest.raises(ValueError) as info:
             parse_psts(text)
         assert str(info.value) == message
+
+    def test_ascii_integers_parse_as_before(self):
+        text = "psts 005 02\n0 01 2\n-0 3 4\n# label 00 a\n# label 1 b\n"
+        text += "# label 2 c\n# label 03 d\n# label 4 e\n"
+        assert parse_psts(text) == make_config(5, [(0, 1, 2), (0, 3, 4)], tuple("abcde"))
 
     def test_lines_sorted_whatever_the_file_order(self):
         c = parse_psts("psts 6 2\n5 4 3\n2 0 1\n")

@@ -55,6 +55,8 @@ class TestCycleNotation:
         assert parse_cycles("id", 4).is_identity()
         assert parse_cycles("()", 4).is_identity()
         assert parse_cycles("(1)(2)(3)(4)", 4).is_identity()
+        assert parse_cycles("()( )", 4).is_identity()
+        assert parse_cycles("", 4).is_identity()
 
     def test_parse_infers_n(self):
         p = parse_cycles("(2,5)")
@@ -72,6 +74,20 @@ class TestCycleNotation:
     def test_parse_rejects_malformed_cycle(self, text):
         # a space never joins two digits, and every element is a number
         with pytest.raises(ValueError, match="^malformed cycle .* in " + re.escape(repr(text))):
+            parse_cycles(text)
+
+    @pytest.mark.parametrize(
+        "text, char",
+        [("(１,２)", "１"), ("(1,²)", "²"), ("(1,٣)", "٣"), ("(1,2)(3,4⁰)", "⁰"), ("１", "１")],
+    )
+    def test_parse_accepts_only_ascii_digits(self, text, char):
+        message = f"unexpected character {char!r} in {text!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            parse_cycles(text)
+
+    @pytest.mark.parametrize("text", ["", "()", "id", "()()", " ( ) ( ) ", "()()()"])
+    def test_identity_without_degree_cannot_be_inferred(self, text):
+        with pytest.raises(ValueError, match="^cannot infer the degree of an identity permutation$"):
             parse_cycles(text)
 
     @pytest.mark.parametrize(

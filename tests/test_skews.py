@@ -8,6 +8,7 @@ Oracles used here:
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -359,9 +360,11 @@ class TestPhiText:
         phi = parse_phi_text("[(), ()]")
         assert phi.n == 4
         assert skew_from_phi(phi).is_identity()
+        assert parse_phi_text("[id,()]") == phi
 
     def test_empty(self):
         assert parse_phi_text("[]").n == 2
+        assert parse_phi_text("[ ]").n == 2
 
     def test_round_trip(self):
         rng = random.Random(71)
@@ -369,6 +372,11 @@ class TestPhiText:
             for _ in range(5):
                 phi = random_phi(rng, n)
                 assert parse_phi_text(format_phi_text(phi)) == phi
+
+    @pytest.mark.parametrize("text", ["[(1,2),]", "[,]", "[,(1,2)]", "[(1,2),,()]", "[ , ]"])
+    def test_rejects_an_empty_entry(self, text):
+        with pytest.raises(ValueError, match="^" + re.escape(f"empty entry in {text!r}") + "$"):
+            parse_phi_text(text)
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
