@@ -26,7 +26,7 @@ from .constructions import (
     veronesian,
     veronesian_axis,
 )
-from .formats import emit_dot, emit_json, emit_psts, emit_stp_dot, parse_psts
+from .formats import _integers, emit_dot, emit_json, emit_psts, emit_stp_dot, parse_psts
 from .incidence import Config, is_isomorphism, parameters, relabel, validate
 from .isomorphism import _canonize, _group, are_isomorphic, canonical_certificate
 from .skews import parse_phi_text, skew_from_phi
@@ -36,6 +36,17 @@ def _read_valid_config(path: str) -> Config:
     config = parse_psts(Path(path).read_text())
     validate(config).check()
     return config
+
+
+def _integer(text: str) -> int:
+    """An integer option's value: an optional "-" and ASCII digits, the
+    rule psts files follow; anything else is a usage error."""
+    value = _integers([text])
+    if value is None:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer (optional '-' and ASCII digits), got {text!r}"
+        )
+    return value[0]
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -188,8 +199,8 @@ def _parser() -> argparse.ArgumentParser:
     build.add_argument(
         "what", choices=["grassmannian", "veronesian", "perspective"]
     )
-    build.add_argument("--n", type=int, default=None, help="ground-set size")
-    build.add_argument("--k", type=int, default=None, help="multiset weight")
+    build.add_argument("--n", type=_integer, default=None, help="ground-set size")
+    build.add_argument("--k", type=_integer, default=None, help="multiset weight")
     build.add_argument(
         "--phi", default=None, help="level sequence, e.g. \"[(1,3),(1,2)]\""
     )
@@ -204,7 +215,7 @@ def _parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="inspect a configuration file")
     analyze.add_argument("file")
     analyze.add_argument(
-        "--cliques", type=int, default=None, help="enumerate free cliques of this size"
+        "--cliques", type=_integer, default=None, help="enumerate free cliques of this size"
     )
     analyze.add_argument(
         "--aut", action="store_true", help="compute the automorphism group"
@@ -215,7 +226,7 @@ def _parser() -> argparse.ArgumentParser:
         help="verify canonical-form invariance under random relabelings",
     )
     analyze.add_argument(
-        "--seed", type=int, default=0, help="seed for the selfcheck relabelings"
+        "--seed", type=_integer, default=0, help="seed for the selfcheck relabelings"
     )
     analyze.set_defaults(handler=_cmd_analyze)
 

@@ -22,10 +22,10 @@ class Config:
 
     ``lines`` is a sorted tuple of sorted 3-tuples of point ids, and
     ``labels``, when present, maps point id -> name positionally.  The
-    derived views (``lines_by_point``, the third-point index ``third`` and
-    the per-point ``triangles_and_pasch`` counts) are computed on first
-    use and kept on the instance; they are not fields, so equality,
-    hashing and every emitter see only the three fields.
+    derived views (the pair view ``pairs_by_point``, the third-point index
+    ``third`` and the per-point ``triangles_and_pasch`` counts) are
+    computed on first use and kept on the instance; they are not fields,
+    so equality, hashing and every emitter see only the three fields.
     """
 
     num_points: int
@@ -33,13 +33,15 @@ class Config:
     labels: Optional[tuple[str, ...]] = None
 
     @cached_property
-    def lines_by_point(self) -> tuple[tuple[Line, ...], ...]:
-        """The lines through each point, in line order."""
-        through: list[list[Line]] = [[] for _ in range(self.num_points)]
-        for L in self.lines:
-            for x in L:
-                through[x].append(L)
-        return tuple(map(tuple, through))
+    def pairs_by_point(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each point p, the other two points of each line through p,
+        in line order."""
+        pairs: list[list[tuple[int, int]]] = [[] for _ in range(self.num_points)]
+        for x, y, z in self.lines:
+            pairs[x].append((y, z))
+            pairs[y].append((x, z))
+            pairs[z].append((x, y))
+        return tuple(map(tuple, pairs))
 
     @cached_property
     def third(self) -> tuple[dict[int, int], ...]:
@@ -171,7 +173,7 @@ def validate(config: Config) -> ValidationReport:
 def parameters(config: Config) -> ConfigParams:
     """Compute counts and ranks; raises ValueError on an invalid structure."""
     validate(config).check()
-    rank = [len(through) for through in config.lines_by_point]
+    rank = [len(pairs) for pairs in config.pairs_by_point]
     nu, b = config.num_points, len(config.lines)
     binomial_n: Optional[int] = None
     for n in range(3, nu + 3):

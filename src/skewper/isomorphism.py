@@ -9,8 +9,9 @@ cells (a Grassmannian keeps one).  It iterates color refinement (a
 point's signature is its color plus the multiset of its lines' color
 profiles) and, while cells remain, individualizes every point of the
 first non-singleton cell, after which only that point and the points
-collinear with it change signature.  A line through p whose other two
-points have colors a <= b enters p's signature as the integer a*N + b (N
+collinear with it change signature.  Refinement reads each line through
+p as its other two points (`Config.pairs_by_point`); one whose two points
+have colors a <= b enters p's signature as the integer a*N + b (N
 points): colors are below N, so these codes order lines, and sorted
 profiles, exactly as the color pairs (a, b) would.
 Every refinement pass has a relabel-invariant key, its sorted signatures, and
@@ -80,18 +81,19 @@ def _root_colors(config: Config) -> list[int]:
     return [rank[pair] for pair in counts]
 
 
-def _signature(lines_by_point, colors: list[int], p: int) -> tuple:
+def _signature(pairs_by_point, colors: list[int], p: int) -> tuple:
     """p's color and the sorted codes of the lines through it.
 
-    A line {p, x, y} whose other two points have colors a <= b codes as
-    a*N + b, N = len(colors) the number of points.  Every color is below
-    N, so the codes order lines as the pairs (a, b) would, and sorted
-    codes order signatures exactly as sorted tuples of color pairs do:
-    passes, traces and leaves are those of the pair profiles."""
+    Each line through p is read from `Config.pairs_by_point` as its other
+    two points x and y.  With colors a <= b it codes as a*N + b,
+    N = len(colors) the number of points.  Every color is below N, so the
+    codes order lines as the pairs (a, b) would, and sorted codes order
+    signatures exactly as sorted tuples of color pairs do: passes, traces
+    and leaves are those of the pair profiles."""
     n = len(colors)
     codes = []
-    for L in lines_by_point[p]:
-        a, b = [colors[q] for q in L if q != p]
+    for x, y in pairs_by_point[p]:
+        a, b = colors[x], colors[y]
         codes.append(a * n + b if a <= b else b * n + a)
     codes.sort()
     return (colors[p], tuple(codes))
@@ -122,7 +124,7 @@ def _leaves(config: Config, trace=None, accept=None) -> list[tuple[int, ...]]:
     trace the first path writes the trace, so an `accept` that takes
     every leaf makes the search one descent to the first leaf.
     """
-    num_points, lines_by_point = config.num_points, config.lines_by_point
+    num_points, pairs_by_point, third = config.num_points, config.pairs_by_point, config.third
     best: list[tuple] = [] if trace is None else trace  # the least or the followed path's keys
     out: list[tuple[int, ...]] = []
 
@@ -148,7 +150,7 @@ def _leaves(config: Config, trace=None, accept=None) -> list[tuple[int, ...]]:
             numbering = {s: i for i, s in enumerate(key)}
             colors = [numbering[s] for s in sigs]
             count = len(key)
-            sigs = [_signature(lines_by_point, colors, p) for p in range(num_points)]
+            sigs = [_signature(pairs_by_point, colors, p) for p in range(num_points)]
         if count == num_points:
             leaf = tuple(colors)
             if accept is None or accept(leaf):
@@ -164,14 +166,14 @@ def _leaves(config: Config, trace=None, accept=None) -> list[tuple[int, ...]]:
                 branch = list(colors)
                 branch[p] = count
                 child = list(sigs)
-                for q in {p}.union(*lines_by_point[p]):
-                    child[q] = _signature(lines_by_point, branch, q)
+                for q in (p, *third[p]):
+                    child[q] = _signature(pairs_by_point, branch, q)
                 if descend(branch, child, position):
                     return True
         return False
 
     colors = _root_colors(config)
-    sigs = [_signature(lines_by_point, colors, p) for p in range(num_points)]
+    sigs = [_signature(pairs_by_point, colors, p) for p in range(num_points)]
     descend(colors, sigs, 0)
     return out
 

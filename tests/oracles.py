@@ -101,12 +101,13 @@ def brute_triangles_and_pasch(num_points, lines):
     return list(zip(triangles, pasch))
 
 
-def tuple_signature(lines_by_point, colors, p):
+def tuple_signature(lines, colors, p):
     """The refinement signature with each line's color pair kept as a
-    sorted tuple: p's color and the sorted pairs of the lines through it.
-    Integer line codes must order signatures exactly as these do."""
+    sorted tuple: p's color and the sorted pairs of the lines of `lines`
+    through it, found by scanning them all.  Integer line codes must order
+    signatures exactly as these do."""
     profile = sorted(
-        tuple(sorted(colors[q] for q in L if q != p)) for L in lines_by_point[p]
+        tuple(sorted(colors[q] for q in L if q != p)) for L in lines if p in L
     )
     return (colors[p], tuple(profile))
 

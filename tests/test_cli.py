@@ -135,6 +135,35 @@ class TestBuild:
         assert run()[0] == 2  # no verb
 
 
+class TestIntegerOptions:
+    """--n, --k, --cliques and --seed take an optional "-" and ASCII
+    digits, the integer rule of psts files."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("build", "grassmannian", "--n", "４"),  # fullwidth digit
+            ("build", "grassmannian", "--n", "1_0"),
+            ("build", "grassmannian", "--n", "+5"),
+            ("build", "veronesian", "--k", "٣"),
+            ("analyze", "unread.psts", "--seed", "٣"),  # Arabic-Indic digit
+            ("analyze", "unread.psts", "--cliques", "1_0"),
+        ],
+    )
+    def test_other_digits_are_a_usage_error(self, run, argv):
+        # what int() alone would read as 4, 10, 5 or 3 is a usage error,
+        # decided before any file is read
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert f"expected an integer (optional '-' and ASCII digits), got {argv[-1]!r}" in err
+
+    def test_plain_digits(self, run):
+        assert run("build", "grassmannian", "--n", "5") == (
+            0, emit_psts(grassmannian(5)), ""
+        )
+        assert run("build", "grassmannian", "--n", "-5")[:2] == (1, "")  # range error
+
+
 class TestAnalyze:
     def test_basic_parameters(self, run, grass_instance_file):
         code, out, _ = run("analyze", grass_instance_file)

@@ -206,8 +206,13 @@ class TestJoin:
         for _ in range(40):
             nu = rng.randint(3, 12)
             c = random_partial_linear(rng, nu, rng.randint(0, 12))
-            assert c.lines_by_point == tuple(
-                tuple(L for L in c.lines if p in L) for p in range(nu)
+            # each line through p, in line order, with p removed
+            assert c.pairs_by_point == tuple(
+                tuple(tuple(x for x in L if x != p) for L in c.lines if p in L)
+                for p in range(nu)
+            )
+            assert parameters(c).rank_multiset == tuple(
+                sorted(sum(p in L for L in c.lines) for p in range(nu))
             )
             # exactly the collinear pairs, in both orders
             assert [dict(row) for row in c.third] == [
@@ -222,7 +227,7 @@ class TestJoin:
     def test_views_are_not_fields(self):
         c = make_config(5, [(0, 1, 2), (0, 3, 4)])
         before = repr(c)
-        assert c.lines_by_point and c.third
+        assert c.pairs_by_point and c.third
         assert {f.name for f in dataclasses.fields(c)} == {"num_points", "lines", "labels"}
         assert repr(c) == before
         assert c == make_config(5, [(0, 3, 4), (0, 1, 2)])

@@ -464,7 +464,10 @@ def search_outcome(c):
 def integer_and_tuple_outcomes(c, monkeypatch):
     shipped = search_outcome(c)
     with monkeypatch.context() as m:
-        m.setattr(isomorphism, "_signature", tuple_signature)
+        # the oracle reads c.lines, never the pair view the kernel is given
+        m.setattr(
+            isomorphism, "_signature", lambda _pairs, colors, p: tuple_signature(c.lines, colors, p)
+        )
         reference = search_outcome(c)
     return shipped, reference
 
@@ -480,8 +483,8 @@ class TestIntegerSignature:
             nu = rng.randint(3, 15)
             c = random_partial_linear(rng, nu, rng.randint(0, 40))
             colors = [rng.randrange(nu) for _ in range(nu)]
-            coded = [isomorphism._signature(c.lines_by_point, colors, p) for p in range(nu)]
-            paired = [tuple_signature(c.lines_by_point, colors, p) for p in range(nu)]
+            coded = [isomorphism._signature(c.pairs_by_point, colors, p) for p in range(nu)]
+            paired = [tuple_signature(c.lines, colors, p) for p in range(nu)]
             for p, q in itertools.product(range(nu), repeat=2):
                 assert (coded[p] < coded[q]) == (paired[p] < paired[q])
                 assert (coded[p] == coded[q]) == (paired[p] == paired[q])
@@ -495,8 +498,8 @@ class TestIntegerSignature:
 
     @pytest.mark.parametrize(
         "build",
-        [pytest.param(lambda k=k: veronesian(k), id=f"V({k})") for k in range(4, 9)]
-        + [pytest.param(lambda n=n: host(n), id=f"host({n})") for n in range(5, 9)]
+        [pytest.param(lambda k=k: veronesian(k), id=f"V({k})") for k in range(4, 11)]
+        + [pytest.param(lambda n=n: host(n), id=f"host({n})") for n in range(5, 11)]
         + [pytest.param(lambda n=n: grassmannian(n), id=f"G(2,{n})") for n in (5, 6)],
     )
     def test_structures(self, build, monkeypatch):
@@ -534,8 +537,13 @@ class TestSearchSize:
 
     @pytest.mark.parametrize(
         "build, calls",
-        [(lambda: grassmannian(6), 28455), (lambda: veronesian(8), 732)],
-        ids=["G(2,6)", "V(8)"],
+        [
+            (lambda: grassmannian(6), 28455),
+            (lambda: grassmannian(7), 309813),
+            (lambda: veronesian(8), 732),
+            (lambda: host(10), 132),
+        ],
+        ids=["G(2,6)", "G(2,7)", "V(8)", "host(10)"],
     )
     def test_leaves(self, monkeypatch, build, calls):
         config = build()
@@ -772,9 +780,9 @@ class TestReferenceSearch:
         colorings = []
         signature = isomorphism._signature
 
-        def counted(lines_by_point, colors, p):
+        def counted(pairs_by_point, colors, p):
             colorings.append(tuple(colors))
-            return signature(lines_by_point, colors, p)
+            return signature(pairs_by_point, colors, p)
 
         monkeypatch.setattr(isomorphism, "_signature", counted)
         accepted = []
