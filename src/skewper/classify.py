@@ -21,18 +21,13 @@ from typing import Optional
 from .analysis import enumerate_free_cliques
 from .constructions import (
     Perspective,
-    apply_pair_map,
+    _moved_lines,
     perspective,
     veblen,
     veblen_label,
 )
-from .isomorphism import (
-    _build_iso,
-    _canonize,
-    _center_fixing_maps,
-    _row_lifts,
-    _verified,
-)
+from .incidence import Config
+from .isomorphism import _build_iso, _canonize, _center_fixing_maps, _row_lifts
 from .perms import Perm, parse_cycles
 from .skews import PhiSequence, Skew, phi_sequence, skew_from_phi
 
@@ -99,14 +94,29 @@ ALL_KEYS: tuple[InstanceKey, ...] = tuple(
 
 
 @lru_cache(maxsize=None)
+def _catalog_skew(f: int) -> Skew:
+    """The skew of level sequence f, built once; only the keys of
+    `PHI_CATALOG` succeed, so the table holds at most 8 entries."""
+    return skew_from_phi(PHI_CATALOG[f])
+
+
+@lru_cache(maxsize=None)
+def _catalog_axis(s: int, i: int) -> Config:
+    """The Veblen axis of switch s and permutation i, built once; only
+    s in (5, 6) and the keys of `MU_CATALOG` succeed, so the table holds
+    at most 30 entries."""
+    return veblen(veblen_label(s, MU_CATALOG[i]))
+
+
+@lru_cache(maxsize=None)
 def build_instance(key: InstanceKey) -> Perspective:
     """The perspective at `key`, memoized.  `InstanceKey` admits only the
-    240 catalog keys, which bounds the table; it pays because callers
-    rebuild instances (`classify_all` for the orbit quotient and again
-    per representative, the benchmark's `iso` set-up ~200 sides from ~110
-    keys)."""
-    axis = veblen(veblen_label(key.s, MU_CATALOG[key.i]))
-    return perspective(4, skew_from_phi(PHI_CATALOG[key.f]), axis)
+    240 catalog keys, which bounds the table.  Instances share their 8
+    skews and 30 axes.  The memo pays because callers ask for an instance
+    more than once: `classify_all` in the orbit quotient and again per
+    representative, the benchmark's `iso` set-up for ~200 sides from ~110
+    keys."""
+    return perspective(4, _catalog_skew(key.f), _catalog_axis(key.s, key.i))
 
 
 @dataclass(frozen=True)
@@ -156,7 +166,7 @@ def _instance_stats(key: InstanceKey) -> tuple[int, tuple, int]:
     config = build_instance(key).config
     cliques = len(enumerate_free_cliques(config, 5))
     cert, _, automorphisms = _canonize(config)
-    return cliques, cert, len(_verified(config, automorphisms))
+    return cliques, cert, len(automorphisms)
 
 
 def _class_ids(instances, cliques) -> set[int]:
@@ -177,10 +187,11 @@ def _center_fixing_orbits() -> dict[InstanceKey, OrbitLink]:
     (b sigma b^-1, b(axis)) and the flip map to (b sigma^-1 b^-1,
     b sigma(axis)).  Together they are an action of S4 x Z2, so the images
     of one representative are its whole orbit.  Walking the catalog in
-    order, each instance not yet reached becomes a representative; every
-    image that is a catalog instance joins its orbit once `_build_iso` has
-    verified the witness line for line.  Maps each key to (representative,
-    kind, phi).
+    order, each instance not yet reached becomes a representative.  An
+    image's axis is looked up by its moved line tuple (`_moved_lines`),
+    with no `Config` built, and every image that is a catalog instance
+    joins its orbit once `_build_iso` has verified the witness line for
+    line.  Maps each key to (representative, kind, phi).
     """
     persps = {key: build_instance(key) for key in ALL_KEYS}
     # skew -> axis lines -> key; most images leave the eight catalog skews
@@ -200,7 +211,7 @@ def _center_fixing_orbits() -> dict[InstanceKey, OrbitLink]:
         links[rep] = (rep, "representative", None)
         persp = persps[rep]
         for kind, phi, image, c_map in maps[persp.skew]:
-            key = index[image].get(apply_pair_map(persp.axis, c_map).lines)
+            key = index[image].get(_moved_lines(persp.axis, c_map))
             if key is None or key in links:
                 continue
             _build_iso(persp, persps[key], kind, phi, c_map)
@@ -214,6 +225,8 @@ def classify_all(threads: int = 1) -> ClassificationReport:
     Only the representatives of `_center_fixing_orbits` are canonized, in
     catalog order; each member takes its representative's free-clique
     count, certificate and group order, which are isomorphism invariants.
+    Each representative is searched once, and its automorphisms are
+    verified inside that search (`_canonize`).
 
     `threads` has no effect: the benchmark still passes it, so it stays,
     and a value below 1 is still rejected, until ROADMAP item 1 stops

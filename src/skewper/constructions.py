@@ -23,7 +23,7 @@ from functools import cached_property
 from math import comb
 from typing import Iterable, Mapping
 
-from .incidence import Config, make_config, parameters
+from .incidence import Config, Line, make_config, parameters
 from .perms import Perm, parse_cycles
 from .skews import Pair, Skew, all_pairs, make_pair
 
@@ -275,10 +275,14 @@ def apply_pair_map(config: Config, pm: Skew) -> Config:
     """Transport the lines of an axis on the 2-subsets of {1..pm.n} along
     the pair bijection pm, keeping the point/label assignment fixed."""
     _check_axis_labels(pm.n, config)
-    index = {u: i for i, u in enumerate(all_pairs(pm.n))}
-    moved = [index[v] for v in pm.images]
-    lines = [tuple(sorted(moved[x] for x in L)) for L in config.lines]
-    return Config(config.num_points, tuple(sorted(lines)), config.labels)
+    return Config(config.num_points, _moved_lines(config, pm), config.labels)
+
+
+def _moved_lines(axis: Config, pm: Skew) -> tuple[Line, ...]:
+    """The lines of an axis whose point k is ``all_pairs(pm.n)[k]``, moved
+    along pm through `Skew.point_map`, in `Config` line order."""
+    moved = pm.point_map
+    return tuple(sorted(tuple(sorted(moved[x] for x in L)) for L in axis.lines))
 
 
 def kappa(config: Config) -> Config:

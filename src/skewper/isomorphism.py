@@ -22,9 +22,12 @@ Each surviving discrete leaf yields a relabeled line list; the
 lexicographically least one is the certificate.  An automorphism maps a
 leaf to a leaf with the same trace and certificate, so the surviving
 leaves achieving the certificate differ exactly by automorphisms, and
-there is one such leaf per automorphism: one search (`_canonize`) gives
-the certificate, a relabeling realizing it and the group, and nothing is
-kept between calls.
+there is one such leaf per automorphism.  One search (`_canonize`) gives
+the certificate, a relabeling realizing it and the group: it tests each
+leaf, line for line, as an automorphism of the best leaf so far and
+certifies only a leaf that fails, so every automorphism is verified once,
+inside the search, and a structure whose leaves all differ by
+automorphisms is certified once.  Nothing is kept between calls.
 
 An isomorphism decision first compares the sizes and the multisets of
 the per-point counts; a difference answers "not isomorphic" before any
@@ -47,7 +50,7 @@ from typing import Optional
 from .incidence import Config, Line, is_isomorphism
 from .perms import Perm, symmetric_group
 from .skews import Skew, all_pairs, bar_alpha
-from .constructions import Perspective, apply_pair_map
+from .constructions import Perspective, _moved_lines
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,9 @@ class CanonicalCertificate:
 
 @dataclass(frozen=True)
 class AutomorphismGroup:
-    """All line-preserving point bijections, as image tuples, plus a small
-    generating subset."""
+    """All line-preserving point bijections, as image tuples, each verified
+    line for line by the search that found it, plus a small generating
+    subset."""
 
     elements: tuple[tuple[int, ...], ...]
     generators: tuple[tuple[int, ...], ...]
@@ -186,24 +190,33 @@ def _certificate_of(colors: tuple[int, ...], lines) -> tuple[Line, ...]:
 
 def _canonize(config: Config):
     """(certificate, relabeling, automorphisms) of config from one search:
-    the least certificate, the first leaf achieving it, and the unverified
-    automorphisms."""
+    the least certificate, the first leaf achieving it, and the sorted
+    automorphisms, each verified line for line.
+
+    A leaf's certificate equals the best leaf's exactly when base^-1 . leaf
+    is an automorphism, so each leaf is first tested as one; only a leaf
+    that fails is certified, and one whose certificate then equals the best
+    means the test rejected a genuine automorphism."""
     num_points, lines = config.num_points, config.lines
-    leaves = _leaves(config)
     best: Optional[tuple[Line, ...]] = None
-    best_leaves: list[tuple[int, ...]] = []
-    for leaf in leaves:
+    base: tuple[int, ...] = ()
+    base_inv = [0] * num_points
+    automorphisms: list[tuple[int, ...]] = []
+    for leaf in _leaves(config):
+        if best is not None:
+            g = tuple(base_inv[c] for c in leaf)
+            if is_isomorphism(config, config, g):
+                automorphisms.append(g)
+                continue
         cert = _certificate_of(leaf, lines)
+        if best is not None and cert == best:
+            raise RuntimeError("internal error: invalid automorphism produced")
         if best is None or cert < best:
-            best, best_leaves = cert, [leaf]
-        elif cert == best:
-            best_leaves.append(leaf)
-    base = best_leaves[0]
-    base_inv = {c: p for p, c in enumerate(base)}
-    automorphisms = sorted(
-        {tuple(base_inv[leaf[p]] for p in range(num_points)) for leaf in best_leaves}
-    )
-    return best, base, tuple(automorphisms)
+            best, base = cert, leaf
+            for p, c in enumerate(leaf):
+                base_inv[c] = p
+            automorphisms = [tuple(range(num_points))]
+    return best, base, tuple(sorted(automorphisms))
 
 
 def canonical_certificate(config: Config) -> CanonicalCertificate:
@@ -236,22 +249,13 @@ def are_isomorphic(c1: Config, c2: Config) -> Optional[dict[int, int]]:
     return witness
 
 
-def _verified(config: Config, automorphisms):
-    """automorphisms, each checked line for line."""
-    for g in automorphisms:
-        if not is_isomorphism(config, config, g):
-            raise RuntimeError("internal error: invalid automorphism produced")
-    return automorphisms
-
-
 def _group(config: Config, automorphisms) -> AutomorphismGroup:
-    """The group of the verified automorphisms; an element is a generator
-    when the generators before it do not generate it."""
-    elements = _verified(config, automorphisms)
+    """The group of the automorphisms `_canonize` verified; an element is
+    a generator when the generators before it do not generate it."""
     num_points = config.num_points
     generators: list[tuple[int, ...]] = []
     generated = {tuple(range(num_points))}
-    for g in elements:
+    for g in automorphisms:
         if g in generated:
             continue
         generators.append(g)
@@ -265,7 +269,7 @@ def _group(config: Config, automorphisms) -> AutomorphismGroup:
                         generated.add(prod)
                         new.append(prod)
             frontier = new
-    return AutomorphismGroup(elements=elements, generators=tuple(generators))
+    return AutomorphismGroup(elements=automorphisms, generators=tuple(generators))
 
 
 def automorphism_group(config: Config) -> AutomorphismGroup:
@@ -325,7 +329,7 @@ def perspective_iso(p1: Perspective, p2: Perspective) -> Optional[PerspectiveIso
     if p1.n != p2.n:
         raise ValueError("perspectives have different numbers of rows")
     for kind, phi, image, c_map in _center_fixing_maps(p1.skew, _row_lifts(p1.n)):
-        if image == p2.skew and apply_pair_map(p1.axis, c_map).lines == p2.axis.lines:
+        if image == p2.skew and _moved_lines(p1.axis, c_map) == p2.axis.lines:
             return _build_iso(p1, p2, kind, phi, c_map)
     return None
 

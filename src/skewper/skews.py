@@ -57,6 +57,14 @@ class Skew:
     def _table(self) -> dict[Pair, Pair]:
         return dict(zip(all_pairs(self.n), self.images))
 
+    @cached_property
+    def point_map(self) -> tuple[int, ...]:
+        """The skew on positions in ``all_pairs(n)``: entry k is the
+        position of the image of ``all_pairs(n)[k]``, so it moves the
+        points of an axis, which are those positions."""
+        index = {u: k for k, u in enumerate(all_pairs(self.n))}
+        return tuple(index[v] for v in self.images)
+
     def __call__(self, pair: Pair) -> Pair:
         return self._table[make_pair(*pair)]
 

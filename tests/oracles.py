@@ -170,3 +170,26 @@ def backtrack_isos(c1, c2):
         image[p] = -1
 
     yield from extend(0)
+
+
+def relabelled_lines(leaf, lines):
+    """The sorted line list with each point p renamed leaf[p]."""
+    return tuple(sorted(tuple(sorted(leaf[x] for x in L)) for L in lines))
+
+
+def certificate_per_leaf(leaves, lines):
+    """A search's (certificate, relabeling, automorphisms) from every
+    leaf's certificate: the least `relabelled_lines`, the first leaf
+    reaching it, and the sorted base^-1 . leaf over the leaves reaching
+    it."""
+    best, best_leaves = None, []
+    for leaf in leaves:
+        cert = relabelled_lines(leaf, lines)
+        if best is None or cert < best:
+            best, best_leaves = cert, [leaf]
+        elif cert == best:
+            best_leaves.append(leaf)
+    base = best_leaves[0]
+    base_inv = {c: p for p, c in enumerate(base)}
+    automorphisms = {tuple(base_inv[c] for c in leaf) for leaf in best_leaves}
+    return best, base, tuple(sorted(automorphisms))

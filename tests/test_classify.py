@@ -27,8 +27,18 @@ from skewper.classify import (
     diagnostic_text,
     expectation_checks,
 )
-from skewper.constructions import grassmannian, kappa, perspective, veblen, veblen_label
+from skewper.constructions import (
+    _moved_lines,
+    apply_pair_map,
+    grassmannian,
+    kappa,
+    perspective,
+    veblen,
+    veblen_label,
+)
 from skewper.isomorphism import (
+    _center_fixing_maps,
+    _row_lifts,
     are_isomorphic,
     automorphism_group,
     canonical_certificate,
@@ -270,6 +280,77 @@ class TestOrbitQuotient:
             assert sorted(witness.values()) == list(range(15))
             mapped = {tuple(sorted(witness[x] for x in L)) for L in p1.config.lines}
             assert mapped == set(p2.config.lines), key
+
+
+def brute_moved_lines(axis, c_map):
+    """The axis lines moved along c_map, each point read as its pair of
+    ``all_pairs(4)`` and its image's position looked up again."""
+    pairs = all_pairs(4)
+    return tuple(
+        sorted(tuple(sorted(pairs.index(c_map(pairs[x])) for x in L)) for L in axis.lines)
+    )
+
+
+def reference_perspective_iso(p1, p2):
+    """(kind, phi, witness) of the first center-fixing map p1 -> p2, phi
+    in `symmetric_group` order and direct before flip, written from the
+    definitions with the axis moved pair by pair; None if there is none."""
+    for phi in symmetric_group(p1.n):
+        bar = bar_alpha(phi)
+        for kind, source, c_map in [
+            ("direct", p1.skew, bar),
+            ("flip", p1.skew.inverse(), bar * p1.skew),
+        ]:
+            if bar * source * bar.inverse() != p2.skew:
+                continue
+            if brute_moved_lines(p1.axis, c_map) == p2.axis.lines:
+                return kind, phi, center_fixing_witness(p1, p2, kind, phi)
+    return None
+
+
+class TestAxisTransport:
+    """Axis lines move through `Skew.point_map`, and the catalog shares its
+    8 skews and 30 axes among the 240 instances."""
+
+    def test_instances_share_skews_and_axes(self):
+        persps = [build_instance(key) for key in ALL_KEYS]
+        assert len({id(p.skew) for p in persps}) == 8
+        assert len({id(p.axis) for p in persps}) == 30
+        assert len({p.axis for p in persps}) == 30
+
+    def test_point_map_moves_lines_as_pairs_do(self):
+        persps = [build_instance(key) for key in ALL_KEYS]
+        axes = {p.axis for p in persps}
+        lifts = _row_lifts(4)
+        moves = 0
+        for sigma in {p.skew for p in persps}:
+            for _, _, _, c_map in _center_fixing_maps(sigma, lifts):
+                for axis in axes:
+                    expected = brute_moved_lines(axis, c_map)
+                    assert _moved_lines(axis, c_map) == expected
+                    assert apply_pair_map(axis, c_map).lines == expected
+                    moves += 1
+        assert moves == 8 * 48 * 30
+
+    def test_perspective_iso_matches_reference(self, report):
+        # each member against its representative and back, and the named
+        # catalog pairs of the other tests
+        pairs = [(s.representative, key) for key, s in report.instances.items()]
+        pairs += [(b, a) for a, b in pairs]
+        pairs += [
+            (InstanceKey(2, 6, 2), InstanceKey(2, 6, 3)),
+            (InstanceKey(4, 5, 1), InstanceKey(2, 5, 4)),
+            (InstanceKey(2, 5, 6), InstanceKey(2, 6, 7)),
+        ]
+        hits = 0
+        for a, b in pairs:
+            p1, p2 = build_instance(a), build_instance(b)
+            hit = perspective_iso(p1, p2)
+            expected = reference_perspective_iso(p1, p2)
+            got = None if hit is None else (hit.kind, hit.phi, hit.witness)
+            assert got == expected, (a, b)
+            hits += hit is not None
+        assert hits == 2 * 240 + 2
 
 
 @pytest.fixture(scope="module")

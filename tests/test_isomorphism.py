@@ -20,8 +20,8 @@ from skewper.constructions import (
     veronesian,
     veronesian_axis,
 )
-from skewper import classify, isomorphism
-from skewper.incidence import is_isomorphism, make_config, relabel
+from skewper import classify, constructions, isomorphism
+from skewper.incidence import make_config, relabel
 from skewper.isomorphism import (
     AutomorphismGroup,
     CanonicalCertificate,
@@ -38,7 +38,9 @@ from oracles import (
     backtrack_isos,
     brute_isos,
     brute_triangles_and_pasch,
+    certificate_per_leaf,
     random_partial_linear,
+    relabelled_lines,
     tuple_signature,
 )
 
@@ -320,21 +322,20 @@ class TestOneSearch:
         assert set(calls) == {build_instance(k).config for k in representatives}
 
     def test_invalid_automorphism_is_caught(self, monkeypatch):
-        # a trivial group: with the bogus element its closure has order 2
-        key = InstanceKey(2, 5, 6)
+        # the search verifies each automorphism as it meets its leaf: a
+        # check that rejects one genuine automorphism of a group of order 6
+        # leaves a leaf whose certificate equals the best
+        key = InstanceKey(4, 5, 12)
         config = build_instance(key).config
-        canonize = isomorphism._canonize
-        # a transposition of a row point with the center moves a line off
-        bogus = list(range(config.num_points))
-        bogus[0], bogus[8] = bogus[8], bogus[0]
-        assert not is_isomorphism(config, config, dict(enumerate(bogus)))
+        elements = automorphism_group(config).elements
+        assert len(elements) == 6
+        genuine = elements[-1]
+        check = isomorphism.is_isomorphism
 
-        def corrupted(c):
-            cert, relabeling, automorphisms = canonize(c)
-            return cert, relabeling, automorphisms + (tuple(bogus),)
+        def rejecting(c1, c2, f):
+            return f != genuine and check(c1, c2, f)
 
-        monkeypatch.setattr(isomorphism, "_canonize", corrupted)
-        monkeypatch.setattr(classify, "_canonize", corrupted)
+        monkeypatch.setattr(isomorphism, "is_isomorphism", rejecting)
         message = "internal error: invalid automorphism produced"
         with pytest.raises(RuntimeError, match=message):
             automorphism_group(config)
@@ -405,6 +406,88 @@ class TestTracePruning:
         v, h = veronesian(k), host(k)
         assert are_isomorphic(v, h) is None
         assert next(backtrack_isos(v, h), None) is None
+
+
+STRUCTURES = (
+    [pytest.param(lambda k=k: veronesian(k), id=f"V({k})") for k in range(4, 11)]
+    + [pytest.param(lambda n=n: host(n), id=f"host({n})") for n in range(5, 11)]
+    + [pytest.param(lambda n=n: grassmannian(n), id=f"G(2,{n})") for n in (5, 6)]
+)
+
+
+def fake_leaves(c, leaf, best):
+    """Two seeded relabellings of leaf that are no automorphic leaf: one
+    whose relabelled line list is below the certificate best, one above."""
+    rng = random.Random(c.num_points)
+    fakes = []
+    for _ in range(40):
+        images = list(range(c.num_points))
+        rng.shuffle(images)
+        fake = tuple(images[x] for x in leaf)
+        fakes.append((relabelled_lines(fake, c.lines), fake))
+    (low_cert, low), (high_cert, high) = min(fakes), max(fakes)
+    assert low_cert < best < high_cert
+    return low, high
+
+
+class TestCertificateOracle:
+    """`_canonize` certifies only the leaves that fail as automorphisms of
+    the best leaf; it must reduce the leaves exactly as certifying every
+    leaf does (`oracles.certificate_per_leaf`)."""
+
+    @staticmethod
+    def assert_matches(c):
+        assert isomorphism._canonize(c) == certificate_per_leaf(
+            isomorphism._leaves(c), c.lines
+        )
+
+    def test_catalog(self):
+        for key in ALL_KEYS:
+            c = build_instance(key).config
+            self.assert_matches(c)
+            self.assert_matches(next(relabelings(c, key.f * key.s * key.i)))
+
+    @pytest.mark.parametrize("build", STRUCTURES)
+    def test_structures(self, build):
+        c = build()
+        self.assert_matches(c)
+        for moved in relabelings(c, c.num_points):
+            self.assert_matches(moved)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: build_instance(InstanceKey(4, 5, 12)).config, id="(4,5,12)"),
+            pytest.param(lambda: build_instance(InstanceKey(6, 6, 1)).config, id="(6,6,1)"),
+            pytest.param(lambda: build_instance(InstanceKey(2, 5, 6)).config, id="(2,5,6)"),
+            pytest.param(lambda: veronesian(5), id="V(5)"),
+            pytest.param(lambda: host(6), id="host(6)"),
+            pytest.param(lambda: grassmannian(6), id="G(2,6)"),
+        ],
+    )
+    def test_non_automorphic_leaves(self, build, monkeypatch):
+        # natural structures give one least-trace leaf per automorphism, so
+        # the certificate fallback is reached only through added leaves
+        c = build()
+        real = isomorphism._leaves(c)
+        best, base, automorphisms = certificate_per_leaf(real, c.lines)
+        low, high = fake_leaves(c, real[0], best)
+        certified = TestSearchSize.count_certificates(monkeypatch)
+        # a worse first leaf: the first real leaf is a new best, then the
+        # lower last leaf is; a lower first leaf: every later leaf is worse
+        for first, last, certificates in [(high, low, 3), (low, high, len(real) + 2)]:
+            leaves = [first, *real, last]
+            with monkeypatch.context() as m:
+                m.setattr(isomorphism, "_leaves", lambda config: leaves)
+                certified.clear()
+                got = isomorphism._canonize(c)
+            assert got == certificate_per_leaf(leaves, c.lines)
+            assert got == (relabelled_lines(low, c.lines), low, (tuple(range(c.num_points)),))
+            assert len(certified) == certificates
+        # the real leaves between fakes above them still give the group
+        leaves = [high, *real, high]
+        monkeypatch.setattr(isomorphism, "_leaves", lambda config: leaves)
+        assert isomorphism._canonize(c) == (best, base, automorphisms)
 
 
 class TestRootColors:
@@ -587,6 +670,61 @@ class TestSearchSize:
         certified = self.count_certificates(monkeypatch)
         verify_witness(c, moved, are_isomorphic(c, moved))
         assert certified == [c.lines, moved.lines]
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        """The arguments of each call of module.name, as they come."""
+        calls = []
+        function = getattr(module, name)
+
+        def counted(*args):
+            calls.append(args)
+            return function(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_classify_all_certifies_each_representative_once(self, monkeypatch):
+        certified = self.count_certificates(monkeypatch)
+        checked = self.count_calls(monkeypatch, isomorphism, "is_isomorphism")
+        classify_all(1)
+        assert len(certified) == 70
+        # 170 orbit joins, then the 993 leaves of the 70 representatives
+        # less their 70 base leaves
+        assert len(checked) == 1093
+
+    @pytest.mark.parametrize(
+        "build, order",
+        [
+            (lambda: grassmannian(5), 120),
+            (lambda: grassmannian(6), 720),
+            (lambda: veronesian(6), 6),
+            (lambda: host(6), 1),
+        ],
+        ids=["G(2,5)", "G(2,6)", "V(6)", "host(6)"],
+    )
+    def test_automorphism_group_certifies_once(self, monkeypatch, build, order):
+        c = build()
+        certified = self.count_certificates(monkeypatch)
+        checked = self.count_calls(monkeypatch, isomorphism, "is_isomorphism")
+        assert automorphism_group(c).order == order
+        assert certified == [c.lines]
+        assert len(checked) == order - 1
+
+    def test_cold_classify_all_builds_each_skew_and_axis_once(self, monkeypatch):
+        veblen_calls = self.count_calls(monkeypatch, classify, "veblen")
+        skew_calls = self.count_calls(monkeypatch, classify, "skew_from_phi")
+        moved = [
+            self.count_calls(monkeypatch, module, "apply_pair_map")
+            for module in (constructions, classify, isomorphism)
+            if hasattr(module, "apply_pair_map")
+        ]
+        for memo in (classify.build_instance, classify._catalog_skew, classify._catalog_axis):
+            memo.cache_clear()
+        classify_all(1)
+        assert len(veblen_calls) == 30
+        assert len(skew_calls) == 8
+        assert sum(map(len, moved)) == 0
 
 
 def no_search(*args):
