@@ -198,7 +198,7 @@ def _center_fixing_orbits() -> dict[InstanceKey, OrbitLink]:
     index: dict[Skew, dict[tuple, InstanceKey]] = {}
     for key, p in persps.items():
         index.setdefault(p.skew, {})[p.axis.lines] = key
-    lifts = _row_lifts(4)
+    lifts = list(_row_lifts(4))  # shared by the eight skews
     # each skew's maps onto catalog skews, shared by its representatives
     maps = {
         skew: [m for m in _center_fixing_maps(skew, lifts) if m[2] in index]

@@ -125,9 +125,15 @@ class PerspectiveLabeling:
     def center(self) -> int:
         return 2 * self.n
 
+    @property
+    def c_offset(self) -> int:
+        """The axial point over ``all_pairs(n)[0]``; the one over
+        ``all_pairs(n)[k]`` is c_offset + k."""
+        return 2 * self.n + 1
+
     @cached_property
     def c(self) -> Mapping[Pair, int]:
-        return {u: 2 * self.n + 1 + k for k, u in enumerate(all_pairs(self.n))}
+        return {u: self.c_offset + k for k, u in enumerate(all_pairs(self.n))}
 
 
 @dataclass(frozen=True)
@@ -183,6 +189,12 @@ def perspective(
     and one line {c_u, c_v, c_w} per axis line.  By default the axis must
     be binomial (C(n,2) points of rank n-2, C(n,3) lines); pass
     require_binomial=False for exploratory axes such as an empty one.
+
+    The lines are built on positions in ``all_pairs(n)``: the b-line over
+    the pair at position k meets c at the position the inverse of
+    `Skew.point_map` sends k to, and an axis line is shifted by the
+    labeling's c offset.  Every triple comes out increasing and distinct,
+    so the line list is only sorted.
     """
     if sigma.n != n:
         raise ValueError(f"skew acts on a {sigma.n}-element ground set, expected {n}")
@@ -195,18 +207,16 @@ def perspective(
         )
     pairs = all_pairs(n)
     labeling = PerspectiveLabeling(n)
-    a, b, center, c = labeling.a, labeling.b, labeling.center, labeling.c
-    sigma_inv = sigma.inverse()
-    lines: list[tuple[int, int, int]] = []
-    for i in range(1, n + 1):
-        lines.append((a[i - 1], b[i - 1], center))
-    for i, j in pairs:
-        lines.append((a[i - 1], a[j - 1], c[(i, j)]))
-    for i, j in pairs:
-        lines.append((b[i - 1], b[j - 1], c[sigma_inv((i, j))]))
-    for L in axis.lines:
-        lines.append(tuple(c[pairs[x]] for x in L))
-    config = make_config(2 * n + 1 + len(pairs), lines, _role_labels(n))
+    a, b, center, offset = labeling.a, labeling.b, labeling.center, labeling.c_offset
+    preimage = [0] * len(pairs)  # position k -> position of sigma^-1(pairs[k])
+    for k, image in enumerate(sigma.point_map):
+        preimage[image] = k
+    lines = [(a[i], b[i], center) for i in range(n)]
+    for k, (i, j) in enumerate(pairs):
+        lines.append((a[i - 1], a[j - 1], offset + k))
+        lines.append((b[i - 1], b[j - 1], offset + preimage[k]))
+    lines += [(offset + x, offset + y, offset + z) for x, y, z in axis.lines]
+    config = Config(offset + len(pairs), tuple(sorted(lines)), _role_labels(n))
     return Perspective(config=config, labeling=labeling, skew=sigma, axis=axis)
 
 
@@ -316,7 +326,7 @@ def perspective_from_config(config: Config) -> Perspective:
     to_role = [role[name] for name in config.labels]
     lines = sorted(tuple(sorted(to_role[x] for x in L)) for L in config.lines)
     pairs = all_pairs(n)
-    axial = 2 * n + 1  # the id of c over pairs[0]
+    axial = PerspectiveLabeling(n).c_offset
     # a b-side line {b_i, b_j, c_k} of `perspective` says sigma(pairs[k]) = {i, j}
     sigma_map = {
         pairs[z - axial]: (x - n + 1, y - n + 1)

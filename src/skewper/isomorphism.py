@@ -18,8 +18,11 @@ Every refinement pass has a relabel-invariant key, its sorted signatures, and
 the search keeps only the leaves whose sequence of keys (their trace) is
 least, abandoning a branch at the first pass that is worse than the
 least path found so far (the trace half of McKay & Piperno's Traces).
-Each surviving discrete leaf yields a relabeled line list; the
-lexicographically least one is the certificate.  An automorphism maps a
+Refinement stops at a discrete coloring, as in nauty and Traces: a
+discrete coloring is stable, so the pass that makes it discrete is the
+last of its leaf.  Each surviving discrete leaf yields a relabeled line
+list; the lexicographically least one is the certificate, and it, not
+the trace, orders leaves that share a trace.  An automorphism maps a
 leaf to a leaf with the same trace and certificate, so the surviving
 leaves achieving the certificate differ exactly by automorphisms, and
 there is one such leaf per automorphism.  One search (`_canonize`) gives
@@ -45,7 +48,7 @@ so only non-isomorphic configurations exhaust it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .incidence import Config, Line, is_isomorphism
 from .perms import Perm, symmetric_group
@@ -115,9 +118,15 @@ def _leaves(config: Config, trace=None, accept=None) -> list[tuple[int, ...]]:
     another's.
 
     A stable pass renumbers every color to itself, so its signatures are
-    those of the coloring it yields.  A child individualizes p with the
-    next free color, and its first pass recomputes the signatures of p
-    and the points collinear with it only.
+    those of the coloring it yields.  A discrete coloring is stable, so
+    the passes stop at the one that makes the coloring discrete, and the
+    leaf's trace ends with that pass's key; no pass runs only to confirm
+    it.  Every key is still invariant under relabeling, so an
+    isomorphism still carries a least-trace leaf onto one, and leaves
+    that share a trace are told apart by their certificates (`_canonize`,
+    and the `accept` of `are_isomorphic`).  A child individualizes p with
+    the next free color, and its first pass recomputes the signatures of
+    p and the points collinear with it only.
 
     A given `trace` list receives the least trace.  With `accept` the
     search instead follows the given trace: a pass whose key differs from
@@ -154,6 +163,8 @@ def _leaves(config: Config, trace=None, accept=None) -> list[tuple[int, ...]]:
             numbering = {s: i for i, s in enumerate(key)}
             colors = [numbering[s] for s in sigs]
             count = len(key)
+            if count == num_points:
+                break  # a discrete coloring is stable
             sigs = [_signature(pairs_by_point, colors, p) for p in range(num_points)]
         if count == num_points:
             leaf = tuple(colors)
@@ -297,17 +308,15 @@ class PerspectiveIso:
     witness: dict[int, int]
 
 
-def _row_lifts(n: int) -> list[tuple[Perm, Skew, Skew]]:
+def _row_lifts(n: int) -> Iterator[tuple[Perm, Skew, Skew]]:
     """(phi, bar(phi), bar(phi)^-1) for every point permutation phi of
-    the row indices 1..n."""
-    lifts = []
+    the row indices 1..n, built as they are asked for."""
     for phi in symmetric_group(n):
         bar = bar_alpha(phi)
-        lifts.append((phi, bar, bar.inverse()))
-    return lifts
+        yield phi, bar, bar.inverse()
 
 
-def _center_fixing_maps(sigma: Skew, lifts: list[tuple[Perm, Skew, Skew]]):
+def _center_fixing_maps(sigma: Skew, lifts: Iterable[tuple[Perm, Skew, Skew]]):
     """The direct and flip maps out of a perspective with skew sigma, one
     pair per entry of `_row_lifts`, as (kind, phi, image skew, pair map
     carrying the axis).  With b = bar(phi): direct gives b sigma b^-1 and
@@ -324,6 +333,7 @@ def perspective_iso(p1: Perspective, p2: Perspective) -> Optional[PerspectiveIso
     For each point permutation phi of the row indices, a direct hit needs
     the pair lift of phi to intertwine the skews and carry axis to axis; a
     flip composes with the a/b swap and uses the inverted source skew.
+    The lifts are built one phi at a time, so a hit stops building them.
     The first hit is verified line-for-line and returned.
     """
     if p1.n != p2.n:

@@ -1,6 +1,11 @@
 """Oracles independent of the package's canonical-form machinery, its
 incidence views and its free-clique rule, label decoders written from the
-label formats, plus seeded inputs, shared by the tests.
+label formats, plus seeded inputs, shared by the tests.  Two oracles
+keep an earlier, longer route to a result the package now reaches more
+directly: `full_trace_leaves` refines discrete colorings once more (its
+root colors read `Config.triangles_and_pasch`), and
+`perspective_by_definition` builds a perspective through pair
+dictionaries.
 
 Both isomorphism generators yield every line-preserving point bijection
 c1 -> c2 as an image tuple, in lexicographic order: `next(gen, None)` is a
@@ -10,8 +15,11 @@ group order.
 
 import itertools
 import re
+from collections import Counter
 
+from skewper.constructions import pair_label
 from skewper.incidence import make_config
+from skewper.skews import all_pairs
 
 
 def pair_of_label(name):
@@ -193,3 +201,90 @@ def certificate_per_leaf(leaves, lines):
     base_inv = {c: p for p, c in enumerate(base)}
     automorphisms = {tuple(base_inv[c] for c in leaf) for leaf in best_leaves}
     return best, base, tuple(sorted(automorphisms))
+
+
+def full_trace_leaves(config, trace=None, accept=None):
+    """The canonizer's search with one more refinement pass on every
+    discrete coloring, whose key ends the leaf's trace: the same root
+    colors (the ranks of `Config.triangles_and_pasch`, which tests hold to
+    `brute_triangles_and_pasch`), the same pass keys with each line's
+    colors kept as a sorted pair, the same least-trace pruning and the
+    same `trace` / `accept` modes as `_leaves`."""
+    num_points = config.num_points
+    pairs_by_point = [[] for _ in range(num_points)]
+    for L in config.lines:
+        for p in L:
+            pairs_by_point[p].append(tuple(q for q in L if q != p))
+    best = [] if trace is None else trace
+    out = []
+
+    def signature(colors, p):
+        profile = sorted(tuple(sorted((colors[x], colors[y]))) for x, y in pairs_by_point[p])
+        return (colors[p], tuple(profile))
+
+    def descend(colors, sigs, position):
+        count = len(set(colors))
+        while True:
+            key = tuple(sorted(set(sigs)))
+            if position == len(best):
+                best.append(key)
+            elif key != best[position]:
+                if accept is not None or key > best[position]:
+                    return False
+                del best[position:]
+                best.append(key)
+                out.clear()
+            position += 1
+            if len(key) == count:
+                break
+            numbering = {s: i for i, s in enumerate(key)}
+            colors = [numbering[s] for s in sigs]
+            count = len(key)
+            sigs = [signature(colors, p) for p in range(num_points)]
+        if count == num_points:
+            leaf = tuple(colors)
+            if accept is None or accept(leaf):
+                out.append(leaf)
+                return accept is not None
+            return False
+        target = min(c for c, k in Counter(colors).items() if k > 1)
+        for p in range(num_points):
+            if colors[p] == target:
+                branch = list(colors)
+                branch[p] = count
+                child = list(sigs)
+                for q in {p, *itertools.chain(*pairs_by_point[p])}:
+                    child[q] = signature(branch, q)
+                if descend(branch, child, position):
+                    return True
+        return False
+
+    counts = config.triangles_and_pasch
+    rank = {pair: i for i, pair in enumerate(sorted(set(counts)))}
+    colors = [rank[pair] for pair in counts]
+    descend(colors, [signature(colors, p) for p in range(num_points)], 0)
+    return out
+
+
+def perspective_by_definition(n, sigma, axis):
+    """The lines and labels of the skew perspective (n, sigma, axis), built
+    from the definition through pair dictionaries: {p, a_i, b_i},
+    {a_i, a_j, c_{i,j}}, {b_i, b_j, c_{sigma^-1({i,j})}} and the axis lines
+    on the c points, normalized by `make_config`.  Points a_1..a_n,
+    b_1..b_n, p and c over ``all_pairs(n)`` are 0, 1, ... in that order."""
+    pairs = all_pairs(n)
+    a = {i: i - 1 for i in range(1, n + 1)}
+    b = {i: n + i - 1 for i in range(1, n + 1)}
+    c = {u: 2 * n + 1 + k for k, u in enumerate(pairs)}
+    sigma_inv = {sigma(u): u for u in pairs}
+    lines = [(a[i], b[i], 2 * n) for i in range(1, n + 1)]
+    lines += [(a[i], a[j], c[(i, j)]) for i, j in pairs]
+    lines += [(b[i], b[j], c[sigma_inv[(i, j)]]) for i, j in pairs]
+    lines += [tuple(c[pairs[x]] for x in L) for L in axis.lines]
+    labels = (
+        [f"a{i}" for i in range(1, n + 1)]
+        + [f"b{i}" for i in range(1, n + 1)]
+        + ["p"]
+        + ["c" + pair_label(u) for u in pairs]
+    )
+    return make_config(2 * n + 1 + len(pairs), lines, labels)

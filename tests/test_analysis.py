@@ -29,7 +29,6 @@ from skewper.constructions import (
     veronesian,
 )
 from skewper.analysis import (
-    FreeClique,
     cross_fixed_level_criterion,
     cross_predicate,
     enumerate_free_cliques,

@@ -321,7 +321,7 @@ class TestAxisTransport:
     def test_point_map_moves_lines_as_pairs_do(self):
         persps = [build_instance(key) for key in ALL_KEYS]
         axes = {p.axis for p in persps}
-        lifts = _row_lifts(4)
+        lifts = list(_row_lifts(4))
         moves = 0
         for sigma in {p.skew for p in persps}:
             for _, _, _, c_map in _center_fixing_maps(sigma, lifts):

@@ -20,7 +20,8 @@ from skewper.analysis import reperspective, star_clique_indices, stp_diagram
 from skewper.incidence import Config, parameters, relabel, validate
 from skewper.isomorphism import perspective_iso
 from skewper.perms import Perm, parse_cycles, symmetric_group
-from skewper.skews import all_pairs, bar_alpha, identity_skew, make_pair, phi_from_skew, zeta
+from skewper.classify import ALL_KEYS, build_instance
+from skewper.skews import Skew, all_pairs, bar_alpha, identity_skew, make_pair, phi_from_skew, zeta
 from skewper.constructions import (
     Perspective,
     PerspectiveLabeling,
@@ -40,7 +41,7 @@ from skewper.constructions import (
     veronesian_axis,
 )
 
-from oracles import pair_of_label, point_named, triple_of_label
+from oracles import pair_of_label, perspective_by_definition, point_named, triple_of_label
 
 
 def lines_as_pairs(config: Config) -> set[frozenset]:
@@ -278,6 +279,55 @@ class TestPerspective:
             mapping[cid] = point_named(g5, pair_label(u))
         relined = {tuple(sorted(mapping[x] for x in L)) for L in persp.config.lines}
         assert relined == set(g5.lines)
+
+
+class TestPerspectiveOracle:
+    """`perspective` builds its lines on positions; it must give the
+    `Config` (lines and labels) of the construction through pair
+    dictionaries (`oracles.perspective_by_definition`)."""
+
+    def test_catalog(self):
+        for key in ALL_KEYS:
+            p = build_instance(key)
+            assert p.config == perspective_by_definition(4, p.skew, p.axis), key
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_random_skews(self, n):
+        rng = random.Random(n)
+        for axis in (grassmannian(n), veronesian_axis(n)):
+            for _ in range(10):
+                images = list(all_pairs(n))
+                rng.shuffle(images)
+                sigma = Skew(n, tuple(images))
+                expected = perspective_by_definition(n, sigma, axis)
+                assert perspective(n, sigma, axis).config == expected
+
+    def test_empty_axis(self):
+        empty = axis_config(4, [])
+        built = perspective(4, zeta(4), empty, require_binomial=False)
+        assert built.config == perspective_by_definition(4, zeta(4), empty)
+
+    def test_rejection_messages(self):
+        cases = [
+            (
+                (4, zeta(3), grassmannian(4)),
+                "skew acts on a 3-element ground set, expected 4",
+            ),
+            (
+                (4, zeta(4), Config(6, (), tuple(f"x{i}" for i in range(6)))),
+                "axis must have its 6 points labeled by the 2-subsets of {1..4} in the"
+                " order of all_pairs(4)",
+            ),
+            (
+                (4, zeta(4), axis_config(4, [])),
+                "axis is not binomial on {1..4}: expected 6 points of rank 2; pass"
+                " require_binomial=False to build anyway",
+            ),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValueError) as exc:
+                perspective(*args)
+            assert str(exc.value) == message
 
 
 RAW_T3 = pairset((1, 2), (1, 4), (2, 4))

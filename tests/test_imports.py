@@ -1,7 +1,8 @@
 """The package runs in the process that calls it: no module under
 `src/skewper` imports a process pool, a subprocess or a thread library.
 It keeps no unbounded memo table: `functools.cache` and `lru_cache` sit
-only on the functions listed here, each of whose key sets is bounded."""
+only on the functions listed here, each of whose key sets is bounded.
+No module of the package or of the tests imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,7 @@ import skewper
 
 FORBIDDEN = ("concurrent", "multiprocessing", "subprocess", "threading")
 MODULES = sorted(Path(skewper.__file__).parent.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def imported_modules(path: Path) -> list[str]:
@@ -71,3 +73,34 @@ def test_memo_tables_are_bounded():
         assert names == len(decorated), f"{path.name} uses a cache outside a decorator"
         found |= {(path.stem, name) for name in decorated}
     assert found == set(BOUNDED_CACHES)
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names bound by the module-level imports of a module that nothing
+    in it reads.  A string in `__all__` counts as a read, and an import
+    whose lines carry ``# noqa: F401`` is exempt."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+            isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        ):
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return [name for name in imported if name not in read]
+
+
+def test_no_unused_imports():
+    assert len(TEST_MODULES) > 10
+    found = {p.name: unused_imports(p) for p in MODULES + TEST_MODULES}
+    assert {name: names for name, names in found.items() if names} == {}

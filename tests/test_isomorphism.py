@@ -7,6 +7,7 @@ against the general decision procedure.
 
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -18,20 +19,17 @@ from skewper.constructions import (
     veblen,
     veblen_label,
     veronesian,
-    veronesian_axis,
 )
 from skewper import classify, constructions, isomorphism
 from skewper.incidence import make_config, relabel
 from skewper.isomorphism import (
-    AutomorphismGroup,
-    CanonicalCertificate,
     are_isomorphic,
     automorphism_group,
     canonical_certificate,
     perspective_iso,
     s_map,
 )
-from skewper.perms import Perm, parse_cycles, symmetric_group
+from skewper.perms import parse_cycles
 from skewper.skews import identity_skew, phi_sequence, skew_from_phi, zeta
 
 from oracles import (
@@ -39,6 +37,7 @@ from oracles import (
     brute_isos,
     brute_triangles_and_pasch,
     certificate_per_leaf,
+    full_trace_leaves,
     random_partial_linear,
     relabelled_lines,
     tuple_signature,
@@ -243,6 +242,14 @@ class TestPerspectiveIso:
         assert hit.kind == "direct"
         verify_witness(p.config, p.config, hit.witness)
 
+    def test_identity_hit_builds_one_lift(self, monkeypatch):
+        # the lifts are built one phi at a time, and phi = id comes first
+        p = perspective(6, zeta(6), grassmannian(6))
+        calls = TestSearchSize.count_calls(monkeypatch, isomorphism, "bar_alpha")
+        hit = perspective_iso(p, p)
+        assert (hit.kind, hit.phi) == ("direct", parse_cycles("()", 6))
+        assert len(calls) == 1
+
     def test_flip_between_inverse_skew_twins(self):
         sigma = skew_from_phi(phi4("(1,2,3)", "()"))
         assert sigma.inverse() != sigma
@@ -357,7 +364,8 @@ def host(n):
 
 
 class TestTracePruning:
-    """The search keeps only the leaves on the least refinement trace.  An
+    """The search keeps only the leaves on the least refinement trace,
+    which ends at the pass that makes a leaf's coloring discrete.  An
     automorphism maps a surviving leaf to a surviving leaf, so there is at
     least one per automorphism; on these structures there is exactly one."""
 
@@ -490,6 +498,79 @@ class TestCertificateOracle:
         assert isomorphism._canonize(c) == (best, base, automorphisms)
 
 
+def connected_random_systems(rng, count):
+    """`count` seeded partial triple systems on 6 to 12 points whose every
+    point lies on a line and whose collinearity graph is connected."""
+    systems = []
+    while len(systems) < count:
+        nu = rng.randint(6, 12)
+        c = random_partial_linear(rng, nu, rng.randint(nu, 4 * nu))
+        reached, frontier = {0}, [0]
+        while frontier:
+            p = frontier.pop()
+            for x, y in c.pairs_by_point[p]:
+                for q in (x, y):
+                    if q not in reached:
+                        reached.add(q)
+                        frontier.append(q)
+        if len(reached) == nu:
+            systems.append(c)
+    return systems
+
+
+class TestFullTraceOracle:
+    """`_leaves` ends a node's passes at the pass that makes its coloring
+    discrete.  The search that refines a discrete coloring once more
+    (`oracles.full_trace_leaves`) must give the same leaves, and, put in
+    its place, the same `_canonize` triples and `are_isomorphic`
+    witnesses."""
+
+    MAX_LEAVES = 2000
+
+    @staticmethod
+    def outcomes(c, moved, other):
+        return (
+            isomorphism._leaves(c),
+            isomorphism._canonize(c),
+            are_isomorphic(c, moved),
+            are_isomorphic(moved, c),
+            are_isomorphic(c, other),
+        )
+
+    def assert_matches(self, monkeypatch, c, moved, other):
+        shipped = self.outcomes(c, moved, other)
+        with monkeypatch.context() as m:
+            m.setattr(isomorphism, "_leaves", full_trace_leaves)
+            reference = self.outcomes(c, moved, other)
+        assert shipped == reference, c
+
+    def test_catalog(self, monkeypatch):
+        previous = build_instance(ALL_KEYS[-1]).config
+        for key in ALL_KEYS:
+            c = build_instance(key).config
+            self.assert_matches(monkeypatch, c, next(relabelings(c, key.f * key.s * key.i)), previous)
+            previous = c
+
+    @pytest.mark.parametrize("build", STRUCTURES)
+    def test_structures(self, build, monkeypatch):
+        c = build()
+        # a structure on as many points: V(k) and host(k) have C(k+2, 2)
+        k = next(k for k in range(3, 12) if comb(k + 2, 2) == c.num_points)
+        other = host(k) if c == veronesian(k) else veronesian(k)
+        for moved in relabelings(c, c.num_points):
+            self.assert_matches(monkeypatch, c, moved, other)
+
+    def test_random_systems(self, monkeypatch):
+        systems = connected_random_systems(random.Random(20261019), 300)
+        compared = 0
+        for c, other in zip(systems, systems[1:] + systems[:1]):
+            if len(isomorphism._leaves(c)) > self.MAX_LEAVES:
+                continue
+            self.assert_matches(monkeypatch, c, next(relabelings(c, c.num_points)), other)
+            compared += 1
+        assert compared > 250
+
+
 class TestRootColors:
     """The root coloring ranks each point's triangle and Pasch counts."""
 
@@ -616,15 +697,15 @@ class TestSearchSize:
         return calls[0]
 
     def test_classify_all(self, monkeypatch):
-        assert self.count_signatures(monkeypatch, lambda: classify_all(1)) == 40302
+        assert self.count_signatures(monkeypatch, lambda: classify_all(1)) == 25407
 
     @pytest.mark.parametrize(
         "build, calls",
         [
-            (lambda: grassmannian(6), 28455),
-            (lambda: grassmannian(7), 309813),
-            (lambda: veronesian(8), 732),
-            (lambda: host(10), 132),
+            (lambda: grassmannian(6), 17655),
+            (lambda: grassmannian(7), 203973),
+            (lambda: veronesian(8), 462),
+            (lambda: host(10), 66),
         ],
         ids=["G(2,6)", "G(2,7)", "V(8)", "host(10)"],
     )
@@ -662,7 +743,7 @@ class TestSearchSize:
                 assert are_isomorphic(first, moved) is not None
                 assert certified == [first.lines, moved.lines]
 
-        assert self.count_signatures(monkeypatch, decide_all) == 25164
+        assert self.count_signatures(monkeypatch, decide_all) == 17964
 
     def test_are_isomorphic_on_relabelled_grassmannian(self, monkeypatch):
         c = grassmannian(7)
