@@ -1,8 +1,7 @@
 """Structural analysis of configurations and perspectives.
 
-Covers free complete subgraphs, the star-clique index formula, the
-line-crossing predicate, extraction of a second perspective around a new
-center, and the 3x3 diagrams describing the top axial line.
+Covers free complete subgraphs and the 3x3 diagrams describing the top
+axial line.
 """
 
 from __future__ import annotations
@@ -11,18 +10,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .incidence import Config, Line, is_isomorphism, join
+from .incidence import Config, Line, join
 from .perms import Perm, symmetric_group
-from .skews import (
-    Pair,
-    PhiSequence,
-    Skew,
-    all_pairs,
-    make_pair,
-    skew_from_phi,
-    zeta,
-)
-from .constructions import Perspective, axis_config, perspective
+from .skews import Pair, all_pairs, make_pair
+from .constructions import Perspective
 
 
 @dataclass(frozen=True)
@@ -114,149 +105,6 @@ def _star_point_ids(persp: Perspective, i0: int) -> list[int]:
     return [persp.labeling.c[u] for u in all_pairs(persp.n) if i0 in u]
 
 
-def _axis_star_ids(persp: Perspective, i0: int) -> list[int]:
-    return [x for x, u in enumerate(all_pairs(persp.n)) if i0 in u]
-
-
-def free_star_indices(persp: Perspective) -> set[int]:
-    """Indices i0 whose set {a_i0, b_i0} plus the axial points through i0
-    is a free complete subgraph of the host, found by direct containment."""
-    out = set()
-    lab = persp.labeling
-    for i0 in range(1, persp.n + 1):
-        vertices = {lab.a[i0 - 1], lab.b[i0 - 1], *_star_point_ids(persp, i0)}
-        if freely_contains(persp.config, vertices) is not None:
-            out.add(i0)
-    return out
-
-
-def star_clique_indices(persp: Perspective, phi: PhiSequence) -> set[int]:
-    """Indices i0 giving an extra free clique, by the level-fixing rule:
-    the axial points through i0 must form a free clique of the axis, and
-    every level above i0 must fix i0."""
-    if phi.n != persp.n or skew_from_phi(phi) != persp.skew:
-        raise ValueError("level sequence does not produce this perspective's skew")
-    out = set()
-    for i0 in range(1, persp.n + 1):
-        if freely_contains(persp.axis, _axis_star_ids(persp, i0)) is None:
-            continue
-        if all(phi.level(j)(i0) == i0 for j in range(i0 + 1, persp.n + 1)):
-            out.add(i0)
-    return out
-
-
-def cross_predicate(persp: Perspective, k: int) -> bool:
-    """Whether every a-line through a_k meets some b-line through b_k,
-    checked by a literal scan over the line sets."""
-    if k <= 3:
-        raise ValueError(f"the crossing criterion requires k > 3, got k={k}")
-    if k > persp.n:
-        raise ValueError(f"k={k} outside 1..{persp.n}")
-    lab = persp.labeling
-    config = persp.config
-    a_lines = [
-        L
-        for L in config.lines
-        if lab.a[k - 1] in L and lab.center not in L and any(x in L for x in lab.a[: k - 1] + lab.a[k:])
-    ]
-    b_lines = [
-        L
-        for L in config.lines
-        if lab.b[k - 1] in L and lab.center not in L and any(x in L for x in lab.b[: k - 1] + lab.b[k:])
-    ]
-    for La in a_lines:
-        if not any(set(La) & set(Lb) for Lb in b_lines):
-            return False
-    return True
-
-
-def cross_fixed_level_criterion(phi: PhiSequence, k: int) -> bool:
-    """The closed-form version: true iff k is the top index or every level
-    above k fixes k."""
-    if k <= 3:
-        raise ValueError(f"the crossing criterion requires k > 3, got k={k}")
-    if k > phi.n:
-        raise ValueError(f"k={k} outside 1..{phi.n}")
-    return k == phi.n or all(phi.level(j)(k) == k for j in range(k + 1, phi.n + 1))
-
-
-@dataclass(frozen=True)
-class Reperspective:
-    """A second perspective structure around the new center a_n: the skew
-    rho, its inner part rho0 (determined by the axial joins), the extracted
-    axis, a verified witness bijection host-point -> rebuilt-point, and the
-    rebuilt perspective itself."""
-
-    rho: Skew
-    rho0: Skew
-    axis: Config
-    witness: Mapping[int, int]
-    rebuilt: Perspective
-
-
-def reperspective(persp: Perspective) -> Reperspective:
-    """Re-center a symmetry-skew perspective at a_n.
-
-    Requires the host to be built with the symmetry skew and the axial
-    points through n to form a free clique of the axis.  The new skew is
-    read off the axial joins (inner part) and the index-reversal rule (top
-    part); the new axis collects the axial lines missing the top star plus
-    one line per b-side pair.  The witness relabeling is verified by full
-    line-set comparison before returning.
-    """
-    n = persp.n
-    lab = persp.labeling
-    if persp.skew != zeta(n):
-        raise ValueError("re-centering requires the symmetry skew")
-    star = _axis_star_ids(persp, n)
-    if freely_contains(persp.axis, star) is None:
-        raise ValueError("the axial points through the top index are not a free clique")
-    star_set = set(star)
-    for L in persp.axis.lines:
-        meet = len(star_set & set(L))
-        if meet not in (0, 2):
-            raise ValueError(
-                f"axis line meets the top star in {meet} points; need 0 or 2"
-            )
-    # inner part of the new skew: the join of the axial points {i,n},{j,n}
-    # is an axial point over a pair inside {1..n-1}
-    rho_inv_map: dict[Pair, Pair] = {}
-    ax = persp.axis
-    pairs = all_pairs(n)
-    index = {u: x for x, u in enumerate(pairs)}
-    for i, j in all_pairs(n - 1):
-        third = join(ax, index[(i, n)], index[(j, n)])
-        assert third is not None  # star is a clique
-        rho_inv_map[(i, j)] = pairs[third]
-    for i in range(1, n):
-        rho_inv_map[(i, n)] = make_pair(n - i, n)
-    rho = Skew.from_map(n, rho_inv_map).inverse()
-    # from_map(n - 1, ...) reads only the pairs inside {1..n-1}
-    rho0 = Skew.from_map(n - 1, rho_inv_map).inverse()
-    # the new axis: axial lines missing the top star, plus the b-side rule
-    new_lines: list[tuple[Pair, ...]] = []
-    for L in ax.lines:
-        if star_set & set(L):
-            continue
-        new_lines.append(tuple(pairs[x] for x in L))
-    for i, j in all_pairs(n - 1):
-        new_lines.append(((i, n), (j, n), make_pair(j - i, j)))
-    new_axis = axis_config(n, new_lines)
-    rebuilt = perspective(n, rho, new_axis)
-    new_lab = rebuilt.labeling
-    witness: dict[int, int] = {lab.a[n - 1]: new_lab.center, lab.center: new_lab.a[n - 1]}
-    for i in range(1, n):
-        witness[lab.a[i - 1]] = new_lab.a[i - 1]
-        witness[lab.c[(i, n)]] = new_lab.b[i - 1]
-        witness[lab.b[i - 1]] = new_lab.c[(i, n)]
-    witness[lab.b[n - 1]] = new_lab.b[n - 1]
-    for u in all_pairs(n - 1):
-        witness[lab.c[u]] = new_lab.c[u]
-    if not is_isomorphism(persp.config, rebuilt.config, witness):
-        raise RuntimeError("internal error: re-centering witness failed verification")
-    return Reperspective(rho=rho, rho0=rho0, axis=new_axis, witness=witness, rebuilt=rebuilt)
-
-
 @dataclass(frozen=True)
 class StpDiagram:
     """The 3x3 diagram of the top axial line: three triangle rows whose
@@ -341,26 +189,3 @@ def stp_diagram(persp: Perspective) -> StpDiagram:
             if join(config, rows[row][r], rows[row][s]) != expected:
                 raise ValueError("column joins do not concur in the top line")
     return StpDiagram(rows=rows, matching=tuple(sorted(matching)))
-
-
-def stp_equivalent(d1: StpDiagram, d2: StpDiagram) -> bool:
-    """Whether two diagrams agree up to permuting rows and columns; only
-    the matching pattern matters."""
-
-    def edges(d: StpDiagram) -> frozenset:
-        return frozenset(
-            frozenset((cell1, cell2)) for cell1, cell2, _ in d.matching
-        )
-
-    target = edges(d2)
-    for rho in symmetric_group(3):
-        for gamma in symmetric_group(3):
-            moved = frozenset(
-                frozenset(
-                    (rho(r + 1) - 1, gamma(k + 1) - 1) for r, k in edge
-                )
-                for edge in edges(d1)
-            )
-            if moved == target:
-                return True
-    return False

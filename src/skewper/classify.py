@@ -3,7 +3,7 @@
 Instances are the perspectives built from the eight cataloged level
 sequences and the fifteen fixed-point permutations (both axis sizes).
 Classification first quotients the catalog by the center-fixing direct and
-flip maps of `perspective_iso`, then groups the orbit representatives by
+flip maps (`_center_fixing_maps`), then groups the orbit representatives by
 canonical certificate and records the free five-clique census and
 automorphism order of each; every orbit member shares its
 representative's values through a verified witness.  Reference constants
@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .analysis import enumerate_free_cliques
 from .constructions import (
@@ -26,10 +26,10 @@ from .constructions import (
     veblen,
     veblen_label,
 )
-from .incidence import Config
-from .isomorphism import _build_iso, _canonize, _center_fixing_maps, _row_lifts
-from .perms import Perm, parse_cycles
-from .skews import PhiSequence, Skew, phi_sequence, skew_from_phi
+from .incidence import Config, is_isomorphism
+from .isomorphism import _canonize
+from .perms import Perm, parse_cycles, symmetric_group
+from .skews import PhiSequence, Skew, all_pairs, bar_alpha, phi_sequence, skew_from_phi
 
 
 def _phi(top: str, inner: str) -> PhiSequence:
@@ -124,7 +124,7 @@ class InstanceSummary:
     """Per-instance results plus the center-fixing map that joined the
     instance to its orbit: ``kind`` is "representative" (``phi`` None),
     or "direct" / "flip" with the row permutation ``phi`` carrying the
-    representative onto this instance (see `perspective_iso`)."""
+    representative onto this instance (see `_center_fixing_maps`)."""
 
     key: InstanceKey
     free_clique_count: int
@@ -180,8 +180,55 @@ def _class_ids(instances, cliques) -> set[int]:
 OrbitLink = tuple[InstanceKey, str, Optional[Perm]]
 
 
+def _row_lifts(n: int) -> Iterator[tuple[Perm, Skew, Skew]]:
+    """(phi, bar(phi), bar(phi)^-1) for every point permutation phi of
+    the row indices 1..n, built as they are asked for."""
+    for phi in symmetric_group(n):
+        bar = bar_alpha(phi)
+        yield phi, bar, bar.inverse()
+
+
+def _center_fixing_maps(sigma: Skew, lifts: Iterable[tuple[Perm, Skew, Skew]]):
+    """The direct and flip maps out of a perspective with skew sigma, one
+    pair per entry of `_row_lifts`, as (kind, phi, image skew, pair map
+    carrying the axis).  With b = bar(phi): direct gives b sigma b^-1 and
+    b; flip gives b sigma^-1 b^-1 and b sigma."""
+    sigma_inv = sigma.inverse()
+    for phi, bar, bar_inv in lifts:
+        yield "direct", phi, bar * sigma * bar_inv, bar
+        yield "flip", phi, bar * sigma_inv * bar_inv, bar * sigma
+
+
+def _witness(
+    p1: Perspective, p2: Perspective, kind: str, phi: Perm, c_map: Skew
+) -> dict[int, int]:
+    """The center-fixing point map p1 -> p2, unverified: center to center,
+    a_i and b_i to a_phi(i) and b_phi(i) (to b_phi(i) and a_phi(i) for a
+    flip), and c_u to c_{c_map(u)}."""
+    lab1, lab2 = p1.labeling, p2.labeling
+    a2, b2 = (lab2.a, lab2.b) if kind == "direct" else (lab2.b, lab2.a)
+    witness = {lab1.center: lab2.center}
+    for i in range(1, p1.n + 1):
+        witness[lab1.a[i - 1]] = a2[phi(i) - 1]
+        witness[lab1.b[i - 1]] = b2[phi(i) - 1]
+    for u in all_pairs(p1.n):
+        witness[lab1.c[u]] = lab2.c[c_map(u)]
+    return witness
+
+
+def _build_iso(
+    p1: Perspective, p2: Perspective, kind: str, phi: Perm, c_map: Skew
+) -> dict[int, int]:
+    """The center-fixing point map p1 -> p2 of `_witness`, verified line
+    for line."""
+    witness = _witness(p1, p2, kind, phi, c_map)
+    if not is_isomorphism(p1.config, p2.config, witness):
+        raise RuntimeError("internal error: center-fixing witness failed verification")
+    return witness
+
+
 def _center_fixing_orbits() -> dict[InstanceKey, OrbitLink]:
-    """Quotient the catalog by the center-fixing maps of `perspective_iso`.
+    """Quotient the catalog by the center-fixing direct and flip maps.
 
     For phi in S4 and b = bar(phi), the direct map sends (sigma, axis) to
     (b sigma b^-1, b(axis)) and the flip map to (b sigma^-1 b^-1,

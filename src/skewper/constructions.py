@@ -11,8 +11,7 @@ Four families on top of the incidence core:
   center p and an axial configuration on the 2-subsets, with a skew
   twisting the b-side;
 - the fifteen 6-point, 4-line labellings on the 2-subsets of a 4-set,
-  parameterized by a switch s in {5,6} and a non-derangement mu of S4,
-  together with the complement relabeling.
+  parameterized by a switch s in {5,6} and a non-derangement mu of S4.
 """
 
 from __future__ import annotations
@@ -139,15 +138,12 @@ class PerspectiveLabeling:
 @dataclass(frozen=True)
 class Perspective:
     """A built perspective: the bare configuration plus its labeling, the
-    skew used, and the axial configuration.  Iterates as (config, labeling)."""
+    skew used, and the axial configuration."""
 
     config: Config
     labeling: PerspectiveLabeling
     skew: Skew
     axis: Config
-
-    def __iter__(self):
-        return iter((self.config, self.labeling))
 
     @property
     def n(self) -> int:
@@ -281,27 +277,11 @@ def veblen(label: VeblenLabel) -> Config:
     return axis_config(4, lines)
 
 
-def apply_pair_map(config: Config, pm: Skew) -> Config:
-    """Transport the lines of an axis on the 2-subsets of {1..pm.n} along
-    the pair bijection pm, keeping the point/label assignment fixed."""
-    _check_axis_labels(pm.n, config)
-    return Config(config.num_points, _moved_lines(config, pm), config.labels)
-
-
 def _moved_lines(axis: Config, pm: Skew) -> tuple[Line, ...]:
     """The lines of an axis whose point k is ``all_pairs(pm.n)[k]``, moved
     along pm through `Skew.point_map`, in `Config` line order."""
     moved = pm.point_map
     return tuple(sorted(tuple(sorted(moved[x] for x in L)) for L in axis.lines))
-
-
-def kappa(config: Config) -> Config:
-    """Complement relabeling on the 2-subsets of a 4-set: each line's points
-    are replaced by their complementary 2-subsets."""
-    complement = {
-        u: tuple(sorted(set(range(1, 5)) - set(u))) for u in all_pairs(4)
-    }
-    return apply_pair_map(config, Skew.from_map(4, complement))
 
 
 def perspective_from_config(config: Config) -> Perspective:

@@ -48,12 +48,9 @@ so only non-isomorphic configurations exhaust it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 from .incidence import Config, Line, is_isomorphism
-from .perms import Perm, symmetric_group
-from .skews import Skew, all_pairs, bar_alpha
-from .constructions import Perspective, _moved_lines
 
 
 @dataclass(frozen=True)
@@ -285,86 +282,3 @@ def _group(config: Config, automorphisms) -> AutomorphismGroup:
 
 def automorphism_group(config: Config) -> AutomorphismGroup:
     return _group(config, _canonize(config)[2])
-
-
-def s_map(persp: Perspective) -> dict[int, int]:
-    """The swap a_i <-> b_i, c_u -> c_{sigma(u)} fixing the center, as a
-    verified automorphism.  It exists exactly when the skew is an
-    involution stabilizing the axis line set."""
-    mapping = _witness(persp, persp, "flip", Perm.identity(persp.n), persp.skew)
-    if not is_isomorphism(persp.config, persp.config, mapping):
-        raise ValueError("the a/b swap is not an automorphism of this perspective")
-    return mapping
-
-
-@dataclass(frozen=True)
-class PerspectiveIso:
-    """A center-fixing isomorphism between two perspectives: either rows
-    map to rows ("direct") or the two simplices trade places ("flip"),
-    both driven by a point permutation phi of the row indices."""
-
-    kind: str
-    phi: Perm
-    witness: dict[int, int]
-
-
-def _row_lifts(n: int) -> Iterator[tuple[Perm, Skew, Skew]]:
-    """(phi, bar(phi), bar(phi)^-1) for every point permutation phi of
-    the row indices 1..n, built as they are asked for."""
-    for phi in symmetric_group(n):
-        bar = bar_alpha(phi)
-        yield phi, bar, bar.inverse()
-
-
-def _center_fixing_maps(sigma: Skew, lifts: Iterable[tuple[Perm, Skew, Skew]]):
-    """The direct and flip maps out of a perspective with skew sigma, one
-    pair per entry of `_row_lifts`, as (kind, phi, image skew, pair map
-    carrying the axis).  With b = bar(phi): direct gives b sigma b^-1 and
-    b; flip gives b sigma^-1 b^-1 and b sigma."""
-    sigma_inv = sigma.inverse()
-    for phi, bar, bar_inv in lifts:
-        yield "direct", phi, bar * sigma * bar_inv, bar
-        yield "flip", phi, bar * sigma_inv * bar_inv, bar * sigma
-
-
-def perspective_iso(p1: Perspective, p2: Perspective) -> Optional[PerspectiveIso]:
-    """Search the center-fixing isomorphisms p1 -> p2.
-
-    For each point permutation phi of the row indices, a direct hit needs
-    the pair lift of phi to intertwine the skews and carry axis to axis; a
-    flip composes with the a/b swap and uses the inverted source skew.
-    The lifts are built one phi at a time, so a hit stops building them.
-    The first hit is verified line-for-line and returned.
-    """
-    if p1.n != p2.n:
-        raise ValueError("perspectives have different numbers of rows")
-    for kind, phi, image, c_map in _center_fixing_maps(p1.skew, _row_lifts(p1.n)):
-        if image == p2.skew and _moved_lines(p1.axis, c_map) == p2.axis.lines:
-            return _build_iso(p1, p2, kind, phi, c_map)
-    return None
-
-
-def _witness(
-    p1: Perspective, p2: Perspective, kind: str, phi: Perm, c_map: Skew
-) -> dict[int, int]:
-    """The center-fixing point map p1 -> p2, unverified: center to center,
-    a_i and b_i to a_phi(i) and b_phi(i) (to b_phi(i) and a_phi(i) for a
-    flip), and c_u to c_{c_map(u)}."""
-    lab1, lab2 = p1.labeling, p2.labeling
-    a2, b2 = (lab2.a, lab2.b) if kind == "direct" else (lab2.b, lab2.a)
-    witness = {lab1.center: lab2.center}
-    for i in range(1, p1.n + 1):
-        witness[lab1.a[i - 1]] = a2[phi(i) - 1]
-        witness[lab1.b[i - 1]] = b2[phi(i) - 1]
-    for u in all_pairs(p1.n):
-        witness[lab1.c[u]] = lab2.c[c_map(u)]
-    return witness
-
-
-def _build_iso(
-    p1: Perspective, p2: Perspective, kind: str, phi: Perm, c_map: Skew
-) -> PerspectiveIso:
-    witness = _witness(p1, p2, kind, phi, c_map)
-    if not is_isomorphism(p1.config, p2.config, witness):
-        raise RuntimeError("internal error: center-fixing witness failed verification")
-    return PerspectiveIso(kind=kind, phi=phi, witness=witness)

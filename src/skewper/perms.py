@@ -159,29 +159,3 @@ def symmetric_group(n: int) -> Iterator[Perm]:
     """All n! permutations of {1..n}, in lexicographic one-line order."""
     for images in itertools.permutations(range(1, n + 1)):
         yield Perm(images)
-
-
-def conjugator(p: Perm, q: Perm) -> Perm:
-    """Some g with g * p * g^-1 == q, or ValueError if the cycle types differ.
-
-    Cycles of equal length are aligned in order of their minima and mapped
-    positionally.
-    """
-    if p.n != q.n:
-        raise ValueError("permutations act on different sets")
-    if p.cycle_type() != q.cycle_type():
-        raise ValueError(
-            f"cycle-type mismatch: {p.cycle_type()} vs {q.cycle_type()}"
-        )
-    by_len_p: dict[int, list[tuple[int, ...]]] = {}
-    by_len_q: dict[int, list[tuple[int, ...]]] = {}
-    for c in p.cycles():
-        by_len_p.setdefault(len(c), []).append(c)
-    for c in q.cycles():
-        by_len_q.setdefault(len(c), []).append(c)
-    images = [0] * p.n
-    for length, cycles_p in by_len_p.items():
-        for cp, cq in zip(cycles_p, by_len_q[length]):
-            for u, v in zip(cp, cq):
-                images[u - 1] = v
-    return Perm(tuple(images))

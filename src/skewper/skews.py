@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Union
+from typing import Mapping
 
-from .perms import Perm, conjugator, format_cycles, parse_cycles
+from .perms import Perm, parse_cycles
 
 Pair = tuple[int, int]
 
@@ -103,10 +103,6 @@ class Skew:
         return k
 
 
-def identity_skew(n: int) -> Skew:
-    return Skew(n, all_pairs(n))
-
-
 def zeta(n: int) -> Skew:
     """The symmetry skew {i,j} -> {j-i, j} (i < j); an involution."""
     if n < 2:
@@ -161,103 +157,6 @@ def skew_from_phi(phi: PhiSequence) -> Skew:
     return Skew.from_map(phi.n, mapping)
 
 
-def phi_from_skew(sigma: Skew) -> Optional[PhiSequence]:
-    """Recover the level sequence of a skew, or None if some pair's maximum
-    moves (such skews are not level-structured)."""
-    levels: dict[int, Perm] = {}
-    for j in range(2, sigma.n + 1):
-        images = []
-        for i in range(1, j):
-            u = sigma((i, j))
-            if u[1] != j:
-                return None
-            images.append(u[0])
-        levels[j] = Perm.from_one_line(images)
-    return phi_sequence(sigma.n, levels)
-
-
-def phi_inverse(phi: PhiSequence) -> PhiSequence:
-    return PhiSequence(phi.n, tuple(p.inverse() for p in phi.phis))
-
-
-def _restriction(alpha: Perm, size: int, level: int) -> Perm:
-    images = [alpha(x) for x in range(1, size + 1)]
-    if any(y > size for y in images):
-        raise ValueError(
-            f"alpha does not preserve the level-{level} domain {{1,..,{size}}}"
-        )
-    return Perm.from_one_line(images)
-
-
-def phi_conjugate(phi: PhiSequence, alpha: Perm) -> PhiSequence:
-    """Conjugate each level by alpha restricted to that level's domain.
-
-    Requires alpha to map each domain {1,..,j-1} (j >= 3) to itself; on the
-    full ground set this allows exactly the identity and the swap of 1 and 2.
-    """
-    if alpha.n != phi.n:
-        raise ValueError("alpha must permute the same ground set as the sequence")
-    levels = {}
-    for j in range(3, phi.n + 1):
-        r = _restriction(alpha, j - 1, j)
-        levels[j] = phi.level(j).conjugate(r)
-    return phi_sequence(phi.n, levels)
-
-
-@dataclass(frozen=True)
-class BarRecognition:
-    """A level sequence whose skew is induced by a point permutation."""
-
-    alpha: Perm
-    kind: str  # "identity" or "transposition"
-
-
-def recognize_bar(arg: Union[PhiSequence, Skew]) -> Optional[BarRecognition]:
-    """Decide whether a level-structured skew equals bar(alpha) for some
-    point permutation alpha, and classify the witness.
-
-    Exactly two level sequences produce lifts: the all-identity sequence
-    (alpha = id) and the sequence whose every level with a 2-element or
-    larger domain is the transposition (1,2) (alpha = (1,2)).  A skew
-    argument must be level-structured; anything else raises ValueError.
-    """
-    if isinstance(arg, Skew):
-        phi = phi_from_skew(arg)
-        if phi is None:
-            raise ValueError("skew is not level-structured; supply its level sequence")
-    else:
-        phi = arg
-    n = phi.n
-    if all(phi.level(j).is_identity() for j in range(2, n + 1)):
-        return BarRecognition(alpha=Perm.identity(n), kind="identity")
-    if n >= 3 and all(
-        phi.level(j) == Perm.transposition(1, 2, j - 1) for j in range(3, n + 1)
-    ):
-        return BarRecognition(alpha=Perm.transposition(1, 2, n), kind="transposition")
-    return None
-
-
-def gamma_between(phi1: PhiSequence, phi2: PhiSequence) -> Skew:
-    """A pair bijection conjugating the first sequence's skew to the second's.
-
-    Works level by level: any gamma_j with gamma_j phi1_j gamma_j^{-1} =
-    phi2_j (same cycle type required) assembles into a level-structured
-    conjugator."""
-    if phi1.n != phi2.n:
-        raise ValueError("sequences live on different ground sets")
-    levels = {}
-    for j in range(3, phi1.n + 1):
-        try:
-            levels[j] = conjugator(phi1.level(j), phi2.level(j))
-        except ValueError as exc:
-            raise ValueError(f"cycle-type mismatch at level {j}: {exc}") from exc
-    return skew_from_phi(phi_sequence(phi1.n, levels))
-
-
-def conjugate_skew(sigma: Skew, gamma: Skew) -> Skew:
-    return gamma * sigma * gamma.inverse()
-
-
 def parse_phi_text(text: str) -> PhiSequence:
     """Parse "[phi_n,...,phi_3]" where each entry is in cycle notation.
 
@@ -293,7 +192,3 @@ def parse_phi_text(text: str) -> PhiSequence:
         j = n - slot
         levels[j] = parse_cycles(item, j - 1)
     return phi_sequence(n, levels)
-
-
-def format_phi_text(phi: PhiSequence) -> str:
-    return "[" + ",".join(format_cycles(phi.level(j)) for j in range(phi.n, 2, -1)) + "]"

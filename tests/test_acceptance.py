@@ -14,7 +14,7 @@ from time import perf_counter
 
 import pytest
 
-from skewper.analysis import enumerate_free_cliques, free_star_indices, reperspective, star_clique_indices
+from skewper.analysis import enumerate_free_cliques
 from skewper.classify import (
     EXPECTED_NONTRIVIAL_AUT,
     EXPECTED_THREE_PLUS_CLASSES,
@@ -28,9 +28,7 @@ from skewper.classify import (
     diagnostic_text,
 )
 from skewper.constructions import (
-    apply_pair_map,
     grassmannian,
-    kappa,
     multiset_label,
     pair_label,
     perspective,
@@ -40,25 +38,33 @@ from skewper.constructions import (
     veronesian_axis,
 )
 from skewper.incidence import Config, parameters, validate
-from skewper.isomorphism import are_isomorphic, automorphism_group, s_map
+from skewper.isomorphism import are_isomorphic, automorphism_group
 from skewper.perms import Perm, parse_cycles, symmetric_group
 from skewper.skews import (
     PhiSequence,
     Skew,
     all_pairs,
     bar_alpha,
-    conjugate_skew,
-    gamma_between,
-    identity_skew,
-    phi_conjugate,
-    phi_inverse,
     phi_sequence,
-    recognize_bar,
     skew_from_phi,
     zeta,
 )
 
 from oracles import point_named
+from paper_claims import (
+    apply_pair_map,
+    conjugate_skew,
+    free_star_indices,
+    gamma_between,
+    identity_skew,
+    kappa,
+    phi_conjugate,
+    phi_inverse,
+    recognize_bar,
+    reperspective,
+    s_map,
+    star_clique_indices,
+)
 
 SEED = 20260815
 

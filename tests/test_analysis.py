@@ -19,7 +19,7 @@ import pytest
 
 from skewper.incidence import join, parameters
 from skewper.perms import Perm, parse_cycles
-from skewper.skews import all_pairs, identity_skew, make_pair, phi_sequence, skew_from_phi, zeta
+from skewper.skews import all_pairs, make_pair, phi_sequence, skew_from_phi, zeta
 from skewper.constructions import (
     grassmannian,
     pair_label,
@@ -29,15 +29,9 @@ from skewper.constructions import (
     veronesian,
 )
 from skewper.analysis import (
-    cross_fixed_level_criterion,
-    cross_predicate,
     enumerate_free_cliques,
-    free_star_indices,
     freely_contains,
-    reperspective,
-    star_clique_indices,
     stp_diagram,
-    stp_equivalent,
 )
 
 from oracles import (
@@ -46,6 +40,15 @@ from oracles import (
     point_named,
     random_partial_linear,
     triple_of_label,
+)
+from paper_claims import (
+    cross_fixed_level_criterion,
+    cross_predicate,
+    free_star_indices,
+    identity_skew,
+    reperspective,
+    star_clique_indices,
+    stp_equivalent,
 )
 
 

@@ -11,8 +11,11 @@ from collections import Counter
 
 import pytest
 
+from skewper import classify
 from skewper.analysis import enumerate_free_cliques
 from skewper.classify import (
+    _center_fixing_maps,
+    _row_lifts,
     ALL_KEYS,
     EXPECTED_NONTRIVIAL_AUT,
     EXPECTED_REPRESENTATIVES,
@@ -29,25 +32,21 @@ from skewper.classify import (
 )
 from skewper.constructions import (
     _moved_lines,
-    apply_pair_map,
     grassmannian,
-    kappa,
     perspective,
     veblen,
     veblen_label,
 )
 from skewper.isomorphism import (
-    _center_fixing_maps,
-    _row_lifts,
     are_isomorphic,
     automorphism_group,
     canonical_certificate,
-    perspective_iso,
 )
 from skewper.perms import parse_cycles, symmetric_group
 from skewper.skews import all_pairs, bar_alpha, phi_sequence, skew_from_phi, zeta
 
 from oracles import backtrack_isos
+from paper_claims import apply_pair_map, kappa, perspective_iso
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +279,22 @@ class TestOrbitQuotient:
             assert sorted(witness.values()) == list(range(15))
             mapped = {tuple(sorted(witness[x] for x in L)) for L in p1.config.lines}
             assert mapped == set(p2.config.lines), key
+
+    def test_a_join_failing_verification_stops_the_classification(self, monkeypatch):
+        # every orbit join is checked line for line before the member
+        # joins; a check that rejects the first join must not be absorbed
+        check = classify.is_isomorphism
+        calls = []
+
+        def rejecting_first(c1, c2, f):
+            calls.append(f)
+            return len(calls) > 1 and check(c1, c2, f)
+
+        monkeypatch.setattr(classify, "is_isomorphism", rejecting_first)
+        message = "internal error: center-fixing witness failed verification"
+        with pytest.raises(RuntimeError, match=message):
+            classify_all()
+        assert len(calls) == 1
 
 
 def brute_moved_lines(axis, c_map):

@@ -334,7 +334,7 @@ class TestIso:
 
     def test_non_isomorphic_exits_one(self, run, tmp_path, grass_instance_file):
         # the triangle and Pasch counts differ: answered before any search
-        from skewper.skews import identity_skew
+        from paper_claims import identity_skew
 
         other_cfg = perspective(
             4, identity_skew(4), veblen(veblen_label(6, parse_cycles("()", 4)))

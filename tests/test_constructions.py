@@ -16,20 +16,17 @@ from math import comb
 import pytest
 
 from skewper import constructions, incidence
-from skewper.analysis import reperspective, star_clique_indices, stp_diagram
+from skewper.analysis import stp_diagram
 from skewper.incidence import Config, parameters, relabel, validate
-from skewper.isomorphism import perspective_iso
 from skewper.perms import Perm, parse_cycles, symmetric_group
 from skewper.classify import ALL_KEYS, build_instance
-from skewper.skews import Skew, all_pairs, bar_alpha, identity_skew, make_pair, phi_from_skew, zeta
+from skewper.skews import Skew, all_pairs, bar_alpha, make_pair, zeta
 from skewper.constructions import (
     Perspective,
     PerspectiveLabeling,
     VeblenLabel,
-    apply_pair_map,
     axis_config,
     grassmannian,
-    kappa,
     multiset_label,
     pair_label,
     parse_veblen_text,
@@ -42,6 +39,15 @@ from skewper.constructions import (
 )
 
 from oracles import pair_of_label, perspective_by_definition, point_named, triple_of_label
+from paper_claims import (
+    apply_pair_map,
+    identity_skew,
+    kappa,
+    perspective_iso,
+    phi_from_skew,
+    reperspective,
+    star_clique_indices,
+)
 
 
 def lines_as_pairs(config: Config) -> set[frozenset]:
@@ -187,9 +193,9 @@ class TestPerspective:
         assert p.rank_multiset == (4,) * 15
 
     def test_returns_config_and_labeling(self):
-        cfg, lab = perspective(3, identity_skew(3), grassmannian(3))
-        assert isinstance(cfg, Config)
-        assert isinstance(lab, PerspectiveLabeling)
+        persp = perspective(3, identity_skew(3), grassmannian(3))
+        assert isinstance(persp.config, Config)
+        assert isinstance(persp.labeling, PerspectiveLabeling)
 
     def test_labeling_covers_all_points(self):
         persp = perspective(4, zeta(4), grassmannian(4))
@@ -593,7 +599,8 @@ class TestPerspectiveFromConfig:
     def test_rejects_b_side_lines_that_are_not_a_bijection(self):
         """Two b-side lines through one axial point, none through another:
         still a partial Steiner triple system, but no skew."""
-        c, lab = self.host()
+        host = self.host()
+        c, lab = host.config, host.labeling
         b_lines = [L for L in c.lines if len(set(L) & set(lab.b)) == 2]
         first = b_lines[0]
         second = next(L for L in b_lines if not set(L) & set(first))
@@ -606,7 +613,8 @@ class TestPerspectiveFromConfig:
             perspective_from_config(bad)
 
     def test_rejects_a_moved_axis_line(self):
-        c, lab = self.host()
+        host = self.host()
+        c, lab = host.config, host.labeling
         axial = set(lab.c.values())
         first = next(L for L in c.lines if set(L) <= axial)
         other = min(axial - set(first))

@@ -12,11 +12,12 @@ import pytest
 
 from skewper.perms import (
     Perm,
-    conjugator,
     format_cycles,
     parse_cycles,
     symmetric_group,
 )
+
+from paper_claims import conjugator
 
 
 def brute_compose(p: Perm, q: Perm) -> dict:

@@ -18,19 +18,22 @@ from skewper.skews import (
     Skew,
     all_pairs,
     bar_alpha,
-    conjugate_skew,
-    gamma_between,
-    identity_skew,
     make_pair,
     parse_phi_text,
+    phi_sequence,
+    skew_from_phi,
+    zeta,
+)
+
+from paper_claims import (
+    conjugate_skew,
     format_phi_text,
+    gamma_between,
+    identity_skew,
     phi_conjugate,
     phi_from_skew,
     phi_inverse,
-    phi_sequence,
     recognize_bar,
-    skew_from_phi,
-    zeta,
 )
 
 
