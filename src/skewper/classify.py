@@ -3,12 +3,13 @@
 Instances are the perspectives built from the eight cataloged level
 sequences and the fifteen fixed-point permutations (both axis sizes).
 Classification first quotients the catalog by the center-fixing direct and
-flip maps (`_center_fixing_maps`), then groups the orbit representatives by
-canonical certificate and records the free five-clique census and
-automorphism order of each; every orbit member shares its
-representative's values through a verified witness.  Reference constants
-carry the reference counts; `expectation_checks` compares a computed
-report against them without hiding disagreements.
+flip maps (`_center_fixing_maps`), which move axis lines and axial points
+by position along each pair map's `Skew.point_map`.  It then groups the
+orbit representatives by canonical certificate and records the free
+five-clique census and automorphism order of each; every orbit member
+shares its representative's values through a verified witness.
+Reference constants carry the reference counts; `expectation_checks`
+compares a computed report against them without hiding disagreements.
 """
 
 from __future__ import annotations
@@ -19,17 +20,11 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .analysis import enumerate_free_cliques
-from .constructions import (
-    Perspective,
-    _moved_lines,
-    perspective,
-    veblen,
-    veblen_label,
-)
-from .incidence import Config, is_isomorphism
+from .constructions import Perspective, perspective, veblen, veblen_label
+from .incidence import Config, is_isomorphism, moved_lines
 from .isomorphism import _canonize
 from .perms import Perm, parse_cycles, symmetric_group
-from .skews import PhiSequence, Skew, all_pairs, bar_alpha, phi_sequence, skew_from_phi
+from .skews import PhiSequence, Skew, bar_alpha, phi_sequence, skew_from_phi
 
 
 def _phi(top: str, inner: str) -> PhiSequence:
@@ -204,15 +199,16 @@ def _witness(
 ) -> dict[int, int]:
     """The center-fixing point map p1 -> p2, unverified: center to center,
     a_i and b_i to a_phi(i) and b_phi(i) (to b_phi(i) and a_phi(i) for a
-    flip), and c_u to c_{c_map(u)}."""
+    flip), and c_u to c_{c_map(u)} by position along `Skew.point_map`."""
     lab1, lab2 = p1.labeling, p2.labeling
     a2, b2 = (lab2.a, lab2.b) if kind == "direct" else (lab2.b, lab2.a)
     witness = {lab1.center: lab2.center}
     for i in range(1, p1.n + 1):
         witness[lab1.a[i - 1]] = a2[phi(i) - 1]
         witness[lab1.b[i - 1]] = b2[phi(i) - 1]
-    for u in all_pairs(p1.n):
-        witness[lab1.c[u]] = lab2.c[c_map(u)]
+    offset1, offset2 = lab1.c_offset, lab2.c_offset
+    for k, image in enumerate(c_map.point_map):
+        witness[offset1 + k] = offset2 + image
     return witness
 
 
@@ -235,10 +231,11 @@ def _center_fixing_orbits() -> dict[InstanceKey, OrbitLink]:
     b sigma(axis)).  Together they are an action of S4 x Z2, so the images
     of one representative are its whole orbit.  Walking the catalog in
     order, each instance not yet reached becomes a representative.  An
-    image's axis is looked up by its moved line tuple (`_moved_lines`),
-    with no `Config` built, and every image that is a catalog instance
-    joins its orbit once `_build_iso` has verified the witness line for
-    line.  Maps each key to (representative, kind, phi).
+    image's axis is looked up by its lines moved along the pair map's
+    `Skew.point_map` (`incidence.moved_lines`), with no `Config` built,
+    and every image that is a catalog instance joins its orbit once
+    `_build_iso` has verified the witness line for line.  Maps each key
+    to (representative, kind, phi).
     """
     persps = {key: build_instance(key) for key in ALL_KEYS}
     # skew -> axis lines -> key; most images leave the eight catalog skews
@@ -258,7 +255,7 @@ def _center_fixing_orbits() -> dict[InstanceKey, OrbitLink]:
         links[rep] = (rep, "representative", None)
         persp = persps[rep]
         for kind, phi, image, c_map in maps[persp.skew]:
-            key = index[image].get(_moved_lines(persp.axis, c_map))
+            key = index[image].get(moved_lines(persp.axis.lines, c_map.point_map))
             if key is None or key in links:
                 continue
             _build_iso(persp, persps[key], kind, phi, c_map)

@@ -22,7 +22,7 @@ from functools import cached_property
 from math import comb
 from typing import Iterable, Mapping
 
-from .incidence import Config, Line, make_config, parameters
+from .incidence import Config, make_config, moved_lines, parameters
 from .perms import Perm, parse_cycles
 from .skews import Pair, Skew, all_pairs, make_pair
 
@@ -187,8 +187,8 @@ def perspective(
     require_binomial=False for exploratory axes such as an empty one.
 
     The lines are built on positions in ``all_pairs(n)``: the b-line over
-    the pair at position k meets c at the position the inverse of
-    `Skew.point_map` sends k to, and an axis line is shifted by the
+    the pair at position k meets c at the position sigma^-1 sends k to
+    (read off `Skew.point_map`), and an axis line is shifted by the
     labeling's c offset.  Every triple comes out increasing and distinct,
     so the line list is only sorted.
     """
@@ -204,9 +204,7 @@ def perspective(
     pairs = all_pairs(n)
     labeling = PerspectiveLabeling(n)
     a, b, center, offset = labeling.a, labeling.b, labeling.center, labeling.c_offset
-    preimage = [0] * len(pairs)  # position k -> position of sigma^-1(pairs[k])
-    for k, image in enumerate(sigma.point_map):
-        preimage[image] = k
+    preimage = sigma.inverse().point_map
     lines = [(a[i], b[i], center) for i in range(n)]
     for k, (i, j) in enumerate(pairs):
         lines.append((a[i - 1], a[j - 1], offset + k))
@@ -277,13 +275,6 @@ def veblen(label: VeblenLabel) -> Config:
     return axis_config(4, lines)
 
 
-def _moved_lines(axis: Config, pm: Skew) -> tuple[Line, ...]:
-    """The lines of an axis whose point k is ``all_pairs(pm.n)[k]``, moved
-    along pm through `Skew.point_map`, in `Config` line order."""
-    moved = pm.point_map
-    return tuple(sorted(tuple(sorted(moved[x] for x in L)) for L in axis.lines))
-
-
 def perspective_from_config(config: Config) -> Perspective:
     """Read a labeled perspective onto the layout `perspective` builds.
 
@@ -304,7 +295,7 @@ def perspective_from_config(config: Config) -> Perspective:
         )
     role = {name: i for i, name in enumerate(names)}
     to_role = [role[name] for name in config.labels]
-    lines = sorted(tuple(sorted(to_role[x] for x in L)) for L in config.lines)
+    lines = moved_lines(config.lines, to_role)
     pairs = all_pairs(n)
     axial = PerspectiveLabeling(n).c_offset
     # a b-side line {b_i, b_j, c_k} of `perspective` says sigma(pairs[k]) = {i, j}
@@ -319,6 +310,6 @@ def perspective_from_config(config: Config) -> Perspective:
         n, ([pairs[x - axial] for x in L] for L in lines if L[0] >= axial)
     )
     rebuilt = perspective(n, Skew.from_map(n, sigma_map), axis, require_binomial=False)
-    if rebuilt.config.lines != tuple(lines):
+    if rebuilt.config.lines != lines:
         raise ValueError("labeled lines do not match a perspective construction")
     return rebuilt

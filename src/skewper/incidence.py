@@ -100,13 +100,12 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class ConfigParams:
-    """Numeric invariants: point/line counts, point ranks, line size, and
-    the witness n when the counts match (C(n,2), C(n,3)) with all ranks n-2."""
+    """Numeric invariants: point/line counts, point ranks, and the witness
+    n when the counts match (C(n,2), C(n,3)) with all ranks n-2."""
 
     nu: int
     rank_multiset: tuple[int, ...]
     b: int
-    kappa: int
     binomial_n: Optional[int]
 
 
@@ -184,7 +183,6 @@ def parameters(config: Config) -> ConfigParams:
         nu=nu,
         rank_multiset=tuple(sorted(rank)),
         b=b,
-        kappa=3,
         binomial_n=binomial_n,
     )
 
@@ -216,13 +214,20 @@ def is_isomorphism(
     return all(third2[images[x]].get(images[y]) == images[z] for x, y, z in c1.lines)
 
 
+def moved_lines(
+    lines: Iterable[Sequence[int]], images: Union[Sequence[int], Mapping[int, int]]
+) -> tuple[Line, ...]:
+    """The lines with each point x replaced by images[x], in `Config` line
+    order: every line sorted, then the list sorted."""
+    return tuple(sorted(tuple(sorted(images[x] for x in L)) for L in lines))
+
+
 def relabel(config: Config, f: Mapping[int, int]) -> Config:
     """Apply a point bijection f to a configuration, transporting labels."""
     if sorted(f.keys()) != list(range(config.num_points)) or sorted(
         f.values()
     ) != list(range(config.num_points)):
         raise ValueError("relabeling map is not a bijection on the point set")
-    lines = [tuple(sorted(f[x] for x in L)) for L in config.lines]
     labels = None
     if config.labels is not None:
         new_labels = [""] * config.num_points
@@ -231,6 +236,6 @@ def relabel(config: Config, f: Mapping[int, int]) -> Config:
         labels = tuple(new_labels)
     return Config(
         num_points=config.num_points,
-        lines=tuple(sorted(lines)),
+        lines=moved_lines(config.lines, f),
         labels=labels,
     )

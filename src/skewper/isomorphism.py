@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .incidence import Config, Line, is_isomorphism
+from .incidence import Config, Line, is_isomorphism, moved_lines
 
 
 @dataclass(frozen=True)
@@ -190,12 +190,6 @@ def _leaves(config: Config, trace=None, accept=None) -> list[tuple[int, ...]]:
     return out
 
 
-def _certificate_of(colors: tuple[int, ...], lines) -> tuple[Line, ...]:
-    return tuple(
-        sorted(tuple(sorted(colors[x] for x in L)) for L in lines)
-    )
-
-
 def _canonize(config: Config):
     """(certificate, relabeling, automorphisms) of config from one search:
     the least certificate, the first leaf achieving it, and the sorted
@@ -216,7 +210,7 @@ def _canonize(config: Config):
             if is_isomorphism(config, config, g):
                 automorphisms.append(g)
                 continue
-        cert = _certificate_of(leaf, lines)
+        cert = moved_lines(lines, leaf)
         if best is not None and cert == best:
             raise RuntimeError("internal error: invalid automorphism produced")
         if best is None or cert < best:
@@ -244,8 +238,8 @@ def are_isomorphic(c1: Config, c2: Config) -> Optional[dict[int, int]]:
         return None
     trace: list[tuple] = []
     (leaf1,) = _leaves(c1, trace, lambda leaf: True)
-    cert1 = _certificate_of(leaf1, c1.lines)
-    match = _leaves(c2, trace, lambda leaf: _certificate_of(leaf, c2.lines) == cert1)
+    cert1 = moved_lines(c1.lines, leaf1)
+    match = _leaves(c2, trace, lambda leaf: moved_lines(c2.lines, leaf) == cert1)
     if not match:
         return None
     inverse2 = [0] * c2.num_points

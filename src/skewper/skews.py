@@ -1,6 +1,8 @@
 """Skews: permutations of the 2-subsets of {1, ..., n}.
 
-A skew may be given directly, induced from a point permutation alpha
+A skew is kept as its position tuple on ``all_pairs(n)`` (`Skew.point_map`),
+so products and inverses index tuples.  It may be given by a pair map
+(`Skew.from_map`), induced from a point permutation alpha
 (written bar(alpha) here: {i,j} -> {alpha(i), alpha(j)}), or assembled from
 a level sequence Phi = (phi_n, ..., phi_2) with phi_j a permutation of
 {1, ..., j-1}; the assembled skew sends {i,j} -> {phi_j(i), j} for i < j,
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from math import comb
 from typing import Mapping
 
 from .perms import Perm, parse_cycles
@@ -31,70 +33,56 @@ def all_pairs(n: int) -> tuple[Pair, ...]:
 
 @dataclass(frozen=True)
 class Skew:
-    """A bijection of the 2-subsets of {1, ..., n}.
-
-    ``images`` lists the image of each pair in the lexicographic order of
-    ``all_pairs(n)``.
+    """A bijection of the 2-subsets of {1, ..., n}, kept on positions in
+    ``all_pairs(n)``: entry k of ``point_map`` is the position of the image
+    of ``all_pairs(n)[k]``.  An axis's point k is that pair, so
+    ``point_map`` moves the points of an axis as it stands.
     """
 
     n: int
-    images: tuple[Pair, ...]
+    point_map: tuple[int, ...]
 
     def __post_init__(self):
-        pairs = all_pairs(self.n)
-        if len(self.images) != len(pairs):
+        size = comb(self.n, 2)
+        if len(self.point_map) != size:
             raise ValueError(
-                f"expected {len(pairs)} images for n={self.n}, got {len(self.images)}"
+                f"expected {size} images for n={self.n}, got {len(self.point_map)}"
             )
-        if sorted(self.images) != list(pairs):
+        if sorted(self.point_map) != list(range(size)):
             raise ValueError("images do not form a bijection of the pair set")
 
     @classmethod
     def from_map(cls, n: int, mapping: Mapping[Pair, Pair]) -> "Skew":
-        return cls(n, tuple(mapping[u] for u in all_pairs(n)))
+        """The skew sending each pair u to mapping[u]; an image that is not
+        a pair of {1, ..., n} fails validation like a repeated one."""
+        pairs = all_pairs(n)
+        index = {u: k for k, u in enumerate(pairs)}
+        return cls(n, tuple(index.get(mapping[u], -1) for u in pairs))
 
-    @cached_property
-    def _table(self) -> dict[Pair, Pair]:
-        return dict(zip(all_pairs(self.n), self.images))
-
-    @cached_property
-    def point_map(self) -> tuple[int, ...]:
-        """The skew on positions in ``all_pairs(n)``: entry k is the
-        position of the image of ``all_pairs(n)[k]``, so it moves the
-        points of an axis, which are those positions."""
-        index = {u: k for k, u in enumerate(all_pairs(self.n))}
-        return tuple(index[v] for v in self.images)
+    @property
+    def images(self) -> tuple[Pair, ...]:
+        """The image of each pair, in the order of ``all_pairs(n)``."""
+        pairs = all_pairs(self.n)
+        return tuple(pairs[k] for k in self.point_map)
 
     def __call__(self, pair: Pair) -> Pair:
-        return self._table[make_pair(*pair)]
-
-    @classmethod
-    def _unchecked(cls, n: int, images: tuple[Pair, ...]) -> "Skew":
-        """A skew from images known to form a bijection, not re-validated."""
-        skew = object.__new__(cls)
-        object.__setattr__(skew, "n", n)
-        object.__setattr__(skew, "images", images)
-        return skew
+        pairs = all_pairs(self.n)
+        return pairs[self.point_map[pairs.index(make_pair(*pair))]]
 
     def __mul__(self, other: "Skew") -> "Skew":
-        """(s * t)(u) = s(t(u)): apply the right factor first.
-
-        Both factors were validated when built and the composite of two
-        bijections is one, so the product is not validated again; the
-        images of t are normalized pairs and index s's table directly."""
+        """(s * t)(u) = s(t(u)): apply the right factor first."""
         if self.n != other.n:
             raise ValueError("cannot compose skews on different ground sets")
-        table = self._table
-        return Skew._unchecked(self.n, tuple(table[v] for v in other.images))
+        return Skew(self.n, tuple(self.point_map[k] for k in other.point_map))
 
     def inverse(self) -> "Skew":
-        """The inverse bijection, not validated again (as for a product)."""
-        pairs = all_pairs(self.n)
-        inv = dict(zip(self.images, pairs))
-        return Skew._unchecked(self.n, tuple(inv[u] for u in pairs))
+        inverse = [0] * len(self.point_map)
+        for k, image in enumerate(self.point_map):
+            inverse[image] = k
+        return Skew(self.n, tuple(inverse))
 
     def is_identity(self) -> bool:
-        return self.images == all_pairs(self.n)
+        return self.point_map == tuple(range(len(self.point_map)))
 
     def order(self) -> int:
         power, k = self, 1

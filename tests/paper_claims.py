@@ -18,11 +18,10 @@ from skewper.classify import _build_iso, _center_fixing_maps, _row_lifts, _witne
 from skewper.constructions import (
     Perspective,
     _check_axis_labels,
-    _moved_lines,
     axis_config,
     perspective,
 )
-from skewper.incidence import Config, is_isomorphism, join
+from skewper.incidence import Config, is_isomorphism, join, moved_lines
 from skewper.perms import Perm, format_cycles, symmetric_group
 from skewper.skews import (
     Pair,
@@ -66,7 +65,7 @@ def conjugator(p: Perm, q: Perm) -> Perm:
 
 
 def identity_skew(n: int) -> Skew:
-    return Skew(n, all_pairs(n))
+    return Skew.from_map(n, {u: u for u in all_pairs(n)})
 
 
 def phi_from_skew(sigma: Skew) -> Optional[PhiSequence]:
@@ -177,7 +176,7 @@ def apply_pair_map(config: Config, pm: Skew) -> Config:
     """Transport the lines of an axis on the 2-subsets of {1..pm.n} along
     the pair bijection pm, keeping the point/label assignment fixed."""
     _check_axis_labels(pm.n, config)
-    return Config(config.num_points, _moved_lines(config, pm), config.labels)
+    return Config(config.num_points, moved_lines(config.lines, pm.point_map), config.labels)
 
 
 def kappa(config: Config) -> Config:
@@ -396,7 +395,7 @@ def perspective_iso(p1: Perspective, p2: Perspective) -> Optional[PerspectiveIso
     if p1.n != p2.n:
         raise ValueError("perspectives have different numbers of rows")
     for kind, phi, image, c_map in _center_fixing_maps(p1.skew, _row_lifts(p1.n)):
-        if image == p2.skew and _moved_lines(p1.axis, c_map) == p2.axis.lines:
+        if image == p2.skew and moved_lines(p1.axis.lines, c_map.point_map) == p2.axis.lines:
             witness = _build_iso(p1, p2, kind, phi, c_map)
             return PerspectiveIso(kind=kind, phi=phi, witness=witness)
     return None

@@ -31,12 +31,12 @@ from skewper.classify import (
     expectation_checks,
 )
 from skewper.constructions import (
-    _moved_lines,
     grassmannian,
     perspective,
     veblen,
     veblen_label,
 )
+from skewper.incidence import moved_lines
 from skewper.isomorphism import (
     are_isomorphic,
     automorphism_group,
@@ -342,7 +342,7 @@ class TestAxisTransport:
             for _, _, _, c_map in _center_fixing_maps(sigma, lifts):
                 for axis in axes:
                     expected = brute_moved_lines(axis, c_map)
-                    assert _moved_lines(axis, c_map) == expected
+                    assert moved_lines(axis.lines, c_map.point_map) == expected
                     assert apply_pair_map(axis, c_map).lines == expected
                     moves += 1
         assert moves == 8 * 48 * 30

@@ -304,7 +304,7 @@ class TestPerspectiveOracle:
             for _ in range(10):
                 images = list(all_pairs(n))
                 rng.shuffle(images)
-                sigma = Skew(n, tuple(images))
+                sigma = Skew.from_map(n, dict(zip(all_pairs(n), images)))
                 expected = perspective_by_definition(n, sigma, axis)
                 assert perspective(n, sigma, axis).config == expected
 

@@ -2,7 +2,10 @@
 `src/skewper` imports a process pool, a subprocess or a thread library.
 It keeps no unbounded memo table: `functools.cache` and `lru_cache` sit
 only on the functions listed here, each of whose key sets is bounded.
-No module of the package or of the tests imports a name it never reads."""
+No module of the package reaches for `object.__new__` or
+`object.__setattr__`, so every `Skew` and `Perm` is built through its
+validating constructor.  No module of the package or of the tests imports
+a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -34,6 +37,24 @@ def test_every_module_is_scanned():
 def test_no_process_or_thread_imports(path):
     found = [m for m in imported_modules(path) if m.split(".")[0] in FORBIDDEN]
     assert found == [], f"{path.name} imports {found}"
+
+
+def bypassing_calls(path: Path) -> list[str]:
+    """Each `object.__new__` or `object.__setattr__` a module names, called
+    or not, with its line."""
+    return [
+        f"line {node.lineno}: object.{node.attr}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("__new__", "__setattr__")
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_construction_bypasses_validation(path):
+    assert bypassing_calls(path) == [], f"{path.name} builds around a constructor"
 
 
 CACHES = ("cache", "lru_cache")

@@ -13,10 +13,12 @@ from math import comb
 
 import pytest
 
+from skewper.classify import ALL_KEYS, build_instance
 from skewper.incidence import (
     Config,
     is_isomorphism,
     make_config,
+    moved_lines,
     parameters,
     join,
     relabel,
@@ -170,7 +172,7 @@ class TestParameters:
 
     def test_triangle(self):
         p = parameters(make_config(3, [(0, 1, 2)]))
-        assert (p.nu, p.b, p.kappa) == (3, 1, 3)
+        assert (p.nu, p.b) == (3, 1)
         assert p.rank_multiset == (1, 1, 1)
         assert p.binomial_n == 3  # C(3,2)=3 points, C(3,3)=1 line, ranks 1
 
@@ -327,6 +329,29 @@ class TestRelabel:
         c = make_config(5, [(0, 1, 2), (2, 3, 4)])
         f = {0: 4, 1: 3, 2: 2, 3: 1, 4: 0}
         assert parameters(relabel(c, f)) == parameters(c)
+
+
+class TestMovedLines:
+    def test_catalog_under_seeded_relabellings(self):
+        # the reference: each line's images sorted, then the list sorted
+        for key in ALL_KEYS:
+            config = build_instance(key).config
+            rng = random.Random(repr(key))
+            for _ in range(2):
+                images = list(range(config.num_points))
+                rng.shuffle(images)
+                expected = tuple(
+                    sorted(tuple(sorted(images[x] for x in L)) for L in config.lines)
+                )
+                assert moved_lines(config.lines, images) == expected
+                assert moved_lines(config.lines, dict(enumerate(images))) == expected
+                assert relabel(config, dict(enumerate(images))).lines == expected
+
+    def test_config_line_order(self):
+        lines = [(0, 1, 2), (2, 3, 4), (0, 3, 5)]
+        images = (5, 4, 3, 2, 1, 0)
+        moved = [[images[x] for x in L] for L in lines]
+        assert moved_lines(lines, images) == make_config(6, moved).lines
 
 
 class TestMakeConfig:

@@ -19,8 +19,8 @@ from skewper.constructions import (
     veblen_label,
     veronesian,
 )
-from skewper import classify, constructions, isomorphism
-from skewper.incidence import make_config, relabel
+from skewper import classify, isomorphism
+from skewper.incidence import Config, make_config, relabel
 from skewper.isomorphism import (
     are_isomorphic,
     automorphism_group,
@@ -715,13 +715,13 @@ class TestSearchSize:
     @staticmethod
     def count_certificates(monkeypatch):
         calls = []
-        certificate_of = isomorphism._certificate_of
+        moved_lines = isomorphism.moved_lines
 
-        def counted(colors, lines):
+        def counted(lines, images):
             calls.append(lines)
-            return certificate_of(colors, lines)
+            return moved_lines(lines, images)
 
-        monkeypatch.setattr(isomorphism, "_certificate_of", counted)
+        monkeypatch.setattr(isomorphism, "moved_lines", counted)
         return calls
 
     def test_are_isomorphic_on_catalog_classes(self, monkeypatch, catalog_report):
@@ -795,17 +795,22 @@ class TestSearchSize:
     def test_cold_classify_all_builds_each_skew_and_axis_once(self, monkeypatch):
         veblen_calls = self.count_calls(monkeypatch, classify, "veblen")
         skew_calls = self.count_calls(monkeypatch, classify, "skew_from_phi")
-        moved = [
-            self.count_calls(monkeypatch, module, "apply_pair_map")
-            for module in (constructions, classify, isomorphism)
-            if hasattr(module, "apply_pair_map")
-        ]
+        built = []
+        init = Config.__init__
+
+        def counted(config, *args, **kwargs):
+            built.append(args)
+            init(config, *args, **kwargs)
+
+        monkeypatch.setattr(Config, "__init__", counted)
         for memo in (classify.build_instance, classify._catalog_skew, classify._catalog_axis):
             memo.cache_clear()
         classify_all(1)
         assert len(veblen_calls) == 30
         assert len(skew_calls) == 8
-        assert sum(map(len, moved)) == 0
+        # the 30 axes and the 240 instances: the orbit quotient moves axis
+        # lines without building a Config
+        assert len(built) == 30 + 240
 
 
 def no_search(*args):
@@ -1045,13 +1050,13 @@ class TestReferenceSearch:
         isomorphism._leaves(h, trace_h)
         assert trace_v[0] != trace_h[0]
         certified = []
-        certificate_of = isomorphism._certificate_of
+        moved_lines = isomorphism.moved_lines
 
-        def counted(colors, lines):
+        def counted(lines, images):
             certified.append(lines)
-            return certificate_of(colors, lines)
+            return moved_lines(lines, images)
 
-        monkeypatch.setattr(isomorphism, "_certificate_of", counted)
+        monkeypatch.setattr(isomorphism, "moved_lines", counted)
         for c1, c2 in [(v, h), (h, v)]:
             assert are_isomorphic(c1, c2) is None
         assert certified == []
@@ -1060,13 +1065,13 @@ class TestReferenceSearch:
         c = grassmannian(6)
         moved = next(relabelings(c, 6))
         visited = []
-        certificate_of = isomorphism._certificate_of
+        moved_lines = isomorphism.moved_lines
 
-        def counted(colors, lines):
+        def counted(lines, images):
             visited.append(lines is moved.lines)
-            return certificate_of(colors, lines)
+            return moved_lines(lines, images)
 
-        monkeypatch.setattr(isomorphism, "_certificate_of", counted)
+        monkeypatch.setattr(isomorphism, "moved_lines", counted)
         witness = are_isomorphic(c, moved)
         verify_witness(c, moved, witness)
         # c is descended to its first leaf; moved stops at its first leaf

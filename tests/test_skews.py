@@ -6,6 +6,7 @@ Oracles used here:
 - conjugation identities are verified pointwise on every pair.
 """
 
+import dataclasses
 import itertools
 import random
 import re
@@ -90,21 +91,25 @@ class TestSkewBasics:
         assert zeta(4).order() == 2
 
 
-def validated_product(s: Skew, t: Skew) -> Skew:
-    return Skew(s.n, tuple(s(v) for v in t.images))
+def composed_by_images(s: Skew, t: Skew) -> Skew:
+    """s * t composed pair by pair: the image under s of each of t's
+    images, read off the pair tuples."""
+    pairs = all_pairs(s.n)
+    s_of = dict(zip(pairs, s.images))
+    return Skew.from_map(s.n, {u: s_of[v] for u, v in zip(pairs, t.images)})
 
 
-def assert_same_skew(unchecked: Skew, validated: Skew):
-    assert unchecked == validated
-    assert hash(unchecked) == hash(validated)
-    assert all(unchecked(u) == validated(u) for u in all_pairs(validated.n))
-    assert unchecked.order() == validated.order()
-    assert unchecked.inverse() == validated.inverse()
+def assert_same_skew(indexed: Skew, composed: Skew):
+    assert indexed == composed
+    assert hash(indexed) == hash(composed)
+    assert all(indexed(u) == composed(u) for u in all_pairs(composed.n))
+    assert indexed.order() == composed.order()
+    assert indexed.inverse() == composed.inverse()
 
 
 class TestUncheckedProduct:
-    """Products and inverses are built without re-validation; they must be
-    the skews the validating constructor gives."""
+    """Products and inverses index the position tuples; they must be the
+    skews a composition through the pair images gives."""
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_level_skews(self, n):
@@ -112,29 +117,59 @@ class TestUncheckedProduct:
         for _ in range(15):
             s = skew_from_phi(random_phi(rng, n))
             t = skew_from_phi(random_phi(rng, n))
-            assert_same_skew(s * t, validated_product(s, t))
-            inv = {v: u for u, v in zip(all_pairs(n), s.images)}
+            assert_same_skew(s * t, composed_by_images(s, t))
+            inv = dict(zip(s.images, all_pairs(n)))
             assert_same_skew(s.inverse(), Skew.from_map(n, inv))
 
     def test_all_lifts_at_four(self):
         lifts = [bar_alpha(a) for a in symmetric_group(4)]
         assert len(lifts) == 24
         for s, t in itertools.product(lifts, repeat=2):
-            assert_same_skew(s * t, validated_product(s, t))
+            assert_same_skew(s * t, composed_by_images(s, t))
 
     def test_constructors_still_validate(self):
-        pairs = all_pairs(4)
-        repeated = (pairs[0],) + pairs[:-1]
+        positions = tuple(range(6))
         with pytest.raises(ValueError, match="bijection"):
-            Skew(4, repeated)
+            Skew(4, (0,) + positions[:-1])
+        with pytest.raises(ValueError, match="bijection"):
+            Skew(4, positions[1:] + (6,))
         with pytest.raises(ValueError, match="expected 6 images"):
-            Skew(4, pairs[:-1])
+            Skew(4, positions[:-1])
+        pairs = all_pairs(4)
         with pytest.raises(ValueError, match="bijection"):
-            Skew.from_map(4, dict(zip(pairs, repeated)))
+            Skew.from_map(4, dict(zip(pairs, (pairs[0],) + pairs[:-1])))
 
     def test_different_ground_sets_do_not_compose(self):
         with pytest.raises(ValueError, match="different ground sets"):
             identity_skew(4) * identity_skew(5)
+
+
+class TestPositionTuple:
+    """A skew keeps n and its position tuple, and `Skew.from_map` moves a
+    pair map onto positions and back through `Skew.images`."""
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(Skew)] == ["n", "point_map"]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_from_map_round_trips_images(self, n):
+        rng = random.Random(n)
+        pairs = all_pairs(n)
+        for _ in range(10):
+            images = list(pairs)
+            rng.shuffle(images)
+            s = Skew.from_map(n, dict(zip(pairs, images)))
+            assert s.images == tuple(images)
+            assert s.point_map == tuple(pairs.index(v) for v in images)
+            assert Skew.from_map(n, dict(zip(pairs, s.images))) == s
+
+    @pytest.mark.parametrize("image", [(1, 2), (2, 1), (0, 1), (1, 4)])
+    def test_from_map_rejects_a_non_bijection(self, image):
+        # a repeated image, and three images that are not pairs of {1,2,3}
+        mapping = {u: u for u in all_pairs(3)}
+        mapping[(2, 3)] = image
+        with pytest.raises(ValueError, match="bijection"):
+            Skew.from_map(3, mapping)
 
 
 class TestSkewFromPhi:
