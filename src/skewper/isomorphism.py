@@ -25,8 +25,10 @@ list; the lexicographically least one is the certificate, and it, not
 the trace, orders leaves that share a trace.  An automorphism maps a
 leaf to a leaf with the same trace and certificate, so the surviving
 leaves achieving the certificate differ exactly by automorphisms, and
-there is one such leaf per automorphism.  One search (`_canonize`) gives
-the certificate, a relabeling realizing it and the group: it tests each
+there is one such leaf per automorphism.  The search (`_leaves`) is a
+generator that yields each leaf as it reaches it, flagged `first` when
+the leaf starts a smaller trace.  One search (`_canonize`) gives the
+certificate, a relabeling realizing it and the group: it tests each
 leaf, line for line, as an automorphism of the best leaf so far and
 certifies only a leaf that fails, so every automorphism is verified once,
 inside the search, and a structure whose leaves all differ by
@@ -34,15 +36,14 @@ automorphisms is certified once.  Nothing is kept between calls.
 
 An isomorphism decision first compares the sizes and the multisets of
 the per-point counts; a difference answers "not isomorphic" before any
-search.  Otherwise it canonizes neither configuration: it descends the
+search.  Otherwise it certifies neither configuration: it descends the
 first once, to its first leaf, and searches the second with that leaf's
 trace held fixed (the isomorphism-test mode of Traces).  A key that
 differs from the trace's prunes only its own branch, and the first leaf
-of the second whose certificate equals the first leaf's gives the
-witness, which is verified before it is returned.  The search is
-complete: an isomorphism carries the first path onto a path of the
-second with the same keys, ending at a leaf with the same certificate,
-so only non-isomorphic configurations exhaust it.
+of the second whose composed map passes `is_isomorphism` is the witness.
+The search is complete: an isomorphism carries the first path onto a
+path of the second with the same keys, ending at a leaf whose composed
+map is that isomorphism, so only non-isomorphic configurations exhaust it.
 """
 
 from __future__ import annotations
@@ -103,57 +104,54 @@ def _signature(pairs_by_point, colors: list[int], p: int) -> tuple:
     return (colors[p], tuple(codes))
 
 
-def _leaves(config: Config, trace=None, accept=None) -> list[tuple[int, ...]]:
-    """The discrete colorings on the least refinement trace.
+def _leaves(config: Config, trace=None):
+    """Yield (leaf, first) for each discrete coloring on the least
+    refinement trace, or on a given `trace`, as the search reaches it.
 
     The root coloring is `_root_colors`.  A pass keys itself by its sorted
     distinct signatures and numbers colors in that order.  A node's trace
     is the pass keys from the root down; a key greater than the least
-    path's at the same position abandons the node, a smaller one makes it
-    the least path and drops the leaves kept so far.  Keys fix when passes
-    stop and which nodes are leaves, so no leaf's trace is a prefix of
-    another's.
+    path's at the same position abandons the node, and a smaller one makes
+    it the least path, so the next leaf is `first`: the least-trace leaves
+    are those from the last `first` on.  Keys fix when passes stop and
+    which nodes are leaves, so no leaf's trace is a prefix of another's.
 
     A stable pass renumbers every color to itself, so its signatures are
     those of the coloring it yields.  A discrete coloring is stable, so
     the passes stop at the one that makes the coloring discrete, and the
-    leaf's trace ends with that pass's key; no pass runs only to confirm
-    it.  Every key is still invariant under relabeling, so an
-    isomorphism still carries a least-trace leaf onto one, and leaves
-    that share a trace are told apart by their certificates (`_canonize`,
-    and the `accept` of `are_isomorphic`).  A child individualizes p with
-    the next free color, and its first pass recomputes the signatures of
-    p and the points collinear with it only.
+    leaf's trace ends with that pass's key.  Every key is still invariant
+    under relabeling, so an isomorphism still carries a least-trace leaf
+    onto one.  A child individualizes p with the next free color, and its
+    first pass recomputes the signatures of p and the points collinear
+    with it only.
 
-    A given `trace` list receives the least trace.  With `accept` the
-    search instead follows the given trace: a pass whose key differs from
-    the trace's at the same position prunes its own branch only (the
-    trace need not be least, so a smaller key proves nothing), a pass
-    past the trace's end extends it, and the search ends at the first
-    leaf that `accept` takes, returning that leaf alone.  On an empty
-    trace the first path writes the trace, so an `accept` that takes
-    every leaf makes the search one descent to the first leaf.
+    A given `trace` list is followed instead: a key that differs from the
+    trace's prunes its own branch only (the trace need not be least, so a
+    smaller key proves nothing), and a pass past its end extends it, so on
+    an empty trace the first path writes it.  The caller's loop visits the
+    leaves; leaving it ends the search.  A loop runs a stack of per-node
+    generators, each yielding its leaf or its children's searches, so no
+    search runs inside another and no depth meets the recursion limit.
     """
     num_points, pairs_by_point, third = config.num_points, config.pairs_by_point, config.third
     best: list[tuple] = [] if trace is None else trace  # the least or the followed path's keys
-    out: list[tuple[int, ...]] = []
+    first = True
 
-    def descend(colors: list[int], sigs: list, position: int) -> bool:
-        """Search below a node whose colors are numbered from 0 without
-        gaps and whose points have signatures `sigs`; True ends the whole
-        search."""
+    def node(colors: list[int], sigs: list, position: int):
+        """Refine a node whose colors are numbered from 0 without gaps; yield
+        its discrete coloring or its children's searches."""
+        nonlocal first
         count = len(set(colors))
         while True:
             key = tuple(sorted(set(sigs)))
             if position == len(best):
-                # a pass past the path's end extends it; no leaf is kept yet
-                best.append(key)
+                best.append(key)  # a pass past the path's end extends it
             elif key != best[position]:
-                if accept is not None or key > best[position]:
-                    return False
+                if trace is not None or key > best[position]:
+                    return
                 del best[position:]
                 best.append(key)
-                out.clear()
+                first = True
             position += 1
             if len(key) == count:
                 break
@@ -164,11 +162,8 @@ def _leaves(config: Config, trace=None, accept=None) -> list[tuple[int, ...]]:
                 break  # a discrete coloring is stable
             sigs = [_signature(pairs_by_point, colors, p) for p in range(num_points)]
         if count == num_points:
-            leaf = tuple(colors)
-            if accept is None or accept(leaf):
-                out.append(leaf)
-                return accept is not None
-            return False
+            yield tuple(colors)
+            return
         counts: dict[int, int] = {}
         for c in colors:
             counts[c] = counts.get(c, 0) + 1
@@ -180,14 +175,19 @@ def _leaves(config: Config, trace=None, accept=None) -> list[tuple[int, ...]]:
                 child = list(sigs)
                 for q in (p, *third[p]):
                     child[q] = _signature(pairs_by_point, branch, q)
-                if descend(branch, child, position):
-                    return True
-        return False
+                yield node(branch, child, position)
 
     colors = _root_colors(config)
-    sigs = [_signature(pairs_by_point, colors, p) for p in range(num_points)]
-    descend(colors, sigs, 0)
-    return out
+    stack = [node(colors, [_signature(pairs_by_point, colors, p) for p in range(num_points)], 0)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+        elif isinstance(step, tuple):
+            yield step, first
+            first = False
+        else:
+            stack.append(step)
 
 
 def _canonize(config: Config):
@@ -195,25 +195,25 @@ def _canonize(config: Config):
     the least certificate, the first leaf achieving it, and the sorted
     automorphisms, each verified line for line.
 
-    A leaf's certificate equals the best leaf's exactly when base^-1 . leaf
-    is an automorphism, so each leaf is first tested as one; only a leaf
-    that fails is certified, and one whose certificate then equals the best
-    means the test rejected a genuine automorphism."""
+    A `first` leaf starts over.  A later leaf's certificate equals the best
+    leaf's exactly when base^-1 . leaf is an automorphism, so it is tested
+    as one and certified only if it fails; an equal certificate then means
+    the test rejected a genuine automorphism."""
     num_points, lines = config.num_points, config.lines
-    best: Optional[tuple[Line, ...]] = None
+    best: tuple[Line, ...] = ()
     base: tuple[int, ...] = ()
     base_inv = [0] * num_points
     automorphisms: list[tuple[int, ...]] = []
-    for leaf in _leaves(config):
-        if best is not None:
+    for leaf, first in _leaves(config):
+        if not first:
             g = tuple(base_inv[c] for c in leaf)
             if is_isomorphism(config, config, g):
                 automorphisms.append(g)
                 continue
         cert = moved_lines(lines, leaf)
-        if best is not None and cert == best:
+        if not first and cert == best:
             raise RuntimeError("internal error: invalid automorphism produced")
-        if best is None or cert < best:
+        if first or cert < best:
             best, base = cert, leaf
             for p, c in enumerate(leaf):
                 base_inv[c] = p
@@ -222,6 +222,7 @@ def _canonize(config: Config):
 
 
 def canonical_certificate(config: Config) -> CanonicalCertificate:
+    """The canonical line list of config and a relabeling realizing it."""
     lines_canon, relabeling, _ = _canonize(config)
     return CanonicalCertificate(canonical_lines=lines_canon, relabeling=relabeling)
 
@@ -231,24 +232,20 @@ def are_isomorphic(c1: Config, c2: Config) -> Optional[dict[int, int]]:
     c2, or None.  Different sizes or different multisets of per-point
     triangle and Pasch counts answer None before any search.  Otherwise
     c1 is descended once, to its first leaf, and c2 is searched against
-    that leaf's trace up to its first leaf with the same certificate."""
+    that leaf's trace up to its first leaf whose composed map passes
+    `is_isomorphism`."""
     if c1.num_points != c2.num_points or len(c1.lines) != len(c2.lines):
         return None
     if sorted(c1.triangles_and_pasch) != sorted(c2.triangles_and_pasch):
         return None
     trace: list[tuple] = []
-    (leaf1,) = _leaves(c1, trace, lambda leaf: True)
-    cert1 = moved_lines(c1.lines, leaf1)
-    match = _leaves(c2, trace, lambda leaf: moved_lines(c2.lines, leaf) == cert1)
-    if not match:
-        return None
-    inverse2 = [0] * c2.num_points
-    for p, c in enumerate(match[0]):
-        inverse2[c] = p
-    witness = {p: inverse2[leaf1[p]] for p in range(c1.num_points)}
-    if not is_isomorphism(c1, c2, witness):
-        raise RuntimeError("internal error: certificate witness failed verification")
-    return witness
+    leaf1, _ = next(_leaves(c1, trace))
+    for leaf2, _ in _leaves(c2, trace):
+        inverse2 = dict(zip(leaf2, range(c2.num_points)))
+        witness = {p: inverse2[c] for p, c in enumerate(leaf1)}
+        if is_isomorphism(c1, c2, witness):
+            return witness
+    return None
 
 
 def _group(config: Config, automorphisms) -> AutomorphismGroup:
@@ -275,4 +272,5 @@ def _group(config: Config, automorphisms) -> AutomorphismGroup:
 
 
 def automorphism_group(config: Config) -> AutomorphismGroup:
+    """The automorphism group of config, from one search (`_canonize`)."""
     return _group(config, _canonize(config)[2])

@@ -94,9 +94,9 @@ class Perm:
         return format_cycles(self)
 
 
-def format_cycles(p: Perm, include_fixed: bool = False) -> str:
-    """Cycle notation for ``p``; ``()`` denotes the identity."""
-    cycles = [c for c in p.cycles() if include_fixed or len(c) > 1]
+def format_cycles(p: Perm) -> str:
+    """Cycle notation for ``p``, fixed points omitted; ``()`` is the identity."""
+    cycles = [c for c in p.cycles() if len(c) > 1]
     if not cycles:
         return "()"
     return "".join("(" + ",".join(str(e) for e in c) + ")" for c in cycles)

@@ -203,37 +203,38 @@ def certificate_per_leaf(leaves, lines):
     return best, base, tuple(sorted(automorphisms))
 
 
-def full_trace_leaves(config, trace=None, accept=None):
+def full_trace_leaves(config, trace=None):
     """The canonizer's search with one more refinement pass on every
     discrete coloring, whose key ends the leaf's trace: the same root
     colors (the ranks of `Config.triangles_and_pasch`, which tests hold to
     `brute_triangles_and_pasch`), the same pass keys with each line's
-    colors kept as a sorted pair, the same least-trace pruning and the
-    same `trace` / `accept` modes as `_leaves`."""
+    colors kept as a sorted pair, the same least-trace pruning, the same
+    (leaf, first) yields and the same followed `trace` as `_leaves`."""
     num_points = config.num_points
     pairs_by_point = [[] for _ in range(num_points)]
     for L in config.lines:
         for p in L:
             pairs_by_point[p].append(tuple(q for q in L if q != p))
     best = [] if trace is None else trace
-    out = []
+    first = True
 
     def signature(colors, p):
         profile = sorted(tuple(sorted((colors[x], colors[y]))) for x, y in pairs_by_point[p])
         return (colors[p], tuple(profile))
 
     def descend(colors, sigs, position):
+        nonlocal first
         count = len(set(colors))
         while True:
             key = tuple(sorted(set(sigs)))
             if position == len(best):
                 best.append(key)
             elif key != best[position]:
-                if accept is not None or key > best[position]:
-                    return False
+                if trace is not None or key > best[position]:
+                    return
                 del best[position:]
                 best.append(key)
-                out.clear()
+                first = True
             position += 1
             if len(key) == count:
                 break
@@ -242,11 +243,9 @@ def full_trace_leaves(config, trace=None, accept=None):
             count = len(key)
             sigs = [signature(colors, p) for p in range(num_points)]
         if count == num_points:
-            leaf = tuple(colors)
-            if accept is None or accept(leaf):
-                out.append(leaf)
-                return accept is not None
-            return False
+            yield tuple(colors), first
+            first = False
+            return
         target = min(c for c, k in Counter(colors).items() if k > 1)
         for p in range(num_points):
             if colors[p] == target:
@@ -255,15 +254,12 @@ def full_trace_leaves(config, trace=None, accept=None):
                 child = list(sigs)
                 for q in {p, *itertools.chain(*pairs_by_point[p])}:
                     child[q] = signature(branch, q)
-                if descend(branch, child, position):
-                    return True
-        return False
+                yield from descend(branch, child, position)
 
     counts = config.triangles_and_pasch
     rank = {pair: i for i, pair in enumerate(sorted(set(counts)))}
     colors = [rank[pair] for pair in counts]
-    descend(colors, [signature(colors, p) for p in range(num_points)], 0)
-    return out
+    yield from descend(colors, [signature(colors, p) for p in range(num_points)], 0)
 
 
 def perspective_by_definition(n, sigma, axis):

@@ -6,6 +6,7 @@ contract: 0 success, 1 domain error, 2 usage error.
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -14,7 +15,7 @@ from skewper.cli import main
 from skewper.constructions import grassmannian, perspective, veblen, veblen_label, veronesian
 from skewper.formats import emit_psts, parse_psts
 from skewper.incidence import make_config, validate
-from skewper.isomorphism import CanonicalCertificate, canonical_certificate
+from skewper.isomorphism import CanonicalCertificate, are_isomorphic, canonical_certificate
 from skewper.perms import parse_cycles
 from skewper.skews import zeta
 
@@ -201,10 +202,10 @@ class TestAnalyze:
         full = []
         leaves = isomorphism._leaves
 
-        def counted(config, trace=None, accept=None):
-            if accept is None:
+        def counted(config, trace=None):
+            if trace is None:
                 full.append(config)
-            return leaves(config, trace, accept)
+            return leaves(config, trace)
 
         monkeypatch.setattr(isomorphism, "_leaves", counted)
         code, out, _ = run("analyze", grass_instance_file, *flags, "--selfcheck")
@@ -361,6 +362,23 @@ class TestIso:
         path = tmp_path / "small.psts"
         path.write_text(text)
         num_points = int(text.split()[1])
+        code, out, err = run("iso", str(path), str(path))
+        assert (code, err) == (0, "")
+        assert out == "isomorphic; witness:\n" + "".join(
+            f"  {x} -> {x}\n" for x in range(num_points)
+        )
+
+    def test_deep_search_meets_no_recursion_limit(self, run, tmp_path):
+        # a line-free file is one root cell, and the search individualizes
+        # one point per level down to a leaf 1,100 levels deep
+        num_points = 1100
+        assert num_points > sys.getrecursionlimit()
+        empty = make_config(num_points, [])
+        assert are_isomorphic(empty, make_config(num_points, [])) == {
+            x: x for x in range(num_points)
+        }
+        path = tmp_path / "empty.psts"
+        path.write_text(f"psts {num_points} 0\n")
         code, out, err = run("iso", str(path), str(path))
         assert (code, err) == (0, "")
         assert out == "isomorphic; witness:\n" + "".join(

@@ -102,17 +102,34 @@ def bench_roots() -> set[tuple[str, str]]:
     return roots
 
 
-def quick_start_roots() -> set[tuple[str, str]]:
-    """The names the README quick start imports from `skewper`."""
+def quick_start_code() -> str:
+    """The code block of the README's library quick start."""
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library quick start", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def quick_start_roots() -> set[tuple[str, str]]:
+    """The names the README quick start imports from `skewper`."""
     return {
         ("__init__", alias.name)
-        for node in ast.parse(code).body
+        for node in ast.parse(quick_start_code()).body
         if isinstance(node, ast.ImportFrom) and node.module == "skewper"
         for alias in node.names
     }
+
+
+def test_quick_start_prints_its_comments(capsys):
+    # each print line ends with a comment whose first word is the output
+    code = quick_start_code()
+    expected = [
+        re.search(r"#\s*(\S+)", line).group(1)
+        for line in code.splitlines()
+        if line.startswith("print(")
+    ]
+    assert expected == ["3", "1", "None"]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def unreached_definitions() -> list[str]:

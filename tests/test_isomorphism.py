@@ -362,6 +362,23 @@ def host(n):
     return perspective(n, zeta(n), grassmannian(n)).config
 
 
+def least_leaves(c):
+    """The leaves `_leaves(c)` yields from its last `first` leaf on: the
+    discrete colorings on c's least trace, in search order."""
+    leaves = []
+    for leaf, first in isomorphism._leaves(c):
+        if first:
+            leaves.clear()
+        leaves.append(leaf)
+    return leaves
+
+
+def one_trace(leaves):
+    """Leaves as `_leaves` would yield them from one trace: only the first
+    is `first`."""
+    return [(leaf, i == 0) for i, leaf in enumerate(leaves)]
+
+
 class TestTracePruning:
     """The search keeps only the leaves on the least refinement trace,
     which ends at the pass that makes a leaf's coloring discrete.  An
@@ -371,7 +388,7 @@ class TestTracePruning:
     def test_catalog_leaves_match_group_order(self):
         for key in ALL_KEYS:
             c = build_instance(key).config
-            leaves = isomorphism._leaves(c)
+            leaves = least_leaves(c)
             assert len(leaves) == automorphism_group(c).order
 
     @pytest.mark.parametrize(
@@ -386,9 +403,9 @@ class TestTracePruning:
     def test_leaves_match_group_order_under_relabeling(self, build, order):
         c = build()
         assert automorphism_group(c).order == order
-        assert len(isomorphism._leaves(c)) == order
+        assert len(least_leaves(c)) == order
         for moved in relabelings(c, c.num_points):
-            assert len(isomorphism._leaves(moved)) == order
+            assert len(least_leaves(moved)) == order
 
     @pytest.mark.parametrize(
         "build, oracle",
@@ -421,6 +438,17 @@ STRUCTURES = (
     + [pytest.param(lambda n=n: grassmannian(n), id=f"G(2,{n})") for n in (5, 6)]
 )
 
+# a system on which a later branch beats the first leaf's trace, so the
+# search yields a second `first` leaf and `_canonize` must start over
+BEATEN_TRACE = pytest.param(
+    lambda: make_config(
+        10,
+        [(0, 2, 7), (0, 3, 6), (0, 4, 8), (0, 5, 9), (1, 2, 3), (1, 4, 9)]
+        + [(1, 5, 6), (2, 4, 5), (2, 6, 8), (3, 7, 9), (4, 6, 7), (5, 7, 8)],
+    ),
+    id="beaten-trace",
+)
+
 
 def fake_leaves(c, leaf, best):
     """Two seeded relabellings of leaf that are no automorphic leaf: one
@@ -444,9 +472,7 @@ class TestCertificateOracle:
 
     @staticmethod
     def assert_matches(c):
-        assert isomorphism._canonize(c) == certificate_per_leaf(
-            isomorphism._leaves(c), c.lines
-        )
+        assert isomorphism._canonize(c) == certificate_per_leaf(least_leaves(c), c.lines)
 
     def test_catalog(self):
         for key in ALL_KEYS:
@@ -454,7 +480,7 @@ class TestCertificateOracle:
             self.assert_matches(c)
             self.assert_matches(next(relabelings(c, key.f * key.s * key.i)))
 
-    @pytest.mark.parametrize("build", STRUCTURES)
+    @pytest.mark.parametrize("build", STRUCTURES + [BEATEN_TRACE])
     def test_structures(self, build):
         c = build()
         self.assert_matches(c)
@@ -476,7 +502,7 @@ class TestCertificateOracle:
         # natural structures give one least-trace leaf per automorphism, so
         # the certificate fallback is reached only through added leaves
         c = build()
-        real = isomorphism._leaves(c)
+        real = least_leaves(c)
         best, base, automorphisms = certificate_per_leaf(real, c.lines)
         low, high = fake_leaves(c, real[0], best)
         certified = TestSearchSize.count_certificates(monkeypatch)
@@ -485,7 +511,7 @@ class TestCertificateOracle:
         for first, last, certificates in [(high, low, 3), (low, high, len(real) + 2)]:
             leaves = [first, *real, last]
             with monkeypatch.context() as m:
-                m.setattr(isomorphism, "_leaves", lambda config: leaves)
+                m.setattr(isomorphism, "_leaves", lambda config: one_trace(leaves))
                 certified.clear()
                 got = isomorphism._canonize(c)
             assert got == certificate_per_leaf(leaves, c.lines)
@@ -493,7 +519,7 @@ class TestCertificateOracle:
             assert len(certified) == certificates
         # the real leaves between fakes above them still give the group
         leaves = [high, *real, high]
-        monkeypatch.setattr(isomorphism, "_leaves", lambda config: leaves)
+        monkeypatch.setattr(isomorphism, "_leaves", lambda config: one_trace(leaves))
         assert isomorphism._canonize(c) == (best, base, automorphisms)
 
 
@@ -529,7 +555,7 @@ class TestFullTraceOracle:
     @staticmethod
     def outcomes(c, moved, other):
         return (
-            isomorphism._leaves(c),
+            least_leaves(c),
             isomorphism._canonize(c),
             are_isomorphic(c, moved),
             are_isomorphic(moved, c),
@@ -563,7 +589,7 @@ class TestFullTraceOracle:
         systems = connected_random_systems(random.Random(20261019), 300)
         compared = 0
         for c, other in zip(systems, systems[1:] + systems[:1]):
-            if len(isomorphism._leaves(c)) > self.MAX_LEAVES:
+            if len(least_leaves(c)) > self.MAX_LEAVES:
                 continue
             self.assert_matches(monkeypatch, c, next(relabelings(c, c.num_points)), other)
             compared += 1
@@ -621,7 +647,7 @@ class TestRootColors:
 def search_outcome(c):
     """The least-trace leaves of c and its (certificate, relabeling,
     automorphisms)."""
-    return isomorphism._leaves(c), isomorphism._canonize(c)
+    return least_leaves(c), isomorphism._canonize(c)
 
 
 def integer_and_tuple_outcomes(c, monkeypatch):
@@ -710,7 +736,7 @@ class TestSearchSize:
     )
     def test_leaves(self, monkeypatch, build, calls):
         config = build()
-        assert self.count_signatures(monkeypatch, lambda: isomorphism._leaves(config)) == calls
+        assert self.count_signatures(monkeypatch, lambda: least_leaves(config)) == calls
 
     @staticmethod
     def count_certificates(monkeypatch):
@@ -725,8 +751,8 @@ class TestSearchSize:
         return calls
 
     def test_are_isomorphic_on_catalog_classes(self, monkeypatch, catalog_report):
-        # each member, relabelled, against its class's first member: one
-        # certificate on each side, the first leaf of each search
+        # each member, relabelled, against its class's first member: the
+        # composed maps are tested, and no certificate is computed
         pairs = []
         for cls in catalog_report.classes:
             first = build_instance(cls.members[0]).config
@@ -740,7 +766,7 @@ class TestSearchSize:
             for first, moved in pairs:
                 certified.clear()
                 assert are_isomorphic(first, moved) is not None
-                assert certified == [first.lines, moved.lines]
+                assert certified == []
 
         assert self.count_signatures(monkeypatch, decide_all) == 17964
 
@@ -749,7 +775,7 @@ class TestSearchSize:
         moved = next(relabelings(c, 7))
         certified = self.count_certificates(monkeypatch)
         verify_witness(c, moved, are_isomorphic(c, moved))
-        assert certified == [c.lines, moved.lines]
+        assert certified == []
 
     @staticmethod
     def count_calls(monkeypatch, module, name):
@@ -982,13 +1008,11 @@ class TestReferenceSearch:
         c1 = make_config(6, [(0, 1, 2), (3, 4, 5)])
         c2 = make_config(6, [(0, 1, 2), (0, 3, 4)])
         trace = []
-        isomorphism._leaves(c1, trace)
+        next(isomorphism._leaves(c1, trace))
         trace2 = []
-        isomorphism._leaves(c2, trace2)
+        next(isomorphism._leaves(c2, trace2))
         assert trace2[0] < trace[0]
-        accepted = []
-        found = isomorphism._leaves(c2, trace, accepted.append)
-        assert found == [] and accepted == []
+        assert list(isomorphism._leaves(c2, trace)) == []
         assert are_isomorphic(c1, c2) is None
         assert are_isomorphic(c2, c1) is None
 
@@ -999,7 +1023,7 @@ class TestReferenceSearch:
         # tried once and none descends
         c = grassmannian(5)
         trace = []
-        isomorphism._leaves(c, trace)
+        next(isomorphism._leaves(c, trace))
         reference = [trace[0], ((c.num_points + 1,),)]
         colorings = []
         signature = isomorphism._signature
@@ -1009,9 +1033,7 @@ class TestReferenceSearch:
             return signature(pairs_by_point, colors, p)
 
         monkeypatch.setattr(isomorphism, "_signature", counted)
-        accepted = []
-        found = isomorphism._leaves(c, reference, accepted.append)
-        assert found == [] and accepted == []
+        assert list(isomorphism._leaves(c, reference)) == []
         # the root pass and each child's first pass, which recomputes the
         # signatures of the individualized point and its six collinear
         # points only
@@ -1020,24 +1042,22 @@ class TestReferenceSearch:
         assert reference == [trace[0], ((c.num_points + 1,),)]
 
     def test_rejected_leaf_continues_the_search(self):
-        # on its own least trace, the search meets the leaves that the
-        # unguided search keeps, in the same order; a rejected leaf passes
-        # the search on to the next
+        # the unguided search finds its least trace on its first path, so
+        # the search that follows that path meets the leaves the unguided
+        # one keeps, in the same order; a caller that leaves the loop at
+        # the second leaf has met the first two
         moved = next(relabelings(grassmannian(5), 5))
-        trace = []
-        leaves = isomorphism._leaves(moved, trace)
+        leaves = least_leaves(moved)
         assert len(leaves) > 2
+        assert list(isomorphism._leaves(moved)) == one_trace(leaves)
+        trace = []
         seen = []
-
-        def second(leaf):
-            seen.append(leaf)
-            return len(seen) == 2
-
-        assert isomorphism._leaves(moved, trace, second) == [leaves[1]]
-        assert seen == leaves[:2]
-        seen.clear()
-        assert isomorphism._leaves(moved, trace, lambda leaf: seen.append(leaf)) == []
-        assert seen == leaves
+        for found in isomorphism._leaves(moved, trace):
+            seen.append(found)
+            if len(seen) == 2:
+                break
+        assert seen == one_trace(leaves)[:2]
+        assert list(isomorphism._leaves(moved, trace)) == one_trace(leaves)
 
     @pytest.mark.parametrize("k", [5, 6])
     def test_veronesian_against_the_host_visits_no_leaf(self, k, monkeypatch):
@@ -1046,8 +1066,8 @@ class TestReferenceSearch:
         # answers, and no certificate is computed on either side
         v, h = veronesian(k), host(k)
         trace_v, trace_h = [], []
-        isomorphism._leaves(v, trace_v)
-        isomorphism._leaves(h, trace_h)
+        next(isomorphism._leaves(v, trace_v))
+        next(isomorphism._leaves(h, trace_h))
         assert trace_v[0] != trace_h[0]
         certified = []
         moved_lines = isomorphism.moved_lines
@@ -1064,20 +1084,15 @@ class TestReferenceSearch:
     def test_relabeled_grassmannian_found_early(self, monkeypatch):
         c = grassmannian(6)
         moved = next(relabelings(c, 6))
-        visited = []
-        moved_lines = isomorphism.moved_lines
-
-        def counted(lines, images):
-            visited.append(lines is moved.lines)
-            return moved_lines(lines, images)
-
-        monkeypatch.setattr(isomorphism, "moved_lines", counted)
+        certified = TestSearchSize.count_certificates(monkeypatch)
+        checked = TestSearchSize.count_calls(monkeypatch, isomorphism, "is_isomorphism")
         witness = are_isomorphic(c, moved)
         verify_witness(c, moved, witness)
         # c is descended to its first leaf; moved stops at its first leaf
-        # on that trace, since every such leaf has c's leaf's certificate
-        assert visited.count(False) == 1
-        assert visited.count(True) == 1
+        # on that trace, whose composed map is an isomorphism, since every
+        # such leaf differs from c's leaf by one; no certificate is computed
+        assert len(checked) == 1
+        assert certified == []
 
     @pytest.mark.parametrize("num_points, lines", [(0, []), (3, [(0, 1, 2)])])
     def test_smallest_files(self, num_points, lines):
