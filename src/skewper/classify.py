@@ -160,7 +160,7 @@ def _instance_stats(key: InstanceKey) -> tuple[int, tuple, int]:
     """Free five-clique count, certificate and group order at `key`."""
     config = build_instance(key).config
     cliques = len(enumerate_free_cliques(config, 5))
-    cert, _, automorphisms = _canonize(config)
+    cert, _, automorphisms, _ = _canonize(config)
     return cliques, cert, len(automorphisms)
 
 

@@ -28,11 +28,16 @@ leaves achieving the certificate differ exactly by automorphisms, and
 there is one such leaf per automorphism.  The search (`_leaves`) is a
 generator that yields each leaf as it reaches it, flagged `first` when
 the leaf starts a smaller trace.  One search (`_canonize`) gives the
-certificate, a relabeling realizing it and the group: it tests each
-leaf, line for line, as an automorphism of the best leaf so far and
-certifies only a leaf that fails, so every automorphism is verified once,
-inside the search, and a structure whose leaves all differ by
-automorphisms is certified once.  Nothing is kept between calls.
+certificate, a relabeling realizing it, and the group's elements and
+generators: it tests each leaf, line for line, as an automorphism of the
+best leaf so far and certifies only a leaf that fails, so every
+automorphism is verified once, inside the search, and a structure whose
+leaves all differ by automorphisms is certified once.  An automorphism is
+a generator exactly when it joins two orbits of those kept since the last
+start: the search finishes the subtree under the base leaf's first d
+individualized points before any later sibling, so by induction the
+generators generate each point stabilizer in turn, at most n-1 of them.
+Nothing is kept between calls.
 
 An isomorphism decision first compares the sizes and the multisets of
 the per-point counts; a difference answers "not isomorphic" before any
@@ -66,8 +71,8 @@ class CanonicalCertificate:
 @dataclass(frozen=True)
 class AutomorphismGroup:
     """All line-preserving point bijections, as image tuples, each verified
-    line for line by the search that found it, plus a small generating
-    subset."""
+    line for line by the search that found it, and generators, each joining
+    two orbits of those before it, at most n-1."""
 
     elements: tuple[tuple[int, ...], ...]
     generators: tuple[tuple[int, ...], ...]
@@ -191,24 +196,37 @@ def _leaves(config: Config, trace=None):
 
 
 def _canonize(config: Config):
-    """(certificate, relabeling, automorphisms) of config from one search:
-    the least certificate, the first leaf achieving it, and the sorted
-    automorphisms, each verified line for line.
+    """(certificate, relabeling, automorphisms, generators) of config from
+    one search: the least certificate, the first leaf achieving it, the
+    sorted automorphisms, each verified line for line, and generators in
+    the order met.
 
-    A `first` leaf starts over.  A later leaf's certificate equals the best
-    leaf's exactly when base^-1 . leaf is an automorphism, so it is tested
-    as one and certified only if it fails; an equal certificate then means
-    the test rejected a genuine automorphism."""
+    A `first` leaf or a new best certificate starts over.  A later leaf's
+    certificate equals the best leaf's exactly when base^-1 . leaf is an
+    automorphism, so it is tested as one and certified only if it fails; an
+    equal certificate then means the test rejected a genuine automorphism.
+    An automorphism is a generator when it joins two orbits (each one set
+    its points share) of those kept since the start; as the search is depth
+    first, these generate the group (see the module docstring)."""
     num_points, lines = config.num_points, config.lines
     best: tuple[Line, ...] = ()
     base: tuple[int, ...] = ()
     base_inv = [0] * num_points
     automorphisms: list[tuple[int, ...]] = []
+    generators: list[tuple[int, ...]] = []
+    orbit: list[set[int]] = []
     for leaf, first in _leaves(config):
         if not first:
             g = tuple(base_inv[c] for c in leaf)
             if is_isomorphism(config, config, g):
                 automorphisms.append(g)
+                if any(orbit[p] is not orbit[q] for p, q in enumerate(g)):
+                    generators.append(g)
+                    for p, q in enumerate(g):
+                        if orbit[p] is not orbit[q]:
+                            joined = orbit[p] | orbit[q]
+                            for x in joined:
+                                orbit[x] = joined
                 continue
         cert = moved_lines(lines, leaf)
         if not first and cert == best:
@@ -217,14 +235,14 @@ def _canonize(config: Config):
             best, base = cert, leaf
             for p, c in enumerate(leaf):
                 base_inv[c] = p
-            automorphisms = [tuple(range(num_points))]
-    return best, base, tuple(sorted(automorphisms))
+            automorphisms, generators = [tuple(range(num_points))], []
+            orbit = [{p} for p in range(num_points)]
+    return best, base, tuple(sorted(automorphisms)), tuple(generators)
 
 
 def canonical_certificate(config: Config) -> CanonicalCertificate:
     """The canonical line list of config and a relabeling realizing it."""
-    lines_canon, relabeling, _ = _canonize(config)
-    return CanonicalCertificate(canonical_lines=lines_canon, relabeling=relabeling)
+    return CanonicalCertificate(*_canonize(config)[:2])
 
 
 def are_isomorphic(c1: Config, c2: Config) -> Optional[dict[int, int]]:
@@ -248,29 +266,6 @@ def are_isomorphic(c1: Config, c2: Config) -> Optional[dict[int, int]]:
     return None
 
 
-def _group(config: Config, automorphisms) -> AutomorphismGroup:
-    """The group of the automorphisms `_canonize` verified; an element is
-    a generator when the generators before it do not generate it."""
-    num_points = config.num_points
-    generators: list[tuple[int, ...]] = []
-    generated = {tuple(range(num_points))}
-    for g in automorphisms:
-        if g in generated:
-            continue
-        generators.append(g)
-        frontier = list(generated)
-        while frontier:
-            new = []
-            for h in frontier:
-                for s in generators:
-                    prod = tuple(s[h[x]] for x in range(num_points))
-                    if prod not in generated:
-                        generated.add(prod)
-                        new.append(prod)
-            frontier = new
-    return AutomorphismGroup(elements=automorphisms, generators=tuple(generators))
-
-
 def automorphism_group(config: Config) -> AutomorphismGroup:
     """The automorphism group of config, from one search (`_canonize`)."""
-    return _group(config, _canonize(config)[2])
+    return AutomorphismGroup(*_canonize(config)[2:])

@@ -180,6 +180,23 @@ def backtrack_isos(c1, c2):
     yield from extend(0)
 
 
+def generated_group(num_points, generators):
+    """Every product of the generators, image tuples on num_points points,
+    by closing the identity under composition with each generator."""
+    generated = {tuple(range(num_points))}
+    frontier = list(generated)
+    while frontier:
+        new = []
+        for g in frontier:
+            for s in generators:
+                prod = tuple(s[x] for x in g)
+                if prod not in generated:
+                    generated.add(prod)
+                    new.append(prod)
+        frontier = new
+    return generated
+
+
 def relabelled_lines(leaf, lines):
     """The sorted line list with each point p renamed leaf[p]."""
     return tuple(sorted(tuple(sorted(leaf[x] for x in L)) for L in lines))

@@ -11,11 +11,17 @@ import sys
 import pytest
 
 from skewper import cli, incidence, isomorphism
+from skewper.classify import InstanceKey, build_instance
 from skewper.cli import main
 from skewper.constructions import grassmannian, perspective, veblen, veblen_label, veronesian
 from skewper.formats import emit_psts, parse_psts
-from skewper.incidence import make_config, validate
-from skewper.isomorphism import CanonicalCertificate, are_isomorphic, canonical_certificate
+from skewper.incidence import make_config, relabel, validate
+from skewper.isomorphism import (
+    CanonicalCertificate,
+    are_isomorphic,
+    automorphism_group,
+    canonical_certificate,
+)
 from skewper.perms import parse_cycles
 from skewper.skews import zeta
 
@@ -182,6 +188,31 @@ class TestAnalyze:
         code, out, _ = run("analyze", grass_instance_file, "--aut")
         assert code == 0
         assert "automorphism group order 1" in out
+
+    @staticmethod
+    def shuffled(config, seed):
+        images = list(range(config.num_points))
+        random.Random(seed).shuffle(images)
+        return relabel(config, dict(enumerate(images)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: TestAnalyze.shuffled(grassmannian(5), 0), id="relabelled-G(2,5)"),
+            pytest.param(lambda: veronesian(5), id="V(5)"),
+            pytest.param(lambda: build_instance(InstanceKey(4, 5, 12)).config, id="(4,5,12)"),
+            pytest.param(lambda: make_config(6, []), id="psts-6-0"),
+        ],
+    )
+    def test_aut_matches_automorphism_group(self, run, tmp_path, build):
+        path = tmp_path / "in.psts"
+        path.write_text(emit_psts(build()))
+        code, out, _ = run("analyze", str(path), "--aut")
+        group = automorphism_group(parse_psts(path.read_text()))
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            f"automorphism group order {group.order} ({len(group.generators)} generators)"
+        )
 
     def test_selfcheck_deterministic_per_seed(self, run, grass_instance_file):
         code, out, _ = run(

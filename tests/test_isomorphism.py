@@ -35,6 +35,7 @@ from oracles import (
     brute_triangles_and_pasch,
     certificate_per_leaf,
     full_trace_leaves,
+    generated_group,
     random_partial_linear,
     relabelled_lines,
     tuple_signature,
@@ -165,19 +166,7 @@ class TestAutomorphismGroup:
     def test_generators_generate(self):
         c = grassmannian(4)
         group = automorphism_group(c)
-        n = c.num_points
-        generated = {tuple(range(n))}
-        frontier = list(generated)
-        while frontier:
-            new = []
-            for g in frontier:
-                for s in group.generators:
-                    prod = tuple(s[g[x]] for x in range(n))
-                    if prod not in generated:
-                        generated.add(prod)
-                        new.append(prod)
-            frontier = new
-        assert generated == set(group.elements)
+        assert generated_group(c.num_points, group.generators) == set(group.elements)
 
     def test_grassmannian6_order_720(self):
         c = grassmannian(6)
@@ -472,7 +461,7 @@ class TestCertificateOracle:
 
     @staticmethod
     def assert_matches(c):
-        assert isomorphism._canonize(c) == certificate_per_leaf(least_leaves(c), c.lines)
+        assert isomorphism._canonize(c)[:3] == certificate_per_leaf(least_leaves(c), c.lines)
 
     def test_catalog(self):
         for key in ALL_KEYS:
@@ -514,13 +503,64 @@ class TestCertificateOracle:
                 m.setattr(isomorphism, "_leaves", lambda config: one_trace(leaves))
                 certified.clear()
                 got = isomorphism._canonize(c)
-            assert got == certificate_per_leaf(leaves, c.lines)
-            assert got == (relabelled_lines(low, c.lines), low, (tuple(range(c.num_points)),))
+            assert got[:3] == certificate_per_leaf(leaves, c.lines)
+            assert got == (relabelled_lines(low, c.lines), low, (tuple(range(c.num_points)),), ())
             assert len(certified) == certificates
         # the real leaves between fakes above them still give the group
         leaves = [high, *real, high]
         monkeypatch.setattr(isomorphism, "_leaves", lambda config: one_trace(leaves))
-        assert isomorphism._canonize(c) == (best, base, automorphisms)
+        got = isomorphism._canonize(c)
+        assert got[:3] == (best, base, automorphisms)
+        assert generated_group(c.num_points, got[3]) == set(automorphisms)
+
+
+def orbits(num_points, generators):
+    """Each point's orbit under the generators, as the set of points its
+    images reach."""
+    reached = []
+    for p in range(num_points):
+        orbit, frontier = {p}, [p]
+        while frontier:
+            x = frontier.pop()
+            for s in generators:
+                if s[x] not in orbit:
+                    orbit.add(s[x])
+                    frontier.append(s[x])
+        reached.append(orbit)
+    return reached
+
+
+class TestGenerators:
+    """The search keeps an automorphism as a generator exactly when it
+    joins two orbits of the generators kept before it; met in depth-first
+    order, those generators generate the whole group."""
+
+    @staticmethod
+    def assert_generates(c):
+        group = automorphism_group(c)
+        n, generators = c.num_points, group.generators
+        assert generated_group(n, generators) == set(group.elements)
+        assert len(generators) <= max(n - 1, 0)
+        for i, g in enumerate(generators):
+            before = orbits(n, generators[:i])
+            assert any(g[p] not in before[p] for p in range(n)), (i, g)
+
+    def test_catalog(self):
+        for key in ALL_KEYS:
+            c = build_instance(key).config
+            self.assert_generates(c)
+            self.assert_generates(next(relabelings(c, key.f * key.s * key.i)))
+
+    @pytest.mark.parametrize("build", STRUCTURES + [BEATEN_TRACE])
+    def test_structures(self, build):
+        c = build()
+        self.assert_generates(c)
+        for moved in relabelings(c, c.num_points):
+            self.assert_generates(moved)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_line_free(self, n):
+        self.assert_generates(make_config(n, []))
 
 
 def connected_random_systems(rng, count):
@@ -547,8 +587,8 @@ class TestFullTraceOracle:
     """`_leaves` ends a node's passes at the pass that makes its coloring
     discrete.  The search that refines a discrete coloring once more
     (`oracles.full_trace_leaves`) must give the same leaves, and, put in
-    its place, the same `_canonize` triples and `are_isomorphic`
-    witnesses."""
+    its place, the same `_canonize` results, generators included, and
+    `are_isomorphic` witnesses."""
 
     MAX_LEAVES = 2000
 
@@ -646,7 +686,7 @@ class TestRootColors:
 
 def search_outcome(c):
     """The least-trace leaves of c and its (certificate, relabeling,
-    automorphisms)."""
+    automorphisms, generators)."""
     return least_leaves(c), isomorphism._canonize(c)
 
 
