@@ -195,8 +195,7 @@ def perspective(
     if sigma.n != n:
         raise ValueError(f"skew acts on a {sigma.n}-element ground set, expected {n}")
     _check_axis_labels(n, axis)
-    binomial_n = parameters(axis).binomial_n  # raises on an invalid axis
-    if require_binomial and binomial_n != n:
+    if require_binomial and parameters(axis).binomial_n != n:
         raise ValueError(
             f"axis is not binomial on {{1..{n}}}: expected {len(all_pairs(n))} points of "
             f"rank {n - 2}; pass require_binomial=False to build anyway"

@@ -7,12 +7,14 @@ psts/1 layout::
     # label <id> <name>  (optional; all points or none; name runs to EOL)
 
 The parser rejects, with ValueError, a header that is not the format name
-and two integers, a negative count in the header, a line whose points are
-not three distinct integer ids in 0..num_points-1, a line that
-repeats an earlier one, a comment whose first word is ``label`` but which
-lacks an integer id or a name, and a second label for one point.  An
-integer is an optional "-" followed by the ASCII digits 0-9.  JSON is
-export-only.
+and two integers, a negative count in the header, a line that is not
+three integers, a line count that differs from the header's, a comment
+whose first word is ``label`` but which lacks an integer id or a name, a
+second label for one point, and labels that do not cover every point.
+An integer is an optional "-" followed by the ASCII digits 0-9.  The
+`Config` it builds rejects the rest: a point out of range, a line
+without three distinct points, a repeated line, two lines sharing two
+points and a repeated label name.  JSON is export-only.
 All emitters produce byte-stable output for equal configurations.
 """
 
@@ -51,7 +53,7 @@ def _integers(fields: list[str]) -> Optional[tuple[int, ...]]:
 
 def parse_psts(text: str) -> Config:
     header: Optional[tuple[int, ...]] = None
-    lines: set[tuple[int, ...]] = set()
+    lines: list[tuple[int, ...]] = []
     labels: dict[int, str] = {}
     for raw in text.splitlines():
         stripped = raw.strip()
@@ -78,14 +80,7 @@ def parse_psts(text: str) -> Config:
         ids = _integers(stripped.split())
         if ids is None or len(ids) != 3:
             raise ValueError(f"bad line {stripped!r}; expected three point ids")
-        x, y, z = line = tuple(sorted(ids))
-        if not x < y < z:
-            raise ValueError(f"bad line {stripped!r}; expected three distinct points")
-        if x < 0 or z >= header[0]:
-            raise ValueError(f"bad line {stripped!r}; point ids must lie in 0..{header[0] - 1}")
-        if line in lines:
-            raise ValueError(f"bad line {stripped!r}; it repeats an earlier line")
-        lines.add(line)
+        lines.append(tuple(sorted(ids)))
     if header is None:
         raise ValueError("missing header")
     nu, b = header
@@ -96,8 +91,6 @@ def parse_psts(text: str) -> Config:
         if sorted(labels) != list(range(nu)):
             raise ValueError("label comments must cover every point exactly once or be absent")
         label_tuple = tuple(labels[i] for i in range(nu))
-    # every line is a sorted triple of distinct points in range, and none
-    # repeats: the Config needs no further normalizing
     return Config(nu, tuple(sorted(lines)), label_tuple)
 
 

@@ -2,7 +2,9 @@
 
 A configuration is a finite set of points {0, ..., num_points - 1} together
 with a family of 3-element lines such that any two distinct lines share at
-most one point.  Points may optionally carry string labels.
+most one point.  Points may optionally carry string labels.  A `Config`
+checks these axioms when it is built, so every `Config` that exists is
+one.
 """
 
 from __future__ import annotations
@@ -20,17 +22,34 @@ Line = tuple[int, int, int]
 class Config:
     """An incidence structure with 3-element lines.
 
-    ``lines`` is a sorted tuple of sorted 3-tuples of point ids, and
-    ``labels``, when present, maps point id -> name positionally.  The
-    derived views (the pair view ``pairs_by_point``, the third-point index
-    ``third`` and the per-point ``triangles_and_pasch`` counts) are
-    computed on first use and kept on the instance; they are not fields,
-    so equality, hashing and every emitter see only the three fields.
+    ``lines`` is a strictly increasing tuple of increasing 3-tuples of
+    point ids, and ``labels``, when present, maps point id -> distinct name
+    positionally.  Building one that breaks this or the partial-Steiner
+    axiom raises ValueError naming every violation.  The derived views
+    (the pair view ``pairs_by_point``, the third-point index ``third`` and
+    the per-point ``triangles_and_pasch`` counts) are computed on first
+    use and kept on the instance; they are not fields, so equality,
+    hashing and every emitter see only the three fields.
     """
 
     num_points: int
     lines: tuple[Line, ...]
     labels: Optional[tuple[str, ...]] = None
+
+    def __post_init__(self) -> None:
+        """A valid configuration passes in one sweep: every line is an
+        increasing triple in range, the list is strictly increasing, and
+        the lines' pairs are all distinct (two lines sharing a pair would
+        repeat one).  Only a configuration that fails it is walked line by
+        line for the messages."""
+        n, lines, labels = self.num_points, self.lines, self.labels
+        if not (
+            all(len(L) == 3 and 0 <= L[0] < L[1] < L[2] < n for L in lines)
+            and all(L < M for L, M in zip(lines, lines[1:]))
+            and len({p for x, y, z in lines for p in ((x, y), (x, z), (y, z))}) == 3 * len(lines)
+            and (labels is None or len(labels) == len(set(labels)) == n)
+        ):
+            raise ValueError("invalid configuration: " + "; ".join(_violations(self)))
 
     @cached_property
     def pairs_by_point(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -84,18 +103,42 @@ class Config:
         return str(point)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def check(self) -> None:
-        """Raise ValueError naming every violation, if there is any."""
-        if self.violations:
-            raise ValueError("invalid configuration: " + "; ".join(self.violations))
+def _violations(config: Config) -> list[str]:
+    """Every way the lines and labels break the `Config` rules, in order:
+    repeated lines, each line's shape, range and place in the list, pairs
+    shared by two lines, then the labels."""
+    n, lines = config.num_points, config.lines
+    violations: list[str] = []
+    seen_lines: set[frozenset[int]] = set()
+    for L in lines:
+        if frozenset(L) in seen_lines:
+            violations.append(f"line list repeats line {L}")
+        seen_lines.add(frozenset(L))
+    for L, before in zip(lines, ((), *lines)):
+        if len(L) != 3 or len(set(L)) != 3:
+            violations.append(f"line {L} does not consist of 3 distinct points")
+        elif not L[0] < L[1] < L[2]:
+            violations.append(f"line {L} is not an increasing triple")
+        for x in L:
+            if not (0 <= x < n):
+                violations.append(f"line {L} uses point {x} outside 0..{n - 1}")
+        if before > L:
+            violations.append(f"lines {before} and {L} are out of order")
+    seen: dict[tuple[int, int], Line] = {}
+    for L in lines:
+        if len(set(L)) != 3:
+            continue
+        for pair in itertools.combinations(sorted(L), 2):
+            if pair in seen and seen[pair] != L:
+                violations.append(f"lines {seen[pair]} and {L} share 2 points {pair}")
+            else:
+                seen[pair] = L
+    if config.labels is not None:
+        if len(config.labels) != n:
+            violations.append(f"label count {len(config.labels)} differs from point count {n}")
+        if len(set(config.labels)) != len(config.labels):
+            violations.append("labels are not pairwise distinct")
+    return violations
 
 
 @dataclass(frozen=True)
@@ -114,64 +157,16 @@ def make_config(
     lines: Iterable[Sequence[int]],
     labels: Optional[Sequence[str]] = None,
 ) -> Config:
-    """Build a Config, normalizing lines to sorted tuples and dropping repeats."""
+    """Build a Config from lines in any order, sorting each line and the
+    list and dropping repeats; raises ValueError as `Config` does."""
     normalized = sorted({tuple(sorted(L)) for L in lines})
     lab = tuple(labels) if labels is not None else None
-    if lab is not None and len(lab) != num_points:
-        raise ValueError(
-            f"expected {num_points} labels, got {len(lab)}"
-        )
     return Config(num_points=num_points, lines=tuple(normalized), labels=lab)
 
 
-def validate(config: Config) -> ValidationReport:
-    """Check the partial-Steiner axioms and label sanity; report all violations.
-
-    A valid configuration passes in one sweep: every line is an increasing
-    triple in range, and the lines' pairs are all distinct (a repeated
-    line or two lines sharing a pair would repeat one).  Only a
-    configuration that fails it is walked line by line for the messages.
-    The sweep keeps nothing on the Config."""
-    n, lines, labels = config.num_points, config.lines, config.labels
-    if (
-        all(len(L) == 3 and 0 <= L[0] < L[1] < L[2] < n for L in lines)
-        and len({p for x, y, z in lines for p in ((x, y), (x, z), (y, z))}) == 3 * len(lines)
-        and (labels is None or len(labels) == len(set(labels)) == n)
-    ):
-        return ValidationReport(violations=())
-    violations: list[str] = []
-    if len({frozenset(L) for L in config.lines}) != len(config.lines):
-        violations.append("line list contains a repeated line")
-    for L in config.lines:
-        if len(L) != 3 or len(set(L)) != 3:
-            violations.append(f"line {L} does not consist of 3 distinct points")
-        for x in L:
-            if not (0 <= x < config.num_points):
-                violations.append(f"line {L} uses point {x} outside 0..{config.num_points - 1}")
-    seen: dict[tuple[int, int], Line] = {}
-    for L in config.lines:
-        if len(set(L)) != 3:
-            continue
-        for pair in itertools.combinations(sorted(L), 2):
-            if pair in seen and seen[pair] != L:
-                violations.append(
-                    f"lines {seen[pair]} and {L} share 2 points {pair}"
-                )
-            else:
-                seen[pair] = L
-    if config.labels is not None:
-        if len(config.labels) != config.num_points:
-            violations.append(
-                f"label count {len(config.labels)} differs from point count {config.num_points}"
-            )
-        if len(set(config.labels)) != len(config.labels):
-            violations.append("labels are not pairwise distinct")
-    return ValidationReport(violations=tuple(violations))
-
-
 def parameters(config: Config) -> ConfigParams:
-    """Compute counts and ranks; raises ValueError on an invalid structure."""
-    validate(config).check()
+    """Compute counts, ranks and the binomial witness n; a `Config` is
+    valid by construction, so there is nothing to reject."""
     rank = [len(pairs) for pairs in config.pairs_by_point]
     nu, b = config.num_points, len(config.lines)
     binomial_n: Optional[int] = None

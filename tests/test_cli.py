@@ -15,7 +15,7 @@ from skewper.classify import InstanceKey, build_instance
 from skewper.cli import main
 from skewper.constructions import grassmannian, perspective, veblen, veblen_label, veronesian
 from skewper.formats import emit_psts, parse_psts
-from skewper.incidence import make_config, relabel, validate
+from skewper.incidence import make_config, relabel
 from skewper.isomorphism import (
     CanonicalCertificate,
     are_isomorphic,
@@ -317,22 +317,25 @@ class TestAnalyze:
         path.write_text(text)
         code, out, err = run("analyze", str(path))
         assert (code, out) == (1, "")
-        # validate's texts are pinned in test_incidence; here, the one line
-        violations = "; ".join(validate(parse_psts(text)).violations)
-        assert err == f"error: invalid configuration: {violations}\n"
+        # the Config's texts are pinned in test_incidence; here, the one line
+        with pytest.raises(ValueError) as exc:
+            parse_psts(text)
+        assert str(exc.value).startswith("invalid configuration: ")
+        assert err == f"error: {exc.value}\n"
         assert err.endswith(f"{violation}\n")
 
     def test_validates_once(self, run, tmp_path, monkeypatch):
+        """The file's Config checks itself once, when it is parsed."""
         calls = []
+        check = incidence.Config.__post_init__
 
         def counted(config):
             calls.append(config)
-            return validate(config)
+            check(config)
 
-        monkeypatch.setattr(incidence, "validate", counted)
-        monkeypatch.setattr(cli, "validate", counted)
         path = tmp_path / "v6.psts"
         path.write_text(emit_psts(veronesian(6)))
+        monkeypatch.setattr(incidence.Config, "__post_init__", counted)
         code, out, _ = run("analyze", str(path))
         assert code == 0 and "binomial parameters" in out
         assert len(calls) == 1
@@ -509,10 +512,14 @@ class TestExport:
         assert "error" in err
 
     def test_stp_rejects_a_repeated_center_label(self, run, tmp_path, grass_instance_file):
+        # an isolated extra point also named p: no Config holds it, so the
+        # file is written as text
         config = parse_psts(open(grass_instance_file).read())
-        extra = make_config(config.num_points + 1, config.lines, config.labels + ("p",))
+        lines = "".join(f"{x} {y} {z}\n" for x, y, z in config.lines)
+        names = config.labels + ("p",)
+        labels = "".join(f"# label {i} {name}\n" for i, name in enumerate(names))
         path = tmp_path / "two_centers.psts"
-        path.write_text(emit_psts(extra))
+        path.write_text(f"psts {len(names)} {len(config.lines)}\n{lines}{labels}")
         code, out, err = run("export", "--dot", "--stp", str(path))
         assert code == 1
         assert out == ""

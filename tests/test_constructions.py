@@ -17,7 +17,7 @@ import pytest
 
 from skewper import constructions, incidence
 from skewper.analysis import stp_diagram
-from skewper.incidence import Config, parameters, relabel, validate
+from skewper.incidence import Config, make_config, parameters, relabel
 from skewper.perms import Perm, parse_cycles, symmetric_group
 from skewper.classify import ALL_KEYS, build_instance
 from skewper.skews import Skew, all_pairs, bar_alpha, make_pair, zeta
@@ -108,7 +108,7 @@ class TestVeronesian:
             v = veronesian(k)
             assert v.num_points == comb(k + 2, 2)
             assert len(v.lines) == comb(k + 2, 3)
-            assert validate(v).ok
+            assert all(len(set(L) & set(M)) <= 1 for L, M in itertools.combinations(v.lines, 2))
 
     def test_single_line(self):
         v = veronesian(1)
@@ -164,26 +164,31 @@ class TestVeronesian:
 
 class TestPerspective:
     def test_validates_the_axis_once(self, monkeypatch):
+        """The axis checked itself when it was built; a perspective checks
+        only the Config it builds."""
         calls = []
+        check = incidence.Config.__post_init__
 
         def counted(config):
             calls.append(config)
-            return validate(config)
+            check(config)
 
-        monkeypatch.setattr(incidence, "validate", counted)
-        perspective(4, zeta(4), grassmannian(4))
-        perspective(5, zeta(5), grassmannian(5), require_binomial=False)
-        assert len(calls) == 2
+        axes = grassmannian(4), grassmannian(5)
+        monkeypatch.setattr(incidence.Config, "__post_init__", counted)
+        first = perspective(4, zeta(4), axes[0]).config
+        second = perspective(5, zeta(5), axes[1], require_binomial=False).config
+        assert calls == [first, second]
 
     def test_invalid_axis_message(self):
+        """An axis that breaks the partial-Steiner axiom cannot be built,
+        so no perspective is built over it."""
         g = grassmannian(4)
-        bad = Config(num_points=6, lines=g.lines + ((0, 1, 5),), labels=g.labels)
-        message = "invalid configuration: " + "; ".join(validate(bad).violations)
-        assert "share 2 points" in message
-        for require_binomial in (True, False):
-            with pytest.raises(ValueError) as exc:
-                perspective(4, zeta(4), bad, require_binomial=require_binomial)
-            assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            make_config(6, g.lines + ((0, 1, 5),), g.labels)
+        assert str(exc.value) == (
+            "invalid configuration: lines (0, 1, 3) and (0, 1, 5) share 2 points (0, 1);"
+            " lines (0, 1, 5) and (1, 2, 5) share 2 points (1, 5)"
+        )
 
     def test_shape_and_parameters(self):
         persp = perspective(4, zeta(4), grassmannian(4))
@@ -577,9 +582,12 @@ class TestPerspectiveFromConfig:
         return perspective(4, zeta(4), grassmannian(4))
 
     def test_rejects_a_repeated_center_label(self):
-        """An isolated extra point named p leaves the labels off the role set."""
+        """An isolated extra point named p repeats a label, which no Config
+        holds; under a fresh name it leaves the labels off the role set."""
         c = self.host().config
-        extra = Config(c.num_points + 1, c.lines, c.labels + ("p",))
+        with pytest.raises(ValueError, match="labels are not pairwise distinct"):
+            Config(c.num_points + 1, c.lines, c.labels + ("p",))
+        extra = Config(c.num_points + 1, c.lines, c.labels + ("q",))
         with pytest.raises(ValueError, match="role names"):
             perspective_from_config(extra)
 
@@ -608,7 +616,6 @@ class TestPerspectiveFromConfig:
         bad = Config(
             c.num_points, tuple(sorted(moved if L == first else L for L in c.lines)), c.labels
         )
-        assert validate(bad).ok
         with pytest.raises(ValueError, match="skew"):
             perspective_from_config(bad)
 
@@ -619,8 +626,9 @@ class TestPerspectiveFromConfig:
         first = next(L for L in c.lines if set(L) <= axial)
         other = min(axial - set(first))
         moved = tuple(sorted((first[0], first[1], other)))
-        bad = Config(
-            c.num_points, tuple(sorted(moved if L == first else L for L in c.lines)), c.labels
-        )
-        with pytest.raises(ValueError):
-            perspective_from_config(bad)
+        # the moved line shares a pair with another axis line, so no Config
+        # holds the lines
+        with pytest.raises(ValueError, match="share 2 points"):
+            Config(
+                c.num_points, tuple(sorted(moved if L == first else L for L in c.lines)), c.labels
+            )

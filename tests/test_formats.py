@@ -106,7 +106,8 @@ class TestPstsFormat:
 
     @pytest.mark.parametrize("line", ["0 1 4", "0 1 -1", "0 1 1"])
     def test_bad_point_ids_rejected(self, line):
-        with pytest.raises(ValueError, match="bad line"):
+        # the Config the parser builds refuses them
+        with pytest.raises(ValueError, match=r"invalid configuration: line \("):
             parse_psts(f"psts 4 1\n{line}\n")
 
     @pytest.mark.parametrize(
@@ -122,10 +123,16 @@ class TestPstsFormat:
             ("0 1 2\npsts 3 1\n", "bad header '0 1 2'; expected 'psts <points> <lines>'"),
             ("psts -3 0\n", "bad header 'psts -3 0'; counts must be non-negative"),
             ("psts 3 1\n0 1\n", "bad line '0 1'; expected three point ids"),
-            ("psts 3 1\n0 1 1\n", "bad line '0 1 1'; expected three distinct points"),
-            ("psts 4 1\n0 1 4\n", "bad line '0 1 4'; point ids must lie in 0..3"),
-            ("psts 4 1\n0 1 -1\n", "bad line '0 1 -1'; point ids must lie in 0..3"),
-            ("psts 4 2\n0 1 2\n2 1 0\n", "bad line '2 1 0'; it repeats an earlier line"),
+            (
+                "psts 3 1\n0 1 1\n",
+                "invalid configuration: line (0, 1, 1) does not consist of 3 distinct points",
+            ),
+            ("psts 4 1\n0 1 4\n", "invalid configuration: line (0, 1, 4) uses point 4 outside 0..3"),
+            (
+                "psts 4 1\n0 1 -1\n",
+                "invalid configuration: line (-1, 0, 1) uses point -1 outside 0..3",
+            ),
+            ("psts 4 2\n0 1 2\n2 1 0\n", "invalid configuration: line list repeats line (0, 1, 2)"),
             ("", "missing header"),
             ("# just a note\n", "missing header"),
             ("psts 3 2\n0 1 2\n", "expected 2 lines, found 1"),

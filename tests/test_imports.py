@@ -2,10 +2,10 @@
 `src/skewper` imports a process pool, a subprocess or a thread library.
 It keeps no unbounded memo table: `functools.cache` and `lru_cache` sit
 only on the functions listed here, each of whose key sets is bounded.
-No module of the package reaches for `object.__new__` or
-`object.__setattr__`, so every `Skew` and `Perm` is built through its
-validating constructor.  No module of the package or of the tests imports
-a name it never reads."""
+No module of the package reaches for `__new__` or `__setattr__` on
+`object`, `Config`, `Perm` or `Skew`, so every `Config`, `Perm` and
+`Skew` is built through its validating constructor.  No module of the
+package or of the tests imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -39,22 +39,35 @@ def test_no_process_or_thread_imports(path):
     assert found == [], f"{path.name} imports {found}"
 
 
+VALIDATED = ("object", "Config", "Perm", "Skew")
+
+
 def bypassing_calls(path: Path) -> list[str]:
-    """Each `object.__new__` or `object.__setattr__` a module names, called
-    or not, with its line."""
+    """Each `__new__` or `__setattr__` on `object` or a validated class
+    that a module names, called or not, with its line."""
     return [
-        f"line {node.lineno}: object.{node.attr}"
+        f"line {node.lineno}: {node.value.id}.{node.attr}"
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Attribute)
         and node.attr in ("__new__", "__setattr__")
         and isinstance(node.value, ast.Name)
-        and node.value.id == "object"
+        and node.value.id in VALIDATED
     ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_construction_bypasses_validation(path):
     assert bypassing_calls(path) == [], f"{path.name} builds around a constructor"
+
+
+def test_bypass_scan_finds_each_form(tmp_path):
+    path = tmp_path / "bypass.py"
+    path.write_text("c = Config.__new__(Config)\nobject.__setattr__(c, 'lines', ())\nnew = Perm.__new__\n")
+    assert sorted(bypassing_calls(path)) == [
+        "line 1: Config.__new__",
+        "line 2: object.__setattr__",
+        "line 3: Perm.__new__",
+    ]
 
 
 CACHES = ("cache", "lru_cache")

@@ -2,7 +2,7 @@
 the derived incidence views and the isomorphism check.
 
 Oracles: pairwise line intersection is recomputed here by brute force and
-compared with the validator; join results and the incidence views are
+compared with the check a `Config` makes when it is built; join results and the incidence views are
 recovered by scanning the raw line list.
 """
 
@@ -22,7 +22,6 @@ from skewper.incidence import (
     parameters,
     join,
     relabel,
-    validate,
 )
 
 from oracles import brute_isos, random_partial_linear
@@ -49,40 +48,56 @@ def brute_join(config: Config, x: int, y: int):
     return None
 
 
+def builds(num_points, lines, labels=None) -> bool:
+    try:
+        Config(num_points=num_points, lines=lines, labels=labels)
+    except ValueError:
+        return False
+    return True
+
+
 class TestValidate:
+    """A `Config` checks itself: building one that breaks an axiom or the
+    line order raises ValueError naming every violation."""
+
     def test_two_lines_sharing_two_points(self):
-        c = make_config(4, [(0, 1, 2), (0, 1, 3)])
-        report = validate(c)
-        assert not report.ok
-        assert any("share" in v for v in report.violations)
+        # the lines {0,1,2} and {0,1,3} once made a Config on which
+        # are_isomorphic(d, d) was None and canonical_certificate raised
+        with pytest.raises(ValueError) as exc:
+            make_config(4, [(0, 1, 2), (0, 1, 3)])
+        assert str(exc.value) == (
+            "invalid configuration: lines (0, 1, 2) and (0, 1, 3) share 2 points (0, 1)"
+        )
+
+    def test_make_config_point_out_of_range(self):
+        with pytest.raises(ValueError) as exc:
+            make_config(3, [(0, 1, 5)])
+        assert str(exc.value) == "invalid configuration: line (0, 1, 5) uses point 5 outside 0..2"
 
     def test_short_line(self):
-        c = Config(num_points=3, lines=((0, 1, 1),), labels=None)
-        report = validate(c)
-        assert not report.ok
+        assert not builds(3, ((0, 1, 1),))
 
     def test_point_out_of_range(self):
-        c = Config(num_points=3, lines=((0, 1, 7),), labels=None)
-        assert not validate(c).ok
+        assert not builds(3, ((0, 1, 7),))
 
     def test_empty_line_set_is_valid(self):
-        assert validate(make_config(5, [])).ok
+        assert make_config(5, []).lines == ()
 
     def test_label_non_bijection(self):
-        c = Config(num_points=3, lines=(), labels=("x", "x", "y"))
-        report = validate(c)
-        assert any("label" in v for v in report.violations)
+        with pytest.raises(ValueError, match="label"):
+            Config(num_points=3, lines=(), labels=("x", "x", "y"))
 
     @pytest.mark.parametrize(
         "num_points, lines, labels, violations",
         [
-            (4, ((0, 1, 2), (0, 1, 2)), None, ["line list contains a repeated line"]),
+            (4, ((0, 1, 2), (0, 1, 2)), None, ["line list repeats line (0, 1, 2)"]),
             (
                 4,
                 ((0, 1, 2), (2, 1, 0)),
                 None,
                 [
-                    "line list contains a repeated line",
+                    "line list repeats line (2, 1, 0)",
+                    "line (2, 1, 0) is not an increasing triple",
                     "lines (0, 1, 2) and (2, 1, 0) share 2 points (0, 1)",
                     "lines (0, 1, 2) and (2, 1, 0) share 2 points (0, 2)",
                     "lines (0, 1, 2) and (2, 1, 0) share 2 points (1, 2)",
@@ -105,7 +120,7 @@ class TestValidate:
                 ((0, 0, 9), (0, 1, 2), (0, 1, 2), (0, 1, 3), (1, 2, 3)),
                 ("a", "a"),
                 [
-                    "line list contains a repeated line",
+                    "line list repeats line (0, 1, 2)",
                     "line (0, 0, 9) does not consist of 3 distinct points",
                     "line (0, 0, 9) uses point 9 outside 0..3",
                     "lines (0, 1, 2) and (0, 1, 3) share 2 points (0, 1)",
@@ -115,7 +130,8 @@ class TestValidate:
                     "labels are not pairwise distinct",
                 ],
             ),
-            (3, ((2, 1, 0),), None, []),
+            (3, ((2, 1, 0),), None, ["line (2, 1, 0) is not an increasing triple"]),
+            (6, ((3, 4, 5), (0, 1, 2)), None, ["lines (3, 4, 5) and (0, 1, 2) are out of order"]),
         ],
         ids=[
             "repeated",
@@ -128,23 +144,28 @@ class TestValidate:
             "label-count",
             "repeated-labels",
             "several-kinds",
-            "unsorted-valid",
+            "unsorted",
+            "out-of-order",
         ],
     )
     def test_exact_violations(self, num_points, lines, labels, violations):
-        report = validate(Config(num_points=num_points, lines=lines, labels=labels))
-        assert list(report.violations) == violations
+        with pytest.raises(ValueError) as exc:
+            Config(num_points=num_points, lines=lines, labels=labels)
+        assert str(exc.value) == "invalid configuration: " + "; ".join(violations)
 
     def test_check(self):
-        assert validate(make_config(7, [(0, 1, 2), (3, 4, 5), (0, 3, 6)])).check() is None
-        bad = Config(num_points=4, lines=((0, 1, 2), (0, 1, 3), (1, 2, 5)), labels=None)
+        assert make_config(7, [(0, 1, 2), (3, 4, 5), (0, 3, 6)]).lines == (
+            (0, 1, 2),
+            (0, 3, 6),
+            (3, 4, 5),
+        )
         message = (
             "invalid configuration: line (1, 2, 5) uses point 5 outside 0..3;"
             " lines (0, 1, 2) and (0, 1, 3) share 2 points (0, 1);"
             " lines (0, 1, 2) and (1, 2, 5) share 2 points (1, 2)"
         )
         with pytest.raises(ValueError) as exc:
-            validate(bad).check()
+            Config(num_points=4, lines=((0, 1, 2), (0, 1, 3), (1, 2, 5)), labels=None)
         assert str(exc.value) == message
 
     def test_random_structures_against_brute_force(self):
@@ -157,15 +178,16 @@ class TestValidate:
                 if rng.random() < 0.15 and pts:
                     pts[1] = pts[0]  # inject a degenerate line sometimes
                 lines.append(tuple(pts))
-            c = Config(num_points=nu, lines=tuple(tuple(sorted(L)) for L in sorted(set(lines))), labels=None)
-            assert validate(c).ok == brute_is_partial_linear(c.lines)
+            lines = tuple(tuple(sorted(L)) for L in sorted(set(lines)))
+            in_order = list(lines) == sorted(lines)
+            assert builds(nu, lines) == (brute_is_partial_linear(lines) and in_order)
 
 
 class TestParameters:
     def test_rejects_invalid(self):
-        c = make_config(4, [(0, 1, 2), (0, 1, 3)])
+        # the configuration is refused before parameters can see it
         with pytest.raises(ValueError) as exc:
-            parameters(c)
+            parameters(make_config(4, [(0, 1, 2), (0, 1, 3)]))
         assert str(exc.value) == (
             "invalid configuration: lines (0, 1, 2) and (0, 1, 3) share 2 points (0, 1)"
         )
@@ -292,10 +314,10 @@ class TestIsIsomorphism:
                 assert is_isomorphism(c, c, f) == (f in isos)
 
     def test_rejects_different_counts(self):
-        c = make_config(4, [(0, 1, 2)])
-        assert not is_isomorphism(c, make_config(5, [(0, 1, 2)]), (0, 1, 2, 3))
-        assert not is_isomorphism(c, make_config(4, [(0, 1, 2), (0, 1, 3)]), (0, 1, 2, 3))
-        assert not is_isomorphism(c, make_config(4, []), (0, 1, 2, 3))
+        c = make_config(5, [(0, 1, 2)])
+        assert not is_isomorphism(c, make_config(6, [(0, 1, 2)]), (0, 1, 2, 3, 4))
+        assert not is_isomorphism(c, make_config(5, [(0, 1, 2), (0, 3, 4)]), (0, 1, 2, 3, 4))
+        assert not is_isomorphism(c, make_config(5, []), (0, 1, 2, 3, 4))
 
 
 class TestRelabel:
