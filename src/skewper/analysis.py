@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
-from .incidence import Config, Line, join
+from .incidence import Config, join
 from .perms import Perm, symmetric_group
 from .skews import Pair, all_pairs, make_pair
 from .constructions import Perspective
@@ -28,10 +28,10 @@ class FreeClique:
     vertex set: two edges share a line exactly when its third point is a
     vertex, and, that excluded, lines of disjoint edges can meet only in a
     common third point.  The search reads those third points from
-    `Config.third`."""
+    `Config.third`.  The record holds the vertex set; a pair's line is
+    `join` of its two vertices."""
 
     vertices: frozenset
-    edge_lines: Mapping[frozenset, Line]
 
 
 def _add_vertex(third, current: list[int], thirds: set[int], v: int) -> Optional[list[int]]:
@@ -53,14 +53,6 @@ def _add_vertex(third, current: list[int], thirds: set[int], v: int) -> Optional
     return added
 
 
-def _free_clique(third, vs: list[int]) -> FreeClique:
-    edge_lines = {
-        frozenset((u, v)): tuple(sorted((u, v, third[u][v])))
-        for u, v in itertools.combinations(vs, 2)
-    }
-    return FreeClique(frozenset(vs), edge_lines)
-
-
 def freely_contains(config: Config, vertices: Iterable[int]) -> Optional[FreeClique]:
     """The free complete subgraph on the given vertices, or None, under
     the line axioms stated on `FreeClique`."""
@@ -72,7 +64,7 @@ def freely_contains(config: Config, vertices: Iterable[int]) -> Optional[FreeCli
         if added is None:
             return None
         thirds.update(added)
-    return _free_clique(third, vs)
+    return FreeClique(frozenset(vs))
 
 
 def enumerate_free_cliques(config: Config, m: int) -> list[FreeClique]:
@@ -88,7 +80,7 @@ def enumerate_free_cliques(config: Config, m: int) -> list[FreeClique]:
 
     def extend(current: list[int], thirds: set[int], candidates: list[int]):
         if len(current) == m:
-            found.append(_free_clique(third, current))
+            found.append(FreeClique(frozenset(current)))
             return
         for i in range(len(candidates) - (m - len(current)) + 1):
             v = candidates[i]

@@ -7,7 +7,8 @@ flip maps (`_center_fixing_maps`), which move axis lines and axial points
 by position along each pair map's `Skew.point_map`.  It then groups the
 orbit representatives by canonical certificate and records the free
 five-clique census and automorphism order of each; every orbit member
-shares its representative's values through a verified witness.
+shares its representative's values through a witness that is verified
+and not kept.
 Reference constants carry the reference counts; `expectation_checks`
 compares a computed report against them without hiding disagreements.
 """
@@ -116,24 +117,19 @@ def build_instance(key: InstanceKey) -> Perspective:
 
 @dataclass(frozen=True)
 class InstanceSummary:
-    """Per-instance results plus the center-fixing map that joined the
-    instance to its orbit: ``kind`` is "representative" (``phi`` None),
-    or "direct" / "flip" with the row permutation ``phi`` carrying the
-    representative onto this instance (see `_center_fixing_maps`)."""
+    """Per-instance results: the free five-clique count, the automorphism
+    group order and the certificate class, all read off the instance's
+    orbit representative (see `_center_fixing_orbits`)."""
 
     key: InstanceKey
     free_clique_count: int
     aut_order: int
     class_id: int
-    representative: InstanceKey
-    kind: str
-    phi: Optional[Perm]
 
 
 @dataclass(frozen=True)
 class ClassSummary:
     class_id: int
-    representative: InstanceKey
     members: tuple[InstanceKey, ...]
     free_clique_count: int
     aut_order: int
@@ -170,9 +166,6 @@ def _class_ids(instances, cliques) -> set[int]:
     return {
         s.class_id for s in instances if s.key.f >= 2 and cliques(s.free_clique_count)
     }
-
-
-OrbitLink = tuple[InstanceKey, str, Optional[Perm]]
 
 
 def _row_lifts(n: int) -> Iterator[tuple[Perm, Skew, Skew]]:
@@ -223,7 +216,7 @@ def _build_iso(
     return witness
 
 
-def _center_fixing_orbits() -> dict[InstanceKey, OrbitLink]:
+def _center_fixing_orbits() -> dict[InstanceKey, InstanceKey]:
     """Quotient the catalog by the center-fixing direct and flip maps.
 
     For phi in S4 and b = bar(phi), the direct map sends (sigma, axis) to
@@ -235,7 +228,7 @@ def _center_fixing_orbits() -> dict[InstanceKey, OrbitLink]:
     `Skew.point_map` (`incidence.moved_lines`), with no `Config` built,
     and every image that is a catalog instance joins its orbit once
     `_build_iso` has verified the witness line for line.  Maps each key
-    to (representative, kind, phi).
+    to its representative.
     """
     persps = {key: build_instance(key) for key in ALL_KEYS}
     # skew -> axis lines -> key; most images leave the eight catalog skews
@@ -248,19 +241,19 @@ def _center_fixing_orbits() -> dict[InstanceKey, OrbitLink]:
         skew: [m for m in _center_fixing_maps(skew, lifts) if m[2] in index]
         for skew in index
     }
-    links: dict[InstanceKey, OrbitLink] = {}
+    representative: dict[InstanceKey, InstanceKey] = {}
     for rep in ALL_KEYS:
-        if rep in links:
+        if rep in representative:
             continue
-        links[rep] = (rep, "representative", None)
+        representative[rep] = rep
         persp = persps[rep]
         for kind, phi, image, c_map in maps[persp.skew]:
             key = index[image].get(moved_lines(persp.axis.lines, c_map.point_map))
-            if key is None or key in links:
+            if key is None or key in representative:
                 continue
             _build_iso(persp, persps[key], kind, phi, c_map)
-            links[key] = (rep, kind, phi)
-    return links
+            representative[key] = rep
+    return representative
 
 
 def classify_all(threads: int = 1) -> ClassificationReport:
@@ -279,17 +272,16 @@ def classify_all(threads: int = 1) -> ClassificationReport:
     if threads < 1:
         raise ValueError(f"thread count must be positive, got {threads}")
     start = time.perf_counter()
-    links = _center_fixing_orbits()
+    representative = _center_fixing_orbits()
     orbits_done = time.perf_counter()
-    stats = {k: _instance_stats(k) for k in ALL_KEYS if links[k][0] == k}
+    stats = {k: _instance_stats(k) for k in ALL_KEYS if representative[k] == k}
     stats_done = time.perf_counter()
 
     class_of_cert: dict[tuple, int] = {}
     members: dict[int, list[InstanceKey]] = {}
     instances: dict[InstanceKey, InstanceSummary] = {}
     for key in ALL_KEYS:
-        rep, kind, phi = links[key]
-        cliques, cert, order = stats[rep]
+        cliques, cert, order = stats[representative[key]]
         cid = class_of_cert.setdefault(cert, len(class_of_cert))
         members.setdefault(cid, []).append(key)
         instances[key] = InstanceSummary(
@@ -297,14 +289,10 @@ def classify_all(threads: int = 1) -> ClassificationReport:
             free_clique_count=cliques,
             aut_order=order,
             class_id=cid,
-            representative=rep,
-            kind=kind,
-            phi=phi,
         )
     classes = tuple(
         ClassSummary(
             class_id=cid,
-            representative=min(ks),
             members=tuple(sorted(ks)),
             free_clique_count=instances[ks[0]].free_clique_count,
             aut_order=instances[ks[0]].aut_order,

@@ -27,7 +27,7 @@ from .constructions import (
     veronesian_axis,
 )
 from .formats import _integers, emit_dot, emit_json, emit_psts, emit_stp_dot, parse_psts
-from .incidence import Config, is_isomorphism, parameters, relabel
+from .incidence import Config, is_isomorphism, relabel
 from .isomorphism import _canonize, are_isomorphic, canonical_certificate
 from .skews import parse_phi_text, skew_from_phi
 
@@ -84,17 +84,17 @@ def _cmd_build(args) -> int:
 def _cmd_analyze(args) -> int:
     config = parse_psts(Path(args.file).read_text())
     # enumerate_free_cliques rejects a bad clique size before any output
-    params = parameters(config)
     cliques = None
     if args.cliques is not None:
         cliques = enumerate_free_cliques(config, args.cliques)
     print(f"{config.num_points} points, {len(config.lines)} lines")
-    if params.binomial_n is None:
+    n = config.binomial_n
+    if n is None:
         print("not a binomial configuration")
     else:
         print(
-            f"binomial parameters: ({params.nu}_{params.binomial_n - 2}"
-            f" {params.b}_3), n = {params.binomial_n}"
+            f"binomial parameters: ({config.num_points}_{n - 2}"
+            f" {len(config.lines)}_3), n = {n}"
         )
     if cliques is not None:
         print(f"free {args.cliques}-cliques: {len(cliques)}")
@@ -250,13 +250,21 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# per build target: the options it requires, then those it also takes
+_BUILD_OPTIONS = {
+    "grassmannian": (("n",), ()),
+    "veronesian": (("k",), ()),
+    "perspective": (("phi", "axis"), ("n",)),
+}
+
+
 def _validate_build_args(args) -> None:
-    if args.what == "grassmannian" and args.n is None:
-        raise _Usage("build grassmannian requires --n")
-    if args.what == "veronesian" and args.k is None:
-        raise _Usage("build veronesian requires --k")
-    if args.what == "perspective" and (args.phi is None or args.axis is None):
-        raise _Usage("build perspective requires --phi and --axis")
+    required, optional = _BUILD_OPTIONS[args.what]
+    if any(getattr(args, option) is None for option in required):
+        raise _Usage(f"build {args.what} requires " + " and ".join(f"--{o}" for o in required))
+    for option in ("n", "k", "phi", "axis"):
+        if getattr(args, option) is not None and option not in required + optional:
+            raise _Usage(f"build {args.what} does not take --{option}")
 
 
 class _Usage(Exception):

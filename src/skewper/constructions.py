@@ -22,7 +22,7 @@ from functools import cached_property
 from math import comb
 from typing import Iterable, Mapping
 
-from .incidence import Config, make_config, moved_lines, parameters
+from .incidence import Config, make_config, moved_lines
 from .perms import Perm, parse_cycles
 from .skews import Pair, Skew, all_pairs, make_pair
 
@@ -195,7 +195,7 @@ def perspective(
     if sigma.n != n:
         raise ValueError(f"skew acts on a {sigma.n}-element ground set, expected {n}")
     _check_axis_labels(n, axis)
-    if require_binomial and parameters(axis).binomial_n != n:
+    if require_binomial and axis.binomial_n != n:
         raise ValueError(
             f"axis is not binomial on {{1..{n}}}: expected {len(all_pairs(n))} points of "
             f"rank {n - 2}; pass require_binomial=False to build anyway"

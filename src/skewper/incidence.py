@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, isqrt
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Line = tuple[int, int, int]
@@ -23,13 +23,14 @@ class Config:
     """An incidence structure with 3-element lines.
 
     ``lines`` is a strictly increasing tuple of increasing 3-tuples of
-    point ids, and ``labels``, when present, maps point id -> distinct name
-    positionally.  Building one that breaks this or the partial-Steiner
-    axiom raises ValueError naming every violation.  The derived views
-    (the pair view ``pairs_by_point``, the third-point index ``third`` and
-    the per-point ``triangles_and_pasch`` counts) are computed on first
-    use and kept on the instance; they are not fields, so equality,
-    hashing and every emitter see only the three fields.
+    int point ids, and ``labels``, when present, is a tuple of distinct
+    str names, positionally by point id.  Building one that breaks this or
+    the partial-Steiner axiom raises ValueError naming every violation.
+    The derived views (the pair view ``pairs_by_point``, the third-point
+    index ``third``, the per-point ``triangles_and_pasch`` counts and the
+    binomial witness ``binomial_n``) are computed on first use and kept on
+    the instance; they are not fields, so equality, hashing and every
+    emitter see only the three fields.
     """
 
     num_points: int
@@ -37,17 +38,28 @@ class Config:
     labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        """A valid configuration passes in one sweep: every line is an
-        increasing triple in range, the list is strictly increasing, and
-        the lines' pairs are all distinct (two lines sharing a pair would
-        repeat one).  Only a configuration that fails it is walked line by
-        line for the messages."""
+        """A valid configuration passes in one sweep: the lines are a
+        tuple of int triples (``bool`` is not an int here), each increasing
+        and in range, the list is strictly increasing, the lines' pairs are
+        all distinct (two lines sharing a pair would repeat one), and the
+        labels are a tuple of distinct str, one per point.  Only a
+        configuration that fails it is walked line by line for the
+        messages."""
         n, lines, labels = self.num_points, self.lines, self.labels
         if not (
-            all(len(L) == 3 and 0 <= L[0] < L[1] < L[2] < n for L in lines)
+            type(lines) is tuple
+            and all(
+                type(L) is tuple and len(L) == 3 and type(L[0]) is type(L[1]) is type(L[2]) is int
+                and 0 <= L[0] < L[1] < L[2] < n
+                for L in lines
+            )
             and all(L < M for L, M in zip(lines, lines[1:]))
             and len({p for x, y, z in lines for p in ((x, y), (x, z), (y, z))}) == 3 * len(lines)
-            and (labels is None or len(labels) == len(set(labels)) == n)
+            and (
+                labels is None
+                or type(labels) is tuple and set(map(type, labels)) <= {str}
+                and len(labels) == len(set(labels)) == n
+            )
         ):
             raise ValueError("invalid configuration: " + "; ".join(_violations(self)))
 
@@ -97,6 +109,16 @@ class Config:
             counts.append((triangles, pasch))
         return tuple(counts)
 
+    @cached_property
+    def binomial_n(self) -> Optional[int]:
+        """The n with C(n,2) points, C(n,3) lines and every point on n-2
+        lines, or None; n is at least 3."""
+        n = (1 + isqrt(1 + 8 * self.num_points)) // 2
+        counts = n >= 3 and comb(n, 2) == self.num_points and comb(n, 3) == len(self.lines)
+        if counts and all(len(pairs) == n - 2 for pairs in self.pairs_by_point):
+            return n
+        return None
+
     def label_of(self, point: int) -> str:
         if self.labels is not None:
             return self.labels[point]
@@ -105,10 +127,25 @@ class Config:
 
 def _violations(config: Config) -> list[str]:
     """Every way the lines and labels break the `Config` rules, in order:
-    repeated lines, each line's shape, range and place in the list, pairs
-    shared by two lines, then the labels."""
-    n, lines = config.num_points, config.lines
+    the types of the line list and its lines, repeated lines, each line's
+    shape, range and place in the list, pairs shared by two lines, then the
+    labels.  A line that is not a tuple of int is named once and left out
+    of the later checks."""
+    n, lines, labels = config.num_points, config.lines, config.labels
     violations: list[str] = []
+    if type(lines) is not tuple:
+        violations.append(f"line list has type {type(lines).__name__}, not tuple")
+    typed = []
+    for L in lines if isinstance(lines, (tuple, list)) else ():
+        if type(L) is not tuple:
+            violations.append(f"line {L!r} has type {type(L).__name__}, not tuple")
+            continue
+        wrong = [x for x in L if type(x) is not int]
+        if wrong:
+            violations.append(f"line {L} holds {wrong[0]!r}, which is not an int")
+        else:
+            typed.append(L)
+    lines = typed
     seen_lines: set[frozenset[int]] = set()
     for L in lines:
         if frozenset(L) in seen_lines:
@@ -133,23 +170,16 @@ def _violations(config: Config) -> list[str]:
                 violations.append(f"lines {seen[pair]} and {L} share 2 points {pair}")
             else:
                 seen[pair] = L
-    if config.labels is not None:
-        if len(config.labels) != n:
-            violations.append(f"label count {len(config.labels)} differs from point count {n}")
-        if len(set(config.labels)) != len(config.labels):
+    if labels is not None and type(labels) is not tuple:
+        violations.append(f"labels have type {type(labels).__name__}, not tuple")
+    elif labels is not None:
+        wrong = [x for x in labels if type(x) is not str]
+        violations += [f"label {x!r} is not a str" for x in wrong]
+        if len(labels) != n:
+            violations.append(f"label count {len(labels)} differs from point count {n}")
+        if not wrong and len(set(labels)) != len(labels):
             violations.append("labels are not pairwise distinct")
     return violations
-
-
-@dataclass(frozen=True)
-class ConfigParams:
-    """Numeric invariants: point/line counts, point ranks, and the witness
-    n when the counts match (C(n,2), C(n,3)) with all ranks n-2."""
-
-    nu: int
-    rank_multiset: tuple[int, ...]
-    b: int
-    binomial_n: Optional[int]
 
 
 def make_config(
@@ -158,28 +188,10 @@ def make_config(
     labels: Optional[Sequence[str]] = None,
 ) -> Config:
     """Build a Config from lines in any order, sorting each line and the
-    list and dropping repeats; raises ValueError as `Config` does."""
-    normalized = sorted({tuple(sorted(L)) for L in lines})
+    list; raises ValueError as `Config` does, on a repeated line too."""
+    normalized = sorted(tuple(sorted(L)) for L in lines)
     lab = tuple(labels) if labels is not None else None
     return Config(num_points=num_points, lines=tuple(normalized), labels=lab)
-
-
-def parameters(config: Config) -> ConfigParams:
-    """Compute counts, ranks and the binomial witness n; a `Config` is
-    valid by construction, so there is nothing to reject."""
-    rank = [len(pairs) for pairs in config.pairs_by_point]
-    nu, b = config.num_points, len(config.lines)
-    binomial_n: Optional[int] = None
-    for n in range(3, nu + 3):
-        if comb(n, 2) == nu and comb(n, 3) == b and all(r == n - 2 for r in rank):
-            binomial_n = n
-            break
-    return ConfigParams(
-        nu=nu,
-        rank_multiset=tuple(sorted(rank)),
-        b=b,
-        binomial_n=binomial_n,
-    )
 
 
 def join(config: Config, x: int, y: int) -> Optional[int]:

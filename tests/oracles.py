@@ -16,6 +16,7 @@ group order.
 import itertools
 import re
 from collections import Counter
+from math import comb
 
 from skewper.constructions import pair_label
 from skewper.incidence import make_config
@@ -53,6 +54,17 @@ def random_partial_linear(rng, nu, tries, lines=()):
         if all(len(set(cand) & set(L)) <= 1 for L in lines):
             lines.append(cand)
     return make_config(nu, lines)
+
+
+def brute_binomial_n(num_points, lines):
+    """The least n >= 3 with C(n,2) points, C(n,3) lines and every point
+    on n-2 lines, trying each n up to num_points + 2 against point ranks
+    counted over the raw line list; None when there is none."""
+    ranks = [sum(p in L for L in lines) for p in range(num_points)]
+    for n in range(3, num_points + 3):
+        if comb(n, 2) == num_points and comb(n, 3) == len(lines) and all(r == n - 2 for r in ranks):
+            return n
+    return None
 
 
 def is_free_by_definition(lines, vertices):

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from skewper.incidence import join, parameters
+from skewper.incidence import join
 from skewper.perms import Perm, parse_cycles
 from skewper.skews import all_pairs, make_pair, phi_sequence, skew_from_phi, zeta
 from skewper.constructions import (
@@ -76,10 +76,15 @@ class TestFreelyContains:
     def test_row_clique_present(self):
         persp = perspective(4, zeta(4), grassmannian(4))
         lab = persp.labeling
-        clique = freely_contains(persp.config, {lab.center, *lab.a})
-        assert clique is not None
-        assert len(clique.edge_lines) == 10
-        assert len(set(map(tuple, clique.edge_lines.values()))) == 10
+        vertices = {lab.center, *lab.a}
+        clique = freely_contains(persp.config, vertices)
+        assert clique is not None and clique.vertices == vertices
+        # the 10 edges lie on 10 distinct lines
+        edge_lines = {
+            tuple(sorted((u, v, join(persp.config, u, v))))
+            for u, v in itertools.combinations(vertices, 2)
+        }
+        assert len(edge_lines) == 10 and edge_lines <= set(persp.config.lines)
 
     def test_collinear_triple_absent(self):
         persp = perspective(4, zeta(4), grassmannian(4))
@@ -150,9 +155,7 @@ class TestEnumerateFreeCliques:
                     got = [tuple(sorted(fc.vertices)) for fc in found]
                     assert got == brute_free_cliques(c.num_points, c.lines, m)
                     for fc in found:
-                        edges = set(map(frozenset, itertools.combinations(fc.vertices, 2)))
-                        assert set(fc.edge_lines) == edges
-                        assert all(e <= set(L) and L in c.lines for e, L in fc.edge_lines.items())
+                        assert freely_contains(c, fc.vertices) == fc
 
     def test_perspective_has_exactly_three(self):
         persp = perspective(4, zeta(4), grassmannian(4))
@@ -280,7 +283,7 @@ class TestReperspective:
     def test_axis_is_binomial(self):
         persp = perspective(4, zeta(4), grassmannian(4))
         rep = reperspective(persp)
-        assert parameters(rep.axis).binomial_n == 4
+        assert rep.axis.binomial_n == 4
 
     def test_witness_is_verified_bijection(self):
         persp = perspective(4, zeta(4), grassmannian(4))
@@ -312,7 +315,13 @@ class TestReperspective:
     def test_five_set_round(self):
         persp = perspective(5, zeta(5), grassmannian(5))
         rep = reperspective(persp)
-        assert parameters(rep.rebuilt.config) == parameters(persp.config)
+        c1, c2 = rep.rebuilt.config, persp.config
+        assert (c1.num_points, len(c1.lines), c1.binomial_n) == (
+            c2.num_points,
+            len(c2.lines),
+            c2.binomial_n,
+        )
+        assert sorted(map(len, c1.pairs_by_point)) == sorted(map(len, c2.pairs_by_point))
 
 
 class TestStpDiagram:

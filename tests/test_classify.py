@@ -54,6 +54,12 @@ def report():
     return classify_all(threads=1)
 
 
+@pytest.fixture(scope="module")
+def representative_of():
+    """Each catalog key's center-fixing orbit representative."""
+    return classify._center_fixing_orbits()
+
+
 class TestCatalogs:
     def test_sizes(self):
         assert sorted(PHI_CATALOG) == list(range(1, 9))
@@ -159,11 +165,10 @@ class TestClassifyAll:
         }
 
     def test_every_instance_is_binomial(self, report):
-        from skewper.incidence import parameters
-
         for key in [InstanceKey(1, 5, 1), InstanceKey(8, 6, 15), InstanceKey(5, 5, 7)]:
-            params = parameters(build_instance(key).config)
-            assert (params.nu, params.b, params.binomial_n) == (15, 20, 6)
+            c = build_instance(key).config
+            assert (c.num_points, len(c.lines), c.binomial_n) == (15, 20, 6)
+            assert sorted(map(len, c.pairs_by_point)) == [4] * 15
         assert all(s.free_clique_count >= 2 for s in report.instances.values())
 
     def test_classes_partition_instances(self, report):
@@ -171,7 +176,7 @@ class TestClassifyAll:
         flat = [k for members in member_lists for k in members]
         assert sorted(flat) == sorted(report.instances)
         for cls in report.classes:
-            assert cls.representative in cls.members
+            assert cls.members and list(cls.members) == sorted(set(cls.members))
             counts = {report.instances[k].free_clique_count for k in cls.members}
             assert counts == {cls.free_clique_count}
             orders = {report.instances[k].aut_order for k in cls.members}
@@ -259,23 +264,31 @@ def center_fixing_witness(p1, p2, kind, phi):
 
 
 class TestOrbitQuotient:
-    def test_orbit_sizes(self, report):
-        kinds = Counter(s.kind for s in report.instances.values())
+    def test_orbit_sizes(self, representative_of, report):
+        # the map that joins a member is the first center-fixing map from
+        # its representative, which the reference search also finds first
+        kinds = Counter(
+            "representative" if rep == key else orbit_join(rep, key)[0]
+            for key, rep in representative_of.items()
+        )
         assert kinds == {"representative": 70, "direct": 72, "flip": 98}
-        for key, summary in report.instances.items():
-            rep = report.instances[summary.representative]
-            assert rep.kind == "representative"
-            assert rep.representative == rep.key
-            assert (summary.phi is None) == (summary.kind == "representative")
+        assert sorted(representative_of) == list(ALL_KEYS)
+        for key, rep in representative_of.items():
+            assert representative_of[rep] == rep and rep <= key
+            member, first = report.instances[key], report.instances[rep]
+            assert (member.free_clique_count, member.aut_order) == (
+                first.free_clique_count,
+                first.aut_order,
+            )
         assert set(report.timings) == {"orbits", "stats", "grouping", "total"}
 
-    def test_recorded_maps_are_isomorphisms(self, report):
-        for key, summary in report.instances.items():
-            if summary.kind == "representative":
+    def test_recorded_maps_are_isomorphisms(self, representative_of):
+        for key, rep in representative_of.items():
+            if key == rep:
                 continue
-            p1 = build_instance(summary.representative)
+            p1 = build_instance(rep)
             p2 = build_instance(key)
-            witness = center_fixing_witness(p1, p2, summary.kind, summary.phi)
+            _, _, witness = orbit_join(rep, key)
             assert sorted(witness.values()) == list(range(15))
             mapped = {tuple(sorted(witness[x] for x in L)) for L in p1.config.lines}
             assert mapped == set(p2.config.lines), key
@@ -304,6 +317,14 @@ def brute_moved_lines(axis, c_map):
     return tuple(
         sorted(tuple(sorted(pairs.index(c_map(pairs[x])) for x in L)) for L in axis.lines)
     )
+
+
+def orbit_join(rep, key):
+    """(kind, phi, witness) of the center-fixing map that joins `key` to
+    the orbit of `rep`; fails when there is none."""
+    found = reference_perspective_iso(build_instance(rep), build_instance(key))
+    assert found is not None, (rep, key)
+    return found
 
 
 def reference_perspective_iso(p1, p2):
@@ -347,10 +368,10 @@ class TestAxisTransport:
                     moves += 1
         assert moves == 8 * 48 * 30
 
-    def test_perspective_iso_matches_reference(self, report):
+    def test_perspective_iso_matches_reference(self, representative_of):
         # each member against its representative and back, and the named
         # catalog pairs of the other tests
-        pairs = [(s.representative, key) for key, s in report.instances.items()]
+        pairs = [(rep, key) for key, rep in representative_of.items()]
         pairs += [(b, a) for a, b in pairs]
         pairs += [
             (InstanceKey(2, 6, 2), InstanceKey(2, 6, 3)),
@@ -383,13 +404,15 @@ def canonized_directly():
     return out
 
 
-def test_orbit_quotient_matches_direct_canonization(canonized_directly, report):
+def test_orbit_quotient_matches_direct_canonization(
+    canonized_directly, representative_of, report
+):
     class_of_cert = {}
     for key in ALL_KEYS:
         cliques, order, cert = canonized_directly[key]
         summary = report.instances[key]
         assert (summary.free_clique_count, summary.aut_order) == (cliques, order), key
-        assert canonized_directly[summary.representative][2] == cert, key
+        assert canonized_directly[representative_of[key]][2] == cert, key
         assert summary.class_id == class_of_cert.setdefault(cert, len(class_of_cert))
     assert len(report.classes) == len(class_of_cert)
 
@@ -524,14 +547,10 @@ class TestComputedTruth:
 
     def test_all_multi_member_classes_verified(self, report):
         for cls in report.classes:
-            rep = build_instance(cls.representative).config
-            for member in cls.members:
-                if member == cls.representative:
-                    continue
-                assert are_isomorphic(rep, build_instance(member).config), (
-                    cls.representative,
-                    member,
-                )
+            first, *others = cls.members
+            rep = build_instance(first).config
+            for member in others:
+                assert are_isomorphic(rep, build_instance(member).config), (first, member)
 
 
 class TestExpectations:

@@ -141,6 +141,22 @@ class TestBuild:
         assert run("frobnicate")[0] == 2  # unknown verb
         assert run()[0] == 2  # no verb
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("grassmannian", "--n", "3", "--k", "2"), "--k"),
+            (("grassmannian", "--n", "4", "--phi", "[(1,3),(1,2)]"), "--phi"),
+            (("grassmannian", "--n", "4", "--axis", "grassmannian"), "--axis"),
+            (("veronesian", "--k", "1", "--n", "9"), "--n"),
+            (("veronesian", "--k", "3", "--axis", "veronesian"), "--axis"),
+            (("perspective", "--phi", "[(1,3),(1,2)]", "--axis", "grassmannian", "--k", "2"), "--k"),
+        ],
+    )
+    def test_option_that_does_not_apply(self, run, argv, option):
+        code, out, err = run("build", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: build {argv[0]} does not take {option}\n"
+
 
 class TestIntegerOptions:
     """--n, --k, --cliques and --seed take an optional "-" and ASCII

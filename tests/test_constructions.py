@@ -17,7 +17,7 @@ import pytest
 
 from skewper import constructions, incidence
 from skewper.analysis import stp_diagram
-from skewper.incidence import Config, make_config, parameters, relabel
+from skewper.incidence import Config, make_config, relabel
 from skewper.perms import Perm, parse_cycles, symmetric_group
 from skewper.classify import ALL_KEYS, build_instance
 from skewper.skews import Skew, all_pairs, bar_alpha, make_pair, zeta
@@ -83,7 +83,7 @@ class TestGrassmannian:
         for n, nu, b in ((3, 3, 1), (4, 6, 4), (5, 10, 10), (6, 15, 20)):
             g = grassmannian(n)
             assert (g.num_points, len(g.lines)) == (nu, b)
-            assert parameters(g).binomial_n == n
+            assert g.binomial_n == n
 
     def test_line_content(self):
         g = grassmannian(4)
@@ -115,9 +115,9 @@ class TestVeronesian:
         assert (v.num_points, len(v.lines)) == (3, 1)
 
     def test_weight_two_is_veblen_shape(self):
-        p = parameters(veronesian(2))
-        assert (p.nu, p.b) == (6, 4)
-        assert p.rank_multiset == (2,) * 6
+        v = veronesian(2)
+        assert (v.num_points, len(v.lines)) == (6, 4)
+        assert sorted(map(len, v.pairs_by_point)) == [2] * 6
 
     def test_point_labels(self):
         v = veronesian(2)
@@ -146,7 +146,7 @@ class TestVeronesian:
     def test_axis_form_is_binomial(self):
         for k in (3, 4, 5):
             ax = veronesian_axis(k)
-            assert parameters(ax).binomial_n == k
+            assert ax.binomial_n == k
             assert ax.labels == tuple(pair_label(u) for u in all_pairs(k))
 
     def test_axis_relabeling_bijection(self):
@@ -192,10 +192,10 @@ class TestPerspective:
 
     def test_shape_and_parameters(self):
         persp = perspective(4, zeta(4), grassmannian(4))
-        p = parameters(persp.config)
-        assert (p.nu, p.b) == (15, 20)
-        assert p.binomial_n == 6
-        assert p.rank_multiset == (4,) * 15
+        c = persp.config
+        assert (c.num_points, len(c.lines)) == (15, 20)
+        assert c.binomial_n == 6
+        assert sorted(map(len, c.pairs_by_point)) == [4] * 15
 
     def test_returns_config_and_labeling(self):
         persp = perspective(3, identity_skew(3), grassmannian(3))
@@ -397,9 +397,9 @@ class TestVeblen:
             for mu in symmetric_group(4):
                 if not mu.fixed_points():
                     continue
-                p = parameters(veblen(veblen_label(s, mu)))
-                assert (p.nu, p.b) == (6, 4)
-                assert p.rank_multiset == (2,) * 6
+                c = veblen(veblen_label(s, mu))
+                assert (c.num_points, len(c.lines)) == (6, 4)
+                assert sorted(map(len, c.pairs_by_point)) == [2] * 6
 
     def test_derangement_rejected(self):
         with pytest.raises(ValueError, match="no fixed point"):

@@ -1,9 +1,11 @@
-"""Tests for partial Steiner triple systems: validation, parameters, join,
+"""Tests for partial Steiner triple systems: validation, the binomial
+witness, join,
 the derived incidence views and the isomorphism check.
 
 Oracles: pairwise line intersection is recomputed here by brute force and
 compared with the check a `Config` makes when it is built; join results and the incidence views are
-recovered by scanning the raw line list.
+recovered by scanning the raw line list, and `Config.binomial_n` by trying
+every n against point ranks counted there.
 """
 
 import dataclasses
@@ -13,18 +15,24 @@ from math import comb
 
 import pytest
 
-from skewper.classify import ALL_KEYS, build_instance
+from skewper.classify import ALL_KEYS, MU_CATALOG, build_instance
+from skewper.constructions import (
+    grassmannian,
+    veblen,
+    veblen_label,
+    veronesian,
+    veronesian_axis,
+)
 from skewper.incidence import (
     Config,
     is_isomorphism,
     make_config,
     moved_lines,
-    parameters,
     join,
     relabel,
 )
 
-from oracles import brute_isos, random_partial_linear
+from oracles import brute_binomial_n, brute_isos, random_partial_linear
 
 
 def brute_is_partial_linear(lines) -> bool:
@@ -132,6 +140,35 @@ class TestValidate:
             ),
             (3, ((2, 1, 0),), None, ["line (2, 1, 0) is not an increasing triple"]),
             (6, ((3, 4, 5), (0, 1, 2)), None, ["lines (3, 4, 5) and (0, 1, 2) are out of order"]),
+            (3, ((0, 1, 2.5),), None, ["line (0, 1, 2.5) holds 2.5, which is not an int"]),
+            (3, ((0, 1, True),), None, ["line (0, 1, True) holds True, which is not an int"]),
+            (
+                3,
+                [[0, 1, 2]],
+                None,
+                ["line list has type list, not tuple", "line [0, 1, 2] has type list, not tuple"],
+            ),
+            (
+                5,
+                ((0, 1, 2), [2, 3, 4], (0, 3, 2.0)),
+                None,
+                [
+                    "line [2, 3, 4] has type list, not tuple",
+                    "line (0, 3, 2.0) holds 2.0, which is not an int",
+                ],
+            ),
+            (3, (), ["x", "y", "z"], ["labels have type list, not tuple"]),
+            (3, (), ("x", 1, "z"), ["label 1 is not a str"]),
+            (
+                2,
+                (),
+                ("x", ["y"], ["y"]),
+                [
+                    "label ['y'] is not a str",
+                    "label ['y'] is not a str",
+                    "label count 3 differs from point count 2",
+                ],
+            ),
         ],
         ids=[
             "repeated",
@@ -146,6 +183,13 @@ class TestValidate:
             "several-kinds",
             "unsorted",
             "out-of-order",
+            "float-point",
+            "bool-point",
+            "list-lines",
+            "list-and-float-line",
+            "list-labels",
+            "int-label",
+            "unhashable-labels",
         ],
     )
     def test_exact_violations(self, num_points, lines, labels, violations):
@@ -185,27 +229,39 @@ class TestValidate:
 
 class TestParameters:
     def test_rejects_invalid(self):
-        # the configuration is refused before parameters can see it
+        # the configuration is refused before binomial_n can see it
         with pytest.raises(ValueError) as exc:
-            parameters(make_config(4, [(0, 1, 2), (0, 1, 3)]))
+            make_config(4, [(0, 1, 2), (0, 1, 3)]).binomial_n
         assert str(exc.value) == (
             "invalid configuration: lines (0, 1, 2) and (0, 1, 3) share 2 points (0, 1)"
         )
 
     def test_triangle(self):
-        p = parameters(make_config(3, [(0, 1, 2)]))
-        assert (p.nu, p.b) == (3, 1)
-        assert p.rank_multiset == (1, 1, 1)
-        assert p.binomial_n == 3  # C(3,2)=3 points, C(3,3)=1 line, ranks 1
+        c = make_config(3, [(0, 1, 2)])
+        assert (c.num_points, len(c.lines)) == (3, 1)
+        assert sorted(map(len, c.pairs_by_point)) == [1, 1, 1]
+        assert c.binomial_n == 3  # C(3,2)=3 points, C(3,3)=1 line, ranks 1
 
     def test_rank_sum_equals_three_b(self):
         c = make_config(7, [(0, 1, 2), (3, 4, 5), (0, 3, 6)])
-        p = parameters(c)
-        assert sum(p.rank_multiset) == 3 * p.b
+        assert sum(map(len, c.pairs_by_point)) == 3 * len(c.lines)
 
     def test_non_binomial(self):
-        p = parameters(make_config(5, [(0, 1, 2)]))
-        assert p.binomial_n is None
+        assert make_config(5, [(0, 1, 2)]).binomial_n is None
+
+    def test_binomial_n_matches_brute_force(self):
+        configs = [grassmannian(n) for n in range(3, 9)]
+        configs += [veronesian_axis(n) for n in range(3, 9)]
+        configs += [veblen(veblen_label(s, mu)) for s in (5, 6) for mu in MU_CATALOG.values()]
+        configs += [veronesian(2), Config(0, ()), Config(1, ()), Config(6, ())]
+        configs += [make_config(5, [(0, 1, 2)])]
+        witnesses = [c.binomial_n for c in configs]
+        assert witnesses == [brute_binomial_n(c.num_points, c.lines) for c in configs]
+        assert witnesses == [*range(3, 9), *range(3, 9), *[4] * 30, 4, None, None, None, None]
+        rng = random.Random(26)
+        for _ in range(60):
+            c = random_partial_linear(rng, rng.randint(3, 15), rng.randint(0, 40))
+            assert c.binomial_n == brute_binomial_n(c.num_points, c.lines)
 
 
 class TestJoin:
@@ -235,8 +291,8 @@ class TestJoin:
                 tuple(tuple(x for x in L if x != p) for L in c.lines if p in L)
                 for p in range(nu)
             )
-            assert parameters(c).rank_multiset == tuple(
-                sorted(sum(p in L for L in c.lines) for p in range(nu))
+            assert sorted(map(len, c.pairs_by_point)) == sorted(
+                sum(p in L for L in c.lines) for p in range(nu)
             )
             # exactly the collinear pairs, in both orders
             assert [dict(row) for row in c.third] == [
@@ -350,7 +406,9 @@ class TestRelabel:
     def test_parameters_invariant(self):
         c = make_config(5, [(0, 1, 2), (2, 3, 4)])
         f = {0: 4, 1: 3, 2: 2, 3: 1, 4: 0}
-        assert parameters(relabel(c, f)) == parameters(c)
+        d = relabel(c, f)
+        assert (d.num_points, len(d.lines), d.binomial_n) == (5, 2, None)
+        assert sorted(map(len, d.pairs_by_point)) == sorted(map(len, c.pairs_by_point))
 
 
 class TestMovedLines:
@@ -381,9 +439,10 @@ class TestMakeConfig:
         c = make_config(5, [(4, 2, 0), (3, 1, 0)])
         assert c.lines == ((0, 1, 3), (0, 2, 4))
 
-    def test_duplicate_lines_collapse(self):
-        c = make_config(4, [(2, 1, 0), (0, 1, 2)])
-        assert len(c.lines) == 1
+    def test_repeated_line_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            make_config(4, [(0, 1, 2), (2, 1, 0)])
+        assert str(exc.value) == "invalid configuration: line list repeats line (0, 1, 2)"
 
     def test_binomial_detection_examples(self):
         # C(n,2) points, C(n,3) lines, all ranks n-2: the smallest cases

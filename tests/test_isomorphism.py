@@ -310,8 +310,10 @@ class TestOneSearch:
             return leaves(*args)
 
         monkeypatch.setattr(isomorphism, "_leaves", counted)
-        report = classify_all(1)
-        representatives = {s.representative for s in report.instances.values()}
+        classify_all(1)
+        orbits = classify._center_fixing_orbits()
+        representatives = {key for key, rep in orbits.items() if key == rep}
+        assert set(orbits.values()) == representatives
         assert len(representatives) == 70
         assert len(calls) == 70
         assert set(calls) == {build_instance(k).config for k in representatives}
@@ -639,9 +641,9 @@ class TestFullTraceOracle:
 class TestRootColors:
     """The root coloring ranks each point's triangle and Pasch counts."""
 
-    def test_counts_match_definition_on_catalog(self, catalog_report):
-        for key, summary in catalog_report.instances.items():
-            if summary.kind == "representative":
+    def test_counts_match_definition_on_catalog(self, representative_of):
+        for key, rep in representative_of.items():
+            if key == rep:
                 c = build_instance(key).config
                 expected = brute_triangles_and_pasch(c.num_points, c.lines)
                 assert list(c.triangles_and_pasch) == expected, key
@@ -900,12 +902,12 @@ class TestPreCheck:
         assert are_isomorphic(v, h) is None
         assert are_isomorphic(h, v) is None
 
-    def test_hard_catalog_negatives(self, catalog_report, monkeypatch):
+    def test_hard_catalog_negatives(self, catalog_report, representative_of, monkeypatch):
         # pairs of representatives that agree on free-clique count and
         # group order, the invariants `classify` reports
         by_invariants = {}
         for key, summary in catalog_report.instances.items():
-            if summary.kind == "representative":
+            if representative_of[key] == key:
                 invariants = (summary.free_clique_count, summary.aut_order)
                 by_invariants.setdefault(invariants, []).append(key)
         configs = {
@@ -926,12 +928,12 @@ class TestPreCheck:
                 answered += 1
         assert answered > 0
 
-    def test_equal_multisets_reach_the_search(self, catalog_report, monkeypatch):
+    def test_equal_multisets_reach_the_search(self, catalog_report, representative_of, monkeypatch):
         # the representatives of classes 8 and 9: 2 free five-cliques, a
         # trivial group and equal multisets
         k1, k2 = InstanceKey(2, 5, 6), InstanceKey(2, 5, 7)
         s1, s2 = catalog_report.instances[k1], catalog_report.instances[k2]
-        assert s1.kind == s2.kind == "representative"
+        assert (representative_of[k1], representative_of[k2]) == (k1, k2)
         assert s1.class_id != s2.class_id
         c1, c2 = build_instance(k1).config, build_instance(k2).config
         assert count_multiset(c1) == count_multiset(c2)
@@ -1012,6 +1014,12 @@ def catalog_report():
     return classify_all(threads=1)
 
 
+@pytest.fixture(scope="module")
+def representative_of():
+    """Each catalog key's center-fixing orbit representative."""
+    return classify._center_fixing_orbits()
+
+
 class TestReferenceSearch:
     """`are_isomorphic` searches its second configuration against the
     trace of the first's first leaf; on these inputs its answers and
@@ -1027,10 +1035,10 @@ class TestReferenceSearch:
                 assert expected is not None
                 assert are_isomorphic(first, moved) == expected, key
 
-    def test_orbit_representatives_with_equal_invariants(self, catalog_report):
+    def test_orbit_representatives_with_equal_invariants(self, catalog_report, representative_of):
         by_invariants = {}
         for key, summary in catalog_report.instances.items():
-            if summary.kind == "representative":
+            if representative_of[key] == key:
                 invariants = (summary.free_clique_count, summary.aut_order)
                 by_invariants.setdefault(invariants, []).append(key)
         negatives = 0
