@@ -1,7 +1,8 @@
 """Structural analysis of configurations and perspectives.
 
 Covers free complete subgraphs and the 3x3 diagrams describing the top
-axial line.
+axial line.  A diagram orders each of its rows by the concurrences it
+promises, reading only the perspective's labeling and lines.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .incidence import Config, join
-from .perms import Perm, symmetric_group
-from .skews import Pair, all_pairs, make_pair
+from .skews import all_pairs
 from .constructions import Perspective
 
 
@@ -107,58 +107,37 @@ class StpDiagram:
     matching: tuple[tuple[tuple[int, int], tuple[int, int], int], ...]
 
 
-def _restrict_to_inner_pairs(skew_like) -> Optional[Perm]:
-    """The point permutation pi of {1,2,3} with pair images matching the
-    given map on the pairs inside {1,2,3}, if any."""
-    inner = list(all_pairs(3))
-    for pi in symmetric_group(3):
-        if all(
-            skew_like(u) == make_pair(pi(u[0]), pi(u[1])) for u in inner
-        ):
-            return pi
-    return None
+def _ordered_row(config: Config, top: dict[tuple[int, int], int], points: Iterable[int]):
+    """The ordering of three points whose columns r and s join in
+    top[(r, s)]; unique, as the top points differ."""
+    for row in itertools.permutations(points):
+        if all(join(config, row[r], row[s]) == c for (r, s), c in top.items()):
+            return row
+    raise ValueError("column joins do not concur in the top line")
 
 
 def stp_diagram(persp: Perspective) -> StpDiagram:
     """Build the diagram of the top axial line of a 4-row perspective.
 
-    Needs the third free clique on index 4 (on top of the two rows).  Rows:
-    a_1 a_2 a_3; the b-row ordered by the permutation lifting the skew's
-    action on the inner pairs; the axial points {i,4} ordered by the
-    inverse of the join-pattern permutation.  Every declared concurrence is
-    verified before returning.
+    Needs the third free clique on index 4 (on top of the two rows).  The
+    rows are {a_1,a_2,a_3}, {b_1,b_2,b_3} and the axial points {i,4}, each
+    in the one order whose columns r and s join in the top line's point
+    c_{r,s} (columns numbered 1 to 3).  Raises ValueError when a row has no
+    such order, or when two rows do not match one-to-one through their
+    apex.
     """
     if persp.n != 4:
         raise ValueError("diagrams are defined for 4-row perspectives")
-    lab = persp.labeling
-    star_vertices = {lab.a[3], lab.b[3], *_star_point_ids(persp, 4)}
-    if freely_contains(persp.config, star_vertices) is None:
+    config, lab = persp.config, persp.labeling
+    axial = _star_point_ids(persp, 4)
+    if freely_contains(config, {lab.a[3], lab.b[3], *axial}) is None:
         raise ValueError(
             "no third free clique on index 4; the diagram needs three free cliques"
         )
-    config = persp.config
-    # the join pattern of the axial points {i,4}: m({i,j}) = w with
-    # c_{i,4} + c_{j,4} = c_w
-    pair_of = {x: u for u, x in lab.c.items()}
-    m_map: dict[Pair, Pair] = {}
-    for i, j in all_pairs(3):
-        third = join(config, lab.c[(i, 4)], lab.c[(j, 4)])
-        assert third is not None
-        m_map[(i, j)] = pair_of[third]
-    for u in all_pairs(3):
-        if max(m_map[u]) > 3:
-            raise ValueError("axial join pattern leaves the inner pairs")
-    pi = _restrict_to_inner_pairs(persp.skew)
-    if pi is None:
-        raise ValueError("skew does not act on the pairs inside {1,2,3}")
-    m_inv = {v: u for u, v in m_map.items()}
-    x = _restrict_to_inner_pairs(lambda u: m_inv[u])
-    if x is None:
-        raise ValueError("axial join pattern is not induced by a point permutation")
-    rows = (
-        (lab.a[0], lab.a[1], lab.a[2]),
-        (lab.b[pi(1) - 1], lab.b[pi(2) - 1], lab.b[pi(3) - 1]),
-        (lab.c[(x(1), 4)], lab.c[(x(2), 4)], lab.c[(x(3), 4)]),
+    top = {(r, s): lab.c[(r + 1, s + 1)] for r, s in itertools.combinations(range(3), 2)}
+    rows = tuple(
+        _ordered_row(config, top, points)
+        for points in (lab.a[:3], lab.b[:3], axial)
     )
     matching: list[tuple[tuple[int, int], tuple[int, int], int]] = []
     apexes = {(0, 1): lab.center, (0, 2): lab.a[3], (1, 2): lab.b[3]}
@@ -174,10 +153,4 @@ def stp_diagram(persp: Perspective) -> StpDiagram:
                     f"rows {r1 + 1} and {r2 + 1} do not match one-to-one through their apex"
                 )
             matching.append(((r1, k1), (r2, hits[0]), apex))
-    # verify the column concurrences in the top line
-    for r, s in itertools.combinations(range(3), 2):
-        expected = lab.c[(r + 1, s + 1)]
-        for row in range(3):
-            if join(config, rows[row][r], rows[row][s]) != expected:
-                raise ValueError("column joins do not concur in the top line")
     return StpDiagram(rows=rows, matching=tuple(sorted(matching)))

@@ -38,16 +38,18 @@ class Config:
     labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        """A valid configuration passes in one sweep: the lines are a
-        tuple of int triples (``bool`` is not an int here), each increasing
-        and in range, the list is strictly increasing, the lines' pairs are
-        all distinct (two lines sharing a pair would repeat one), and the
-        labels are a tuple of distinct str, one per point.  Only a
-        configuration that fails it is walked line by line for the
-        messages."""
+        """A valid configuration passes in one sweep: the point count is a
+        non-negative int (``bool`` is not an int here), the lines are a
+        tuple of int triples, each increasing and in range, the list is
+        strictly increasing, the lines' pairs are all distinct (two lines
+        sharing a pair would repeat one), and the labels are a tuple of
+        distinct str, one per point.  Only a configuration that fails it is
+        walked line by line for the messages."""
         n, lines, labels = self.num_points, self.lines, self.labels
         if not (
-            type(lines) is tuple
+            type(n) is int
+            and n >= 0
+            and type(lines) is tuple
             and all(
                 type(L) is tuple and len(L) == 3 and type(L[0]) is type(L[1]) is type(L[2]) is int
                 and 0 <= L[0] < L[1] < L[2] < n
@@ -126,13 +128,18 @@ class Config:
 
 
 def _violations(config: Config) -> list[str]:
-    """Every way the lines and labels break the `Config` rules, in order:
-    the types of the line list and its lines, repeated lines, each line's
-    shape, range and place in the list, pairs shared by two lines, then the
-    labels.  A line that is not a tuple of int is named once and left out
-    of the later checks."""
+    """Every way the point count, lines and labels break the `Config`
+    rules, in order: the point count, the types of the line list and its
+    lines, repeated lines, each line's shape, range and place in the list,
+    pairs shared by two lines, then the labels.  A line that is not a tuple
+    of int is named once and left out of the later checks, and no range is
+    checked against a point count that is not an int."""
     n, lines, labels = config.num_points, config.lines, config.labels
     violations: list[str] = []
+    if type(n) is not int:
+        violations.append(f"point count {n!r} is not an int")
+    elif n < 0:
+        violations.append(f"point count {n} is negative")
     if type(lines) is not tuple:
         violations.append(f"line list has type {type(lines).__name__}, not tuple")
     typed = []
@@ -156,7 +163,7 @@ def _violations(config: Config) -> list[str]:
             violations.append(f"line {L} does not consist of 3 distinct points")
         elif not L[0] < L[1] < L[2]:
             violations.append(f"line {L} is not an increasing triple")
-        for x in L:
+        for x in L if type(n) is int else ():
             if not (0 <= x < n):
                 violations.append(f"line {L} uses point {x} outside 0..{n - 1}")
         if before > L:

@@ -1,11 +1,13 @@
 """Oracles independent of the package's canonical-form machinery, its
 incidence views and its free-clique rule, label decoders written from the
-label formats, plus seeded inputs, shared by the tests.  Two oracles
+label formats, plus seeded inputs, shared by the tests.  Three oracles
 keep an earlier, longer route to a result the package now reaches more
 directly: `full_trace_leaves` refines discrete colorings once more (its
-root colors read `Config.triangles_and_pasch`), and
+root colors read `Config.triangles_and_pasch`),
 `perspective_by_definition` builds a perspective through pair
-dictionaries.
+dictionaries, and `reference_stp_diagram` orders two diagram rows by how
+the skew and the axis act on the pairs inside {1,2,3}, then checks the
+concurrences it promised (it reads the package's `freely_contains`).
 
 Both isomorphism generators yield every line-preserving point bijection
 c1 -> c2 as an image tuple, in lexicographic order: `next(gen, None)` is a
@@ -17,10 +19,13 @@ import itertools
 import re
 from collections import Counter
 from math import comb
+from typing import Optional
 
-from skewper.constructions import pair_label
-from skewper.incidence import make_config
-from skewper.skews import all_pairs
+from skewper.analysis import StpDiagram, _star_point_ids, freely_contains
+from skewper.constructions import Perspective, pair_label
+from skewper.incidence import join, make_config
+from skewper.perms import Perm, symmetric_group
+from skewper.skews import Pair, all_pairs, make_pair
 
 
 def pair_of_label(name):
@@ -313,3 +318,79 @@ def perspective_by_definition(n, sigma, axis):
         + ["c" + pair_label(u) for u in pairs]
     )
     return make_config(2 * n + 1 + len(pairs), lines, labels)
+
+
+def _restrict_to_inner_pairs(skew_like) -> Optional[Perm]:
+    """The point permutation pi of {1,2,3} with pair images matching the
+    given map on the pairs inside {1,2,3}, if any."""
+    inner = list(all_pairs(3))
+    for pi in symmetric_group(3):
+        if all(
+            skew_like(u) == make_pair(pi(u[0]), pi(u[1])) for u in inner
+        ):
+            return pi
+    return None
+
+
+def reference_stp_diagram(persp: Perspective) -> StpDiagram:
+    """Build the diagram of the top axial line of a 4-row perspective.
+
+    Needs the third free clique on index 4 (on top of the two rows).  Rows:
+    a_1 a_2 a_3; the b-row ordered by the permutation lifting the skew's
+    action on the inner pairs; the axial points {i,4} ordered by the
+    inverse of the join-pattern permutation.  Every declared concurrence is
+    verified before returning.
+    """
+    if persp.n != 4:
+        raise ValueError("diagrams are defined for 4-row perspectives")
+    lab = persp.labeling
+    star_vertices = {lab.a[3], lab.b[3], *_star_point_ids(persp, 4)}
+    if freely_contains(persp.config, star_vertices) is None:
+        raise ValueError(
+            "no third free clique on index 4; the diagram needs three free cliques"
+        )
+    config = persp.config
+    # the join pattern of the axial points {i,4}: m({i,j}) = w with
+    # c_{i,4} + c_{j,4} = c_w
+    pair_of = {x: u for u, x in lab.c.items()}
+    m_map: dict[Pair, Pair] = {}
+    for i, j in all_pairs(3):
+        third = join(config, lab.c[(i, 4)], lab.c[(j, 4)])
+        assert third is not None
+        m_map[(i, j)] = pair_of[third]
+    for u in all_pairs(3):
+        if max(m_map[u]) > 3:
+            raise ValueError("axial join pattern leaves the inner pairs")
+    pi = _restrict_to_inner_pairs(persp.skew)
+    if pi is None:
+        raise ValueError("skew does not act on the pairs inside {1,2,3}")
+    m_inv = {v: u for u, v in m_map.items()}
+    x = _restrict_to_inner_pairs(lambda u: m_inv[u])
+    if x is None:
+        raise ValueError("axial join pattern is not induced by a point permutation")
+    rows = (
+        (lab.a[0], lab.a[1], lab.a[2]),
+        (lab.b[pi(1) - 1], lab.b[pi(2) - 1], lab.b[pi(3) - 1]),
+        (lab.c[(x(1), 4)], lab.c[(x(2), 4)], lab.c[(x(3), 4)]),
+    )
+    matching: list[tuple[tuple[int, int], tuple[int, int], int]] = []
+    apexes = {(0, 1): lab.center, (0, 2): lab.a[3], (1, 2): lab.b[3]}
+    for (r1, r2), apex in apexes.items():
+        for k1 in range(3):
+            hits = [
+                k2
+                for k2 in range(3)
+                if join(config, rows[r1][k1], rows[r2][k2]) == apex
+            ]
+            if len(hits) != 1:
+                raise ValueError(
+                    f"rows {r1 + 1} and {r2 + 1} do not match one-to-one through their apex"
+                )
+            matching.append(((r1, k1), (r2, hits[0]), apex))
+    # verify the column concurrences in the top line
+    for r, s in itertools.combinations(range(3), 2):
+        expected = lab.c[(r + 1, s + 1)]
+        for row in range(3):
+            if join(config, rows[row][r], rows[row][s]) != expected:
+                raise ValueError("column joins do not concur in the top line")
+    return StpDiagram(rows=rows, matching=tuple(sorted(matching)))

@@ -9,7 +9,10 @@ Oracles used here:
   direct free-containment of the candidate vertex sets;
 - the crossing predicate's formula route is compared with a literal
   line-intersection scan;
-- every diagram concurrence is re-verified with join() inside the tests.
+- every diagram concurrence is re-verified with join() inside the tests;
+- every diagram, or its error text, equals that of `reference_stp_diagram`,
+  which orders the rows through the skew, on the catalog, on every skew
+  over G(2,4) and on seeded non-binomial axes.
 """
 
 import itertools
@@ -19,8 +22,10 @@ import pytest
 
 from skewper.incidence import join
 from skewper.perms import Perm, parse_cycles
-from skewper.skews import all_pairs, make_pair, phi_sequence, skew_from_phi, zeta
+from skewper.skews import Skew, all_pairs, make_pair, phi_sequence, skew_from_phi, zeta
+from skewper.classify import ALL_KEYS, build_instance
 from skewper.constructions import (
+    axis_config,
     grassmannian,
     pair_label,
     perspective,
@@ -29,6 +34,7 @@ from skewper.constructions import (
     veronesian,
 )
 from skewper.analysis import (
+    StpDiagram,
     enumerate_free_cliques,
     freely_contains,
     stp_diagram,
@@ -39,6 +45,7 @@ from oracles import (
     is_free_by_definition,
     point_named,
     random_partial_linear,
+    reference_stp_diagram,
     triple_of_label,
 )
 from paper_claims import (
@@ -399,8 +406,6 @@ class TestStpDiagram:
         assert not stp_equivalent(d1, d2)
 
     def test_row_permuted_diagram_equivalent(self):
-        from skewper.analysis import StpDiagram
-
         persp = perspective(4, identity_skew(4), grassmannian(4))
         d = stp_diagram(persp)
         permuted = StpDiagram(
@@ -419,3 +424,63 @@ class TestStpDiagram:
             ),
         )
         assert stp_equivalent(d, permuted)
+
+
+def diagram_or_error(build, persp):
+    """The diagram `build` draws for persp, or its ValueError text."""
+    try:
+        return build(persp)
+    except ValueError as error:
+        return str(error)
+
+
+class TestStpDiagramMatchesReference:
+    """`stp_diagram` against `reference_stp_diagram`, which orders two rows
+    by the skew's action on the inner pairs: the same diagram or the same
+    error text on every input."""
+
+    def drawn_as_reference(self, perspectives):
+        """Assert that both functions agree on each perspective, and return
+        how many have a diagram."""
+        drawn = 0
+        for persp in perspectives:
+            got = diagram_or_error(stp_diagram, persp)
+            assert got == diagram_or_error(reference_stp_diagram, persp), persp.skew
+            drawn += isinstance(got, StpDiagram)
+        return drawn
+
+    def test_catalog(self):
+        assert self.drawn_as_reference(build_instance(key) for key in ALL_KEYS) == 48
+
+    def test_every_skew_over_the_grassmannian(self):
+        axis = grassmannian(4)
+        perspectives = (
+            perspective(4, Skew(4, images), axis)
+            for images in itertools.permutations(range(6))
+        )
+        assert self.drawn_as_reference(perspectives) == 36
+
+    def test_seeded_non_binomial_axes(self):
+        # every other axis starts from the three lines joining the axial
+        # points {i,4} through distinct inner pairs, so some have a diagram
+        rng = random.Random(27)
+        pairs = all_pairs(4)
+        outer = [k for k, u in enumerate(pairs) if 4 in u]
+        inner = [k for k, u in enumerate(pairs) if 4 not in u]
+        skews = list(itertools.permutations(range(6)))
+        perspectives = []
+        for trial in range(40):
+            lines = []
+            if trial % 2:
+                lines = [
+                    tuple(sorted((*edge, z)))
+                    for edge, z in zip(itertools.combinations(outer, 2), rng.sample(inner, 3))
+                ]
+            found = random_partial_linear(rng, 6, rng.randint(0, 6), lines)
+            axis = axis_config(4, ([pairs[x] for x in L] for L in found.lines))
+            if axis.binomial_n is None:
+                perspectives += [
+                    perspective(4, Skew(4, images), axis, require_binomial=False)
+                    for images in rng.sample(skews, 24)
+                ]
+        assert (len(perspectives), self.drawn_as_reference(perspectives)) == (864, 24)

@@ -125,6 +125,22 @@ class TestBuild:
         assert (code, out) == (1, "")
         assert err == "error: empty entry in '[(1,2),]'\n"
 
+    @pytest.mark.parametrize(
+        "phi, axis, message",
+        [
+            ("[((1,2)),()]", "grassmannian", "nested parenthesis in '((1,2))'"),
+            ("[(1,2)),()]", "grassmannian", "unbalanced parentheses in '[(1,2)),()]'"),
+            ("[1(2,3),()]", "grassmannian", "digit outside parenthesis in '1(2,3)'"),
+            ("[(1,2,3),(]", "grassmannian", "unbalanced parentheses in '[(1,2,3),(]'"),
+            ("[(1,3),(1,2)]", "v5:(1,2", "unbalanced parenthesis in '(1,2'"),
+            ("[(1,3),(1,2)]", "v5:(0,1)", "elements must be positive in '(0,1)'"),
+            ("[]", "veronesian", "need k >= 3, got 2"),
+        ],
+    )
+    def test_build_perspective_malformed_text(self, run, phi, axis, message):
+        code, out, err = run("build", "perspective", "--phi", phi, "--axis", axis)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_out_file_matches_stdout(self, run, tmp_path):
         target = tmp_path / "g.psts"
         code, _, _ = run("build", "grassmannian", "--n", "4", "--out", str(target))
@@ -489,6 +505,78 @@ class TestClassify:
         assert "error: unrecognized arguments: --threads 1" in err
 
 
+# The `export --dot --stp` text of perspective(4, zeta(4), axis) over
+# grassmannian(4) and over veblen(veblen_label(5, (1,2))); the rows differ
+# in the order of the axial points {i,4} and so in the a4 and b4 matchings
+GRASS_STP_DOT = """\
+graph stp {
+  layout=neato;
+  node [shape=circle];
+  n0_0 [label="a1", pos="0.0,-0.0!"];
+  n0_1 [label="a2", pos="2.0,-0.0!"];
+  n0_2 [label="a3", pos="4.0,-0.0!"];
+  n1_0 [label="b2", pos="0.0,-1.6!"];
+  n1_1 [label="b1", pos="2.0,-1.6!"];
+  n1_2 [label="b3", pos="4.0,-1.6!"];
+  n2_0 [label="c{1,4}", pos="0.0,-3.2!"];
+  n2_1 [label="c{2,4}", pos="2.0,-3.2!"];
+  n2_2 [label="c{3,4}", pos="4.0,-3.2!"];
+  n0_0 -- n0_1;
+  n0_1 -- n0_2;
+  n0_0 -- n0_2;
+  n1_0 -- n1_1;
+  n1_1 -- n1_2;
+  n1_0 -- n1_2;
+  n2_0 -- n2_1;
+  n2_1 -- n2_2;
+  n2_0 -- n2_2;
+  n0_0 -- n1_1 [style=dashed, label="p"];
+  n0_0 -- n2_0 [style=dashed, label="a4"];
+  n0_1 -- n1_0 [style=dashed, label="p"];
+  n0_1 -- n2_1 [style=dashed, label="a4"];
+  n0_2 -- n1_2 [style=dashed, label="p"];
+  n0_2 -- n2_2 [style=dashed, label="a4"];
+  n1_0 -- n2_1 [style=dashed, label="b4"];
+  n1_1 -- n2_2 [style=dashed, label="b4"];
+  n1_2 -- n2_0 [style=dashed, label="b4"];
+}
+"""
+
+VEBLEN_STP_DOT = """\
+graph stp {
+  layout=neato;
+  node [shape=circle];
+  n0_0 [label="a1", pos="0.0,-0.0!"];
+  n0_1 [label="a2", pos="2.0,-0.0!"];
+  n0_2 [label="a3", pos="4.0,-0.0!"];
+  n1_0 [label="b2", pos="0.0,-1.6!"];
+  n1_1 [label="b1", pos="2.0,-1.6!"];
+  n1_2 [label="b3", pos="4.0,-1.6!"];
+  n2_0 [label="c{2,4}", pos="0.0,-3.2!"];
+  n2_1 [label="c{1,4}", pos="2.0,-3.2!"];
+  n2_2 [label="c{3,4}", pos="4.0,-3.2!"];
+  n0_0 -- n0_1;
+  n0_1 -- n0_2;
+  n0_0 -- n0_2;
+  n1_0 -- n1_1;
+  n1_1 -- n1_2;
+  n1_0 -- n1_2;
+  n2_0 -- n2_1;
+  n2_1 -- n2_2;
+  n2_0 -- n2_2;
+  n0_0 -- n1_1 [style=dashed, label="p"];
+  n0_0 -- n2_1 [style=dashed, label="a4"];
+  n0_1 -- n1_0 [style=dashed, label="p"];
+  n0_1 -- n2_0 [style=dashed, label="a4"];
+  n0_2 -- n1_2 [style=dashed, label="p"];
+  n0_2 -- n2_2 [style=dashed, label="a4"];
+  n1_0 -- n2_0 [style=dashed, label="b4"];
+  n1_1 -- n2_2 [style=dashed, label="b4"];
+  n1_2 -- n2_1 [style=dashed, label="b4"];
+}
+"""
+
+
 class TestExport:
     def test_psts_round_trip_byte_identical(self, run, grass_instance_file):
         code, out, _ = run("export", "--psts", grass_instance_file)
@@ -507,10 +595,15 @@ class TestExport:
         assert '"p"' in out
 
     def test_stp_layout(self, run, grass_instance_file):
-        code, out, _ = run("export", "--dot", "--stp", grass_instance_file)
-        assert code == 0
-        assert "pos=" in out
-        assert "dashed" in out
+        code, out, err = run("export", "--dot", "--stp", grass_instance_file)
+        assert (code, out, err) == (0, GRASS_STP_DOT, "")
+
+    def test_stp_layout_over_a_veblen_axis(self, run, tmp_path):
+        persp = perspective(4, zeta(4), veblen(veblen_label(5, parse_cycles("(1,2)", 4))))
+        path = tmp_path / "veblen.psts"
+        path.write_text(emit_psts(persp.config))
+        code, out, err = run("export", "--dot", "--stp", str(path))
+        assert (code, out, err) == (0, VEBLEN_STP_DOT, "")
 
     def test_stp_requires_dot(self, run, grass_instance_file):
         code, _, err = run("export", "--psts", "--stp", grass_instance_file)
@@ -541,6 +634,24 @@ class TestExport:
         assert out == ""
         assert err.startswith("error:")
         assert "labels" in err
+
+    def test_stp_rejects_lines_of_no_perspective(self, run, tmp_path, grass_instance_file):
+        # swap the axial points of {a1,a2,c{1,2}} and {a1,a3,c{1,3}}: the
+        # b-side and axial lines still read as a skew and an axis
+        config = parse_psts(open(grass_instance_file).read())
+        a1, a2, a3, c12, c13 = (
+            config.labels.index(name) for name in ("a1", "a2", "a3", "c{1,2}", "c{1,3}")
+        )
+        swapped = {
+            tuple(sorted((a1, a2, c12))): (a1, a2, c13),
+            tuple(sorted((a1, a3, c13))): (a1, a3, c12),
+        }
+        lines = [swapped.get(L, L) for L in config.lines]
+        path = tmp_path / "swapped.psts"
+        path.write_text(emit_psts(make_config(config.num_points, lines, config.labels)))
+        code, out, err = run("export", "--dot", "--stp", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: labeled lines do not match a perspective construction\n"
 
     def test_stp_rejected_for_unlabeled(self, run, tmp_path):
         cfg = make_config(6, [(0, 1, 2), (0, 3, 4)])

@@ -169,6 +169,10 @@ class TestValidate:
                     "label count 3 differs from point count 2",
                 ],
             ),
+            (2.5, (), None, ["point count 2.5 is not an int"]),
+            (True, (), None, ["point count True is not an int"]),
+            (-1, (), None, ["point count -1 is negative"]),
+            (1.5, ((0, 1, 2),), None, ["point count 1.5 is not an int"]),
         ],
         ids=[
             "repeated",
@@ -190,6 +194,10 @@ class TestValidate:
             "list-labels",
             "int-label",
             "unhashable-labels",
+            "float-count",
+            "bool-count",
+            "negative-count",
+            "float-count-with-lines",
         ],
     )
     def test_exact_violations(self, num_points, lines, labels, violations):
