@@ -34,62 +34,68 @@ class FreeClique:
     vertices: frozenset
 
 
-def _add_vertex(third, current: list[int], thirds: set[int], v: int) -> Optional[list[int]]:
-    """The third points `third[v][u]` of the lines joining v to the free
-    clique `current` (ascending, below v, its pair lines' third points
-    `thirds`), or None when adding v breaks the rule stated on
-    `FreeClique`."""
+def _add_vertex(row: dict[int, int], current: Iterable[int], thirds: int, v: int) -> Optional[int]:
+    """`thirds`, the bitmask of the third points of the free clique
+    `current`'s pair lines, with the third point ``row[u]`` of the line
+    joining v to each u of `current` added (`row` is ``third[v]``); None
+    when adding v breaks the rule stated on `FreeClique`."""
     # v outside `thirds` also keeps every new third point z out of
     # `current`: z in `current` would make v the third point of (u, z)
-    if v in thirds:
+    if thirds >> v & 1:
         return None
-    row = third[v]
-    added: list[int] = []
     for u in current:
         z = row.get(u)
-        if z is None or z in thirds or z in added:
+        if z is None or thirds >> z & 1:
             return None
-        added.append(z)
-    return added
+        thirds |= 1 << z
+    return thirds
 
 
 def freely_contains(config: Config, vertices: Iterable[int]) -> Optional[FreeClique]:
     """The free complete subgraph on the given vertices, or None, under
-    the line axioms stated on `FreeClique`."""
+    the line axioms stated on `FreeClique`.  Raises ValueError when a
+    vertex is not a point of the configuration."""
     vs = sorted(set(vertices))
+    if vs and not 0 <= vs[0] <= vs[-1] < config.num_points:
+        raise ValueError(f"vertices {vs} are not all points 0..{config.num_points - 1}")
     third = config.third
-    thirds: set[int] = set()
+    thirds: Optional[int] = 0
     for j, v in enumerate(vs):
-        added = _add_vertex(third, vs[:j], thirds, v)
-        if added is None:
+        thirds = _add_vertex(third[v], vs[:j], thirds, v)
+        if thirds is None:
             return None
-        thirds.update(added)
     return FreeClique(frozenset(vs))
 
 
 def enumerate_free_cliques(config: Config, m: int) -> list[FreeClique]:
     """All size-m vertex sets carrying a free complete graph, in ascending
-    vertex order.  Backtracks over ascending vertex lists and the third
-    points of their pair lines; the conditions are hereditary, so any
-    extension of a failing set is pruned.  Each list tries only the points
-    above its last vertex that are collinear with all of its vertices."""
+    vertex order.  Backtracks over ascending vertex lists, keeping the
+    candidates for the next vertex and the third points of the pair lines
+    as int bitmasks; the conditions are hereditary, so any extension of a
+    failing set is pruned.  The candidates are the points above the last
+    vertex that are collinear with all of the vertices (each step ands in
+    the new vertex's neighbour mask), tried lowest bit first while enough
+    of them remain to reach size m."""
     if m < 0:
         raise ValueError(f"clique size must be non-negative, got {m}")
     third = config.third
+    neighbours = [sum(1 << u for u in row) for row in third]
     found: list[FreeClique] = []
 
-    def extend(current: list[int], thirds: set[int], candidates: list[int]):
+    def extend(current: list[int], thirds: int, candidates: int):
         if len(current) == m:
             found.append(FreeClique(frozenset(current)))
             return
-        for i in range(len(candidates) - (m - len(current)) + 1):
-            v = candidates[i]
-            added = _add_vertex(third, current, thirds, v)
+        need = m - len(current)
+        while candidates.bit_count() >= need:
+            low = candidates & -candidates
+            candidates ^= low
+            v = low.bit_length() - 1
+            added = _add_vertex(third[v], current, thirds, v)
             if added is not None:
-                rest = [w for w in candidates[i + 1 :] if w in third[v]]
-                extend(current + [v], thirds.union(added), rest)
+                extend(current + [v], added, candidates & neighbours[v])
 
-    extend([], set(), list(range(config.num_points)))
+    extend([], 0, (1 << config.num_points) - 1)
     return found
 
 

@@ -194,11 +194,12 @@ def _witness(
     a_i and b_i to a_phi(i) and b_phi(i) (to b_phi(i) and a_phi(i) for a
     flip), and c_u to c_{c_map(u)} by position along `Skew.point_map`."""
     lab1, lab2 = p1.labeling, p2.labeling
+    a1, b1 = lab1.a, lab1.b
     a2, b2 = (lab2.a, lab2.b) if kind == "direct" else (lab2.b, lab2.a)
     witness = {lab1.center: lab2.center}
     for i in range(1, p1.n + 1):
-        witness[lab1.a[i - 1]] = a2[phi(i) - 1]
-        witness[lab1.b[i - 1]] = b2[phi(i) - 1]
+        witness[a1[i - 1]] = a2[phi(i) - 1]
+        witness[b1[i - 1]] = b2[phi(i) - 1]
     offset1, offset2 = lab1.c_offset, lab2.c_offset
     for k, image in enumerate(c_map.point_map):
         witness[offset1 + k] = offset2 + image
@@ -209,9 +210,13 @@ def _build_iso(
     p1: Perspective, p2: Perspective, kind: str, phi: Perm, c_map: Skew
 ) -> dict[int, int]:
     """The center-fixing point map p1 -> p2 of `_witness`, verified line
-    for line."""
+    for line from p2's side: its inverse must carry every line of p2 onto
+    a line of p1.  The check reads only p1's `Config.third`, so in the
+    quotient, where p1 is the orbit representative, no member builds
+    one."""
     witness = _witness(p1, p2, kind, phi, c_map)
-    if not is_isomorphism(p1.config, p2.config, witness):
+    inverse = {image: x for x, image in witness.items()}
+    if not is_isomorphism(p2.config, p1.config, inverse):
         raise RuntimeError("internal error: center-fixing witness failed verification")
     return witness
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Iterable, Mapping
 
@@ -150,9 +150,11 @@ class Perspective:
         return self.labeling.n
 
 
+@lru_cache(maxsize=4)
 def _role_labels(n: int) -> tuple[str, ...]:
     """The point names `perspective` writes, in its point order: a1..an,
-    b1..bn, p, then c{i,j} over ``all_pairs(n)``."""
+    b1..bn, p, then c{i,j} over ``all_pairs(n)``.  Cached, so every
+    perspective of one n shares one tuple."""
     return (
         tuple(f"a{i}" for i in range(1, n + 1))
         + tuple(f"b{i}" for i in range(1, n + 1))
@@ -163,11 +165,12 @@ def _role_labels(n: int) -> tuple[str, ...]:
 
 def _check_axis_labels(n: int, axis: Config) -> None:
     """Enforce the axis rule: point k is ``all_pairs(n)[k]``, as
-    `axis_config` builds it, so a point's pair is its position."""
-    expected = tuple(pair_label(u) for u in all_pairs(n))
-    if axis.labels != expected:
+    `axis_config` builds it, so a point's pair is its position.  The
+    labels are read against the c names of the shared `_role_labels(n)`."""
+    names = _role_labels(n)[2 * n + 1 :]
+    if axis.labels is None or tuple("c" + x for x in axis.labels) != names:
         raise ValueError(
-            f"axis must have its {len(expected)} points labeled by the 2-subsets of"
+            f"axis must have its {len(names)} points labeled by the 2-subsets of"
             f" {{1..{n}}} in the order of all_pairs({n})"
         )
 
@@ -182,15 +185,16 @@ def perspective(
 
     Points: a_1..a_n, b_1..b_n, p, c_u (u a 2-subset of {1..n}).  Lines:
     {p, a_i, b_i}; {a_i, a_j, c_{i,j}}; {b_i, b_j, c_{sigma^{-1}({i,j})}};
-    and one line {c_u, c_v, c_w} per axis line.  By default the axis must
-    be binomial (C(n,2) points of rank n-2, C(n,3) lines); pass
+    and one line {c_u, c_v, c_w} per axis line.  The axis's point k must
+    be ``all_pairs(n)[k]`` (`_check_axis_labels`).  By default the axis
+    must be binomial (C(n,2) points of rank n-2, C(n,3) lines); pass
     require_binomial=False for exploratory axes such as an empty one.
 
     The lines are built on positions in ``all_pairs(n)``: the b-line over
-    the pair at position k meets c at the position sigma^-1 sends k to
-    (read off `Skew.point_map`), and an axis line is shifted by the
-    labeling's c offset.  Every triple comes out increasing and distinct,
-    so the line list is only sorted.
+    the pair at position sigma.point_map[k] meets c at position k, read
+    straight off `Skew.point_map` with no inverse built, and an axis line
+    is shifted by the labeling's c offset.  Every triple comes out
+    increasing and distinct, so the line list is only sorted.
     """
     if sigma.n != n:
         raise ValueError(f"skew acts on a {sigma.n}-element ground set, expected {n}")
@@ -203,11 +207,12 @@ def perspective(
     pairs = all_pairs(n)
     labeling = PerspectiveLabeling(n)
     a, b, center, offset = labeling.a, labeling.b, labeling.center, labeling.c_offset
-    preimage = sigma.inverse().point_map
     lines = [(a[i], b[i], center) for i in range(n)]
     for k, (i, j) in enumerate(pairs):
         lines.append((a[i - 1], a[j - 1], offset + k))
-        lines.append((b[i - 1], b[j - 1], offset + preimage[k]))
+    for k, image in enumerate(sigma.point_map):
+        i, j = pairs[image]
+        lines.append((b[i - 1], b[j - 1], offset + k))
     lines += [(offset + x, offset + y, offset + z) for x, y, z in axis.lines]
     config = Config(offset + len(pairs), tuple(sorted(lines)), _role_labels(n))
     return Perspective(config=config, labeling=labeling, skew=sigma, axis=axis)

@@ -20,9 +20,12 @@ class Perm:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection of {{1..{n}}}: {self.images}")
+        """A tuple of int (``bool`` is not an int here) permuting {1..n}."""
+        images = self.images
+        _check_int_tuple(images, "image list")
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a bijection of {{1..{n}}}: {images}")
 
     @property
     def n(self) -> int:
@@ -92,6 +95,17 @@ class Perm:
 
     def __str__(self) -> str:
         return format_cycles(self)
+
+
+def _check_int_tuple(entries, what: str) -> None:
+    """Raise ValueError unless `entries` is a tuple whose entries all have
+    type exactly int, naming, as `what`, the container's wrong type or its
+    first entry that is not an int."""
+    if type(entries) is not tuple:
+        raise ValueError(f"{what} has type {type(entries).__name__}, not tuple")
+    if not set(map(type, entries)) <= {int}:
+        wrong = next(x for x in entries if type(x) is not int)
+        raise ValueError(f"{what} {entries} holds {wrong!r}, which is not an int")
 
 
 def format_cycles(p: Perm) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Mapping
 
-from .perms import Perm, parse_cycles
+from .perms import Perm, _check_int_tuple, parse_cycles
 
 Pair = tuple[int, int]
 
@@ -43,6 +43,9 @@ class Skew:
     point_map: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise ValueError(f"ground set size {self.n!r} is not an int")
+        _check_int_tuple(self.point_map, "point map")
         size = comb(self.n, 2)
         if len(self.point_map) != size:
             raise ValueError(

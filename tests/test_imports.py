@@ -77,6 +77,7 @@ BOUNDED_CACHES = {
     ("classify", "_catalog_skew"): "the 8 keys of PHI_CATALOG",
     ("classify", "_catalog_axis"): "s in (5, 6) and the 15 keys of MU_CATALOG",
     ("cli", "_parser"): "no arguments",
+    ("constructions", "_role_labels"): "maxsize=4, so the last four n",
 }
 
 
