@@ -3,12 +3,13 @@
 Instances are the perspectives built from the eight cataloged level
 sequences and the fifteen fixed-point permutations (both axis sizes).
 Classification first quotients the catalog by the center-fixing direct and
-flip maps (`_center_fixing_maps`), which move axis lines and axial points
-by position along each pair map's `Skew.point_map`.  It then groups the
-orbit representatives by canonical certificate and records the free
-five-clique census and automorphism order of each; every orbit member
-shares its representative's values through a witness that is verified
-and not kept.
+flip maps, each one point map on the 15 points (`_row_maps`, composed
+with the a/b swap for a flip).  A member joins an orbit when such a map
+carries the representative's lines exactly onto the member's, found by
+looking the moved lines up in an index of the catalog's lines.  It then
+groups the orbit representatives by canonical certificate and records the
+free five-clique census and automorphism order of each; every orbit
+member shares its representative's values.
 Reference constants carry the reference counts; `expectation_checks`
 compares a computed report against them without hiding disagreements.
 """
@@ -16,13 +17,20 @@ compares a computed report against them without hiding disagreements.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 from .analysis import enumerate_free_cliques
-from .constructions import Perspective, perspective, veblen, veblen_label
-from .incidence import Config, is_isomorphism, moved_lines
+from .constructions import (
+    Perspective,
+    PerspectiveLabeling,
+    perspective,
+    veblen,
+    veblen_label,
+)
+from .incidence import Config, moved_lines
 from .isomorphism import _canonize
 from .perms import Perm, parse_cycles, symmetric_group
 from .skews import PhiSequence, Skew, bar_alpha, phi_sequence, skew_from_phi
@@ -109,9 +117,9 @@ def build_instance(key: InstanceKey) -> Perspective:
     """The perspective at `key`, memoized.  `InstanceKey` admits only the
     240 catalog keys, which bounds the table.  Instances share their 8
     skews and 30 axes.  The memo pays because callers ask for an instance
-    more than once: `classify_all` in the orbit quotient and again per
-    representative, the benchmark's `iso` set-up for ~200 sides from ~110
-    keys."""
+    more than once: `classify_all` in the orbit quotient, which reads each
+    instance's lines and skew, and again per representative to canonize
+    it, the benchmark's `iso` set-up for ~200 sides from ~110 keys."""
     return perspective(4, _catalog_skew(key.f), _catalog_axis(key.s, key.i))
 
 
@@ -119,9 +127,9 @@ def build_instance(key: InstanceKey) -> Perspective:
 class InstanceSummary:
     """Per-instance results: the free five-clique count, the automorphism
     group order and the certificate class, all read off the instance's
-    orbit representative (see `_center_fixing_orbits`)."""
+    orbit representative (see `_center_fixing_orbits`).  The instance's
+    key is the summary's key in `ClassificationReport.instances`."""
 
-    key: InstanceKey
     free_clique_count: int
     aut_order: int
     class_id: int
@@ -161,103 +169,83 @@ def _instance_stats(key: InstanceKey) -> tuple[int, tuple, int]:
 
 
 def _class_ids(instances, cliques) -> set[int]:
-    """The classes over f >= 2 of the instances whose free five-clique
-    count satisfies `cliques`."""
+    """The classes over f >= 2 of the (key, summary) items whose free
+    five-clique count satisfies `cliques`."""
     return {
-        s.class_id for s in instances if s.key.f >= 2 and cliques(s.free_clique_count)
+        s.class_id for key, s in instances if key.f >= 2 and cliques(s.free_clique_count)
     }
 
 
-def _row_lifts(n: int) -> Iterator[tuple[Perm, Skew, Skew]]:
-    """(phi, bar(phi), bar(phi)^-1) for every point permutation phi of
-    the row indices 1..n, built as they are asked for."""
-    for phi in symmetric_group(n):
-        bar = bar_alpha(phi)
-        yield phi, bar, bar.inverse()
-
-
-def _center_fixing_maps(sigma: Skew, lifts: Iterable[tuple[Perm, Skew, Skew]]):
-    """The direct and flip maps out of a perspective with skew sigma, one
-    pair per entry of `_row_lifts`, as (kind, phi, image skew, pair map
-    carrying the axis).  With b = bar(phi): direct gives b sigma b^-1 and
-    b; flip gives b sigma^-1 b^-1 and b sigma."""
-    sigma_inv = sigma.inverse()
-    for phi, bar, bar_inv in lifts:
-        yield "direct", phi, bar * sigma * bar_inv, bar
-        yield "flip", phi, bar * sigma_inv * bar_inv, bar * sigma
-
-
-def _witness(
-    p1: Perspective, p2: Perspective, kind: str, phi: Perm, c_map: Skew
-) -> dict[int, int]:
-    """The center-fixing point map p1 -> p2, unverified: center to center,
-    a_i and b_i to a_phi(i) and b_phi(i) (to b_phi(i) and a_phi(i) for a
-    flip), and c_u to c_{c_map(u)} by position along `Skew.point_map`."""
-    lab1, lab2 = p1.labeling, p2.labeling
-    a1, b1 = lab1.a, lab1.b
-    a2, b2 = (lab2.a, lab2.b) if kind == "direct" else (lab2.b, lab2.a)
-    witness = {lab1.center: lab2.center}
-    for i in range(1, p1.n + 1):
-        witness[a1[i - 1]] = a2[phi(i) - 1]
-        witness[b1[i - 1]] = b2[phi(i) - 1]
-    offset1, offset2 = lab1.c_offset, lab2.c_offset
-    for k, image in enumerate(c_map.point_map):
-        witness[offset1 + k] = offset2 + image
-    return witness
-
-
-def _build_iso(
-    p1: Perspective, p2: Perspective, kind: str, phi: Perm, c_map: Skew
-) -> dict[int, int]:
-    """The center-fixing point map p1 -> p2 of `_witness`, verified line
-    for line from p2's side: its inverse must carry every line of p2 onto
-    a line of p1.  The check reads only p1's `Config.third`, so in the
-    quotient, where p1 is the orbit representative, no member builds
-    one."""
-    witness = _witness(p1, p2, kind, phi, c_map)
-    inverse = {image: x for x, image in witness.items()}
-    if not is_isomorphism(p2.config, p1.config, inverse):
-        raise RuntimeError("internal error: center-fixing witness failed verification")
-    return witness
+def _row_maps(labeling: PerspectiveLabeling) -> list[tuple[int, ...]]:
+    """The direct maps, one per row permutation phi in `symmetric_group`
+    order, as image tuples on the points: the center is fixed, a_i and b_i
+    go to a_phi(i) and b_phi(i), and c_u to c_{bar(phi)(u)}.  The labeling
+    lists a, b, the center and c in point order, so a map is their images
+    end to end."""
+    n, a, b, offset = labeling.n, labeling.a, labeling.b, labeling.c_offset
+    return [
+        tuple(a[phi(i) - 1] for i in range(1, n + 1))
+        + tuple(b[phi(i) - 1] for i in range(1, n + 1))
+        + (labeling.center,)
+        + tuple(offset + k for k in bar_alpha(phi).point_map)
+        for phi in symmetric_group(n)
+    ]
 
 
 def _center_fixing_orbits() -> dict[InstanceKey, InstanceKey]:
     """Quotient the catalog by the center-fixing direct and flip maps.
 
-    For phi in S4 and b = bar(phi), the direct map sends (sigma, axis) to
-    (b sigma b^-1, b(axis)) and the flip map to (b sigma^-1 b^-1,
-    b sigma(axis)).  Together they are an action of S4 x Z2, so the images
-    of one representative are its whole orbit.  Walking the catalog in
-    order, each instance not yet reached becomes a representative.  An
-    image's axis is looked up by its lines moved along the pair map's
-    `Skew.point_map` (`incidence.moved_lines`), with no `Config` built,
-    and every image that is a catalog instance joins its orbit once
-    `_build_iso` has verified the witness line for line.  Maps each key
-    to its representative.
+    A flip map is a direct map of `_row_maps` after the swap, which trades
+    a_i and b_i and sends c_u to c_{sigma(u)}, read off the skew's
+    `Skew.point_map`.  Together they are an action of S4 x Z2, so the
+    images of one representative are its whole orbit.  The catalog is
+    indexed by its sorted lines, split at the first axial point: row lines
+    (a function of the skew) -> axis lines -> key.  Each skew keeps the
+    maps that carry its row lines onto an index key.  Walking the catalog
+    in order, each instance not yet reached becomes a representative, and
+    a member joins its orbit exactly when a kept map carries the
+    representative's axis lines onto the member's.  So the lookup is the
+    line-for-line check: every join is an isomorphism.  Maps each key to
+    its representative.
     """
-    persps = {key: build_instance(key) for key in ALL_KEYS}
-    # skew -> axis lines -> key; most images leave the eight catalog skews
-    index: dict[Skew, dict[tuple, InstanceKey]] = {}
-    for key, p in persps.items():
-        index.setdefault(p.skew, {})[p.axis.lines] = key
-    lifts = list(_row_lifts(4))  # shared by the eight skews
-    # each skew's maps onto catalog skews, shared by its representatives
+    labeling = build_instance(ALL_KEYS[0]).labeling
+    offset = labeling.c_offset
+    parts: dict[InstanceKey, tuple[tuple, tuple]] = {}
+    index: dict[tuple, dict[tuple, InstanceKey]] = {}
+    swaps: dict[tuple, tuple[int, ...]] = {}
+    for key in ALL_KEYS:
+        p = build_instance(key)
+        lines = p.config.lines
+        cut = bisect_left(lines, (offset,))  # row lines start below the offset
+        rows, axis = parts[key] = lines[:cut], lines[cut:]
+        index.setdefault(rows, {})[axis] = key
+        swaps[rows] = (
+            labeling.b
+            + labeling.a
+            + (labeling.center,)
+            + tuple(offset + k for k in p.skew.point_map)
+        )
+    direct = _row_maps(labeling)
+    # per skew, (map, axis lines -> key) for each map onto catalog rows
     maps = {
-        skew: [m for m in _center_fixing_maps(skew, lifts) if m[2] in index]
-        for skew in index
+        rows: [
+            (m, index[moved])
+            for g in direct
+            for m in (g, tuple(g[x] for x in swap))
+            if (moved := moved_lines(rows, m)) in index
+        ]
+        for rows, swap in swaps.items()
     }
     representative: dict[InstanceKey, InstanceKey] = {}
     for rep in ALL_KEYS:
         if rep in representative:
             continue
         representative[rep] = rep
-        persp = persps[rep]
-        for kind, phi, image, c_map in maps[persp.skew]:
-            key = index[image].get(moved_lines(persp.axis.lines, c_map.point_map))
-            if key is None or key in representative:
-                continue
-            _build_iso(persp, persps[key], kind, phi, c_map)
-            representative[key] = rep
+        rows, axis = parts[rep]
+        for m, axes in maps[rows]:
+            key = axes.get(moved_lines(axis, m))
+            if key is not None and key not in representative:
+                representative[key] = rep
     return representative
 
 
@@ -290,7 +278,6 @@ def classify_all(threads: int = 1) -> ClassificationReport:
         cid = class_of_cert.setdefault(cert, len(class_of_cert))
         members.setdefault(cid, []).append(key)
         instances[key] = InstanceSummary(
-            key=key,
             free_clique_count=cliques,
             aut_order=order,
             class_id=cid,
@@ -304,12 +291,12 @@ def classify_all(threads: int = 1) -> ClassificationReport:
         )
         for cid, ks in sorted(members.items())
     )
-    two = _class_ids(instances.values(), lambda c: c == 2)
-    three = _class_ids(instances.values(), lambda c: c >= 3)
+    two = _class_ids(instances.items(), lambda c: c == 2)
+    three = _class_ids(instances.items(), lambda c: c >= 3)
     pairs = frozenset(
-        (s.key.f, s.key.i)
-        for s in instances.values()
-        if s.key.s == 5 and s.key.f >= 2 and s.free_clique_count >= 3
+        (key.f, key.i)
+        for key, s in instances.items()
+        if key.s == 5 and key.f >= 2 and s.free_clique_count >= 3
     )
     nontrivial = {
         key: s.aut_order for key, s in sorted(instances.items()) if s.aut_order > 1
@@ -496,7 +483,7 @@ def expectation_checks(report: ClassificationReport) -> list[ExpectationCheck]:
         for keys in EXPECTED_REPRESENTATIVES.values()
         for k in keys
     }
-    two_clique_ids = _class_ids(report.instances.values(), lambda c: c == 2)
+    two_clique_ids = _class_ids(report.instances.items(), lambda c: c == 2)
     missed = sorted(two_clique_ids - listed_ids)
     checks.append(
         ExpectationCheck(

@@ -70,13 +70,8 @@ def _cmd_build(args) -> int:
         config = veronesian(args.k)
     else:
         phi = parse_phi_text(args.phi)
-        n = phi.n if args.n is None else args.n
-        if n != phi.n:
-            raise ValueError(
-                f"--phi describes {phi.n} rows but --n says {n}"
-            )
-        axis = _axis_from_text(args.axis, n)
-        config = perspective(n, skew_from_phi(phi), axis).config
+        axis = _axis_from_text(args.axis, phi.n)
+        config = perspective(phi.n, skew_from_phi(phi), axis).config
     _write_output(emit_psts(config), args.out)
     return 0
 
@@ -155,8 +150,6 @@ def _cmd_classify(args) -> int:
 def _cmd_export(args) -> int:
     config = parse_psts(Path(args.file).read_text())
     if args.stp:
-        if not args.dot:
-            raise ValueError("the --stp layout is only available with --dot")
         persp = perspective_from_config(config)
         diagram = stp_diagram(persp)
         _write_output(emit_stp_dot(diagram, persp.config), args.out)
@@ -250,20 +243,20 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-# per build target: the options it requires, then those it also takes
+# per build target: the options it requires and takes (--phi fixes n)
 _BUILD_OPTIONS = {
-    "grassmannian": (("n",), ()),
-    "veronesian": (("k",), ()),
-    "perspective": (("phi", "axis"), ("n",)),
+    "grassmannian": ("n",),
+    "veronesian": ("k",),
+    "perspective": ("phi", "axis"),
 }
 
 
 def _validate_build_args(args) -> None:
-    required, optional = _BUILD_OPTIONS[args.what]
+    required = _BUILD_OPTIONS[args.what]
     if any(getattr(args, option) is None for option in required):
         raise _Usage(f"build {args.what} requires " + " and ".join(f"--{o}" for o in required))
     for option in ("n", "k", "phi", "axis"):
-        if getattr(args, option) is not None and option not in required + optional:
+        if getattr(args, option) is not None and option not in required:
             raise _Usage(f"build {args.what} does not take --{option}")
 
 
@@ -276,6 +269,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _parser().parse_args(argv)
         if args.verb == "build":
             _validate_build_args(args)
+        elif args.verb == "export" and args.stp and not args.dot:
+            raise _Usage("the --stp layout is only available with --dot")
     except SystemExit as exc:
         return int(exc.code or 0)
     except _Usage as exc:

@@ -282,8 +282,9 @@ def veblen(label: VeblenLabel) -> Config:
 def perspective_from_config(config: Config) -> Perspective:
     """Read a labeled perspective onto the layout `perspective` builds.
 
-    The labels must be exactly the role names `perspective` writes for some
-    n, matched as whole names.  The skew is read off the b-side lines and
+    The labels must be exactly the role names `perspective` writes for the
+    n whose point count 2n + 1 + C(n, 2) is the file's, matched as whole
+    names.  The skew is read off the b-side lines and
     the axis off the axial lines; the result is the rebuilt perspective, in
     `perspective`'s point ids.  Raises ValueError unless the lines are
     exactly its lines.
@@ -291,8 +292,12 @@ def perspective_from_config(config: Config) -> Perspective:
     n = 0
     while 2 * n + 1 + comb(n, 2) < config.num_points:
         n += 1
-    names = _role_labels(n)
-    if config.labels is None or sorted(config.labels) != sorted(names):
+    # the names are built only for a point count that n gives exactly
+    if (
+        2 * n + 1 + comb(n, 2) != config.num_points
+        or config.labels is None
+        or sorted(config.labels) != sorted(names := _role_labels(n))
+    ):
         raise ValueError(
             "point labels must be exactly the role names a1..an, b1..bn, p and"
             " c{i,j} of a perspective"

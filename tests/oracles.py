@@ -1,13 +1,17 @@
 """Oracles independent of the package's canonical-form machinery, its
 incidence views and its free-clique rule, label decoders written from the
-label formats, plus seeded inputs, shared by the tests.  Three oracles
+label formats, plus seeded inputs, shared by the tests.  Four oracles
 keep an earlier, longer route to a result the package now reaches more
 directly: `full_trace_leaves` refines discrete colorings once more (its
 root colors read `Config.triangles_and_pasch`),
 `perspective_by_definition` builds a perspective through pair
-dictionaries, and `reference_stp_diagram` orders two diagram rows by how
+dictionaries, `reference_stp_diagram` orders two diagram rows by how
 the skew and the axis act on the pairs inside {1,2,3}, then checks the
-concurrences it promised (it reads the package's `freely_contains`).
+concurrences it promised (it reads the package's `freely_contains`), and
+`_center_fixing_orbits` quotients the catalog algebraically: it conjugates
+skews by pair lifts (`_row_lifts`, `_center_fixing_maps`), looks the
+image skew and moved axis up, and verifies each join's witness
+(`_witness`, `_build_iso`).
 
 Both isomorphism generators yield every line-preserving point bijection
 c1 -> c2 as an image tuple, in lexicographic order: `next(gen, None)` is a
@@ -19,13 +23,14 @@ import itertools
 import re
 from collections import Counter
 from math import comb
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from skewper.analysis import StpDiagram, _star_point_ids, freely_contains
+from skewper.classify import ALL_KEYS, InstanceKey, build_instance
 from skewper.constructions import Perspective, pair_label
-from skewper.incidence import join, make_config
+from skewper.incidence import is_isomorphism, join, make_config, moved_lines
 from skewper.perms import Perm, symmetric_group
-from skewper.skews import Pair, all_pairs, make_pair
+from skewper.skews import Pair, Skew, all_pairs, bar_alpha, make_pair
 
 
 def pair_of_label(name):
@@ -394,3 +399,96 @@ def reference_stp_diagram(persp: Perspective) -> StpDiagram:
             if join(config, rows[row][r], rows[row][s]) != expected:
                 raise ValueError("column joins do not concur in the top line")
     return StpDiagram(rows=rows, matching=tuple(sorted(matching)))
+
+
+def _row_lifts(n: int) -> Iterator[tuple[Perm, Skew, Skew]]:
+    """(phi, bar(phi), bar(phi)^-1) for every point permutation phi of
+    the row indices 1..n, built as they are asked for."""
+    for phi in symmetric_group(n):
+        bar = bar_alpha(phi)
+        yield phi, bar, bar.inverse()
+
+
+def _center_fixing_maps(sigma: Skew, lifts: Iterable[tuple[Perm, Skew, Skew]]):
+    """The direct and flip maps out of a perspective with skew sigma, one
+    pair per entry of `_row_lifts`, as (kind, phi, image skew, pair map
+    carrying the axis).  With b = bar(phi): direct gives b sigma b^-1 and
+    b; flip gives b sigma^-1 b^-1 and b sigma."""
+    sigma_inv = sigma.inverse()
+    for phi, bar, bar_inv in lifts:
+        yield "direct", phi, bar * sigma * bar_inv, bar
+        yield "flip", phi, bar * sigma_inv * bar_inv, bar * sigma
+
+
+def _witness(
+    p1: Perspective, p2: Perspective, kind: str, phi: Perm, c_map: Skew
+) -> dict[int, int]:
+    """The center-fixing point map p1 -> p2, unverified: center to center,
+    a_i and b_i to a_phi(i) and b_phi(i) (to b_phi(i) and a_phi(i) for a
+    flip), and c_u to c_{c_map(u)} by position along `Skew.point_map`."""
+    lab1, lab2 = p1.labeling, p2.labeling
+    a1, b1 = lab1.a, lab1.b
+    a2, b2 = (lab2.a, lab2.b) if kind == "direct" else (lab2.b, lab2.a)
+    witness = {lab1.center: lab2.center}
+    for i in range(1, p1.n + 1):
+        witness[a1[i - 1]] = a2[phi(i) - 1]
+        witness[b1[i - 1]] = b2[phi(i) - 1]
+    offset1, offset2 = lab1.c_offset, lab2.c_offset
+    for k, image in enumerate(c_map.point_map):
+        witness[offset1 + k] = offset2 + image
+    return witness
+
+
+def _build_iso(
+    p1: Perspective, p2: Perspective, kind: str, phi: Perm, c_map: Skew
+) -> dict[int, int]:
+    """The center-fixing point map p1 -> p2 of `_witness`, verified line
+    for line from p2's side: its inverse must carry every line of p2 onto
+    a line of p1.  The check reads only p1's `Config.third`, so in the
+    quotient, where p1 is the orbit representative, no member builds
+    one."""
+    witness = _witness(p1, p2, kind, phi, c_map)
+    inverse = {image: x for x, image in witness.items()}
+    if not is_isomorphism(p2.config, p1.config, inverse):
+        raise RuntimeError("internal error: center-fixing witness failed verification")
+    return witness
+
+
+def _center_fixing_orbits() -> dict[InstanceKey, InstanceKey]:
+    """Quotient the catalog by the center-fixing direct and flip maps.
+
+    For phi in S4 and b = bar(phi), the direct map sends (sigma, axis) to
+    (b sigma b^-1, b(axis)) and the flip map to (b sigma^-1 b^-1,
+    b sigma(axis)).  Together they are an action of S4 x Z2, so the images
+    of one representative are its whole orbit.  Walking the catalog in
+    order, each instance not yet reached becomes a representative.  An
+    image's axis is looked up by its lines moved along the pair map's
+    `Skew.point_map` (`incidence.moved_lines`), with no `Config` built,
+    and every image that is a catalog instance joins its orbit once
+    `_build_iso` has verified the witness line for line.  Maps each key
+    to its representative.
+    """
+    persps = {key: build_instance(key) for key in ALL_KEYS}
+    # skew -> axis lines -> key; most images leave the eight catalog skews
+    index: dict[Skew, dict[tuple, InstanceKey]] = {}
+    for key, p in persps.items():
+        index.setdefault(p.skew, {})[p.axis.lines] = key
+    lifts = list(_row_lifts(4))  # shared by the eight skews
+    # each skew's maps onto catalog skews, shared by its representatives
+    maps = {
+        skew: [m for m in _center_fixing_maps(skew, lifts) if m[2] in index]
+        for skew in index
+    }
+    representative: dict[InstanceKey, InstanceKey] = {}
+    for rep in ALL_KEYS:
+        if rep in representative:
+            continue
+        representative[rep] = rep
+        persp = persps[rep]
+        for kind, phi, image, c_map in maps[persp.skew]:
+            key = index[image].get(moved_lines(persp.axis.lines, c_map.point_map))
+            if key is None or key in representative:
+                continue
+            _build_iso(persp, persps[key], kind, phi, c_map)
+            representative[key] = rep
+    return representative

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from skewper.analysis import StpDiagram, _star_point_ids, freely_contains
-from skewper.classify import _build_iso, _center_fixing_maps, _row_lifts, _witness
 from skewper.constructions import (
     Perspective,
     _check_axis_labels,
@@ -33,6 +32,8 @@ from skewper.skews import (
     skew_from_phi,
     zeta,
 )
+
+from oracles import _build_iso, _center_fixing_maps, _row_lifts, _witness
 
 
 # Permutations and level sequences
@@ -389,8 +390,8 @@ def perspective_iso(p1: Perspective, p2: Perspective) -> Optional[PerspectiveIso
     flip composes with the a/b swap and uses the inverted source skew.
     The lifts are built one phi at a time, so a hit stops building them.
     The first hit is verified line-for-line and returned.  This is the
-    pairwise form of the orbit quotient `classify._center_fixing_orbits`,
-    which tests compare against it.
+    pairwise form of the reference orbit quotient
+    `oracles._center_fixing_orbits`, which tests compare against it.
     """
     if p1.n != p2.n:
         raise ValueError("perspectives have different numbers of rows")

@@ -14,8 +14,6 @@ import pytest
 from skewper import classify
 from skewper.analysis import enumerate_free_cliques
 from skewper.classify import (
-    _center_fixing_maps,
-    _row_lifts,
     ALL_KEYS,
     EXPECTED_NONTRIVIAL_AUT,
     EXPECTED_REPRESENTATIVES,
@@ -36,16 +34,17 @@ from skewper.constructions import (
     veblen,
     veblen_label,
 )
-from skewper.incidence import moved_lines
+from skewper.incidence import is_isomorphism, moved_lines
 from skewper.isomorphism import (
     are_isomorphic,
     automorphism_group,
     canonical_certificate,
 )
 from skewper.perms import parse_cycles, symmetric_group
-from skewper.skews import all_pairs, bar_alpha, phi_sequence, skew_from_phi, zeta
+from skewper.skews import Skew, all_pairs, bar_alpha, phi_sequence, skew_from_phi, zeta
 
-from oracles import backtrack_isos
+import oracles
+from oracles import _center_fixing_maps, _row_lifts, backtrack_isos
 from paper_claims import apply_pair_map, kappa, perspective_iso
 
 
@@ -294,20 +293,83 @@ class TestOrbitQuotient:
             assert mapped == set(p2.config.lines), key
 
     def test_a_join_failing_verification_stops_the_classification(self, monkeypatch):
-        # every orbit join is checked line for line before the member
-        # joins; a check that rejects the first join must not be absorbed
-        check = classify.is_isomorphism
+        # the reference quotient checks every orbit join line for line
+        # before the member joins; a check that rejects the first join
+        # must not be absorbed
+        check = oracles.is_isomorphism
         calls = []
 
         def rejecting_first(c1, c2, f):
             calls.append(f)
             return len(calls) > 1 and check(c1, c2, f)
 
-        monkeypatch.setattr(classify, "is_isomorphism", rejecting_first)
+        monkeypatch.setattr(oracles, "is_isomorphism", rejecting_first)
         message = "internal error: center-fixing witness failed verification"
         with pytest.raises(RuntimeError, match=message):
-            classify_all()
+            oracles._center_fixing_orbits()
         assert len(calls) == 1
+
+    def test_matches_the_reference_quotient(self, representative_of):
+        # the algebraic quotient of `oracles` conjugates skews by pair
+        # lifts and verifies a witness per join
+        assert sorted(representative_of) == list(ALL_KEYS)
+        assert representative_of == oracles._center_fixing_orbits()
+        assert len(set(representative_of.values())) == 70
+
+    def test_a_map_with_two_images_swapped_joins_nothing_wrong(
+        self, monkeypatch, representative_of, report
+    ):
+        # a join is a line-for-line lookup, so a broken map can only lose
+        # joins: the quotient gets finer and the classification stays
+        row_maps = classify._row_maps
+
+        def swapped(labeling):
+            maps = row_maps(labeling)
+            images = list(maps[6])
+            images[0], images[1] = images[1], images[0]
+            maps[6] = tuple(images)
+            return maps
+
+        monkeypatch.setattr(classify, "_row_maps", swapped)
+        orbits = classify._center_fixing_orbits()
+        assert len(set(orbits.values())) == 93
+        maps = swapped(build_instance(ALL_KEYS[0]).labeling)
+        for key, rep in orbits.items():
+            assert representative_of[key] == representative_of[rep]
+            if key == rep:
+                continue
+            p1, p2 = build_instance(rep), build_instance(key)
+            lab = p1.labeling
+            swap = lab.b + lab.a + (lab.center,)
+            swap += tuple(lab.c_offset + k for k in p1.skew.point_map)
+            candidates = maps + [tuple(g[x] for x in swap) for g in maps]
+            joins = [m for m in candidates if is_isomorphism(p1.config, p2.config, m)]
+            assert joins and maps[6] not in joins, key
+
+        def rows(r):
+            return {k: (s.free_clique_count, s.aut_order, s.class_id) for k, s in r.instances.items()}
+
+        assert rows(classify_all()) == rows(report)
+
+    def test_a_cold_quotient_composes_no_skews(self, monkeypatch):
+        # every map is a point map built from the 24 pair lifts; no skew
+        # is multiplied or inverted
+        def refused(*args):
+            raise AssertionError("a skew product or inverse was built")
+
+        monkeypatch.setattr(Skew, "__mul__", refused)
+        monkeypatch.setattr(Skew, "inverse", refused)
+        lifts = []
+
+        def counted(phi):
+            lifts.append(phi)
+            return bar_alpha(phi)
+
+        monkeypatch.setattr(classify, "bar_alpha", counted)
+        for memo in (build_instance, classify._catalog_skew, classify._catalog_axis):
+            memo.cache_clear()
+        assert len(set(classify._center_fixing_orbits().values())) == 70
+        assert len(lifts) == 24
 
 
 def brute_moved_lines(axis, c_map):

@@ -1,7 +1,8 @@
 """Tests for the work `classify_all` does outside the search: which
 instances build third-point tables, the shared role labels, the
-member-side witness check, and free-clique search on int bitmasks,
-which takes only vertices that are points.
+member-side witness check of the reference quotient in `oracles`, and
+free-clique search on int bitmasks, which takes only vertices that are
+points.
 
 Free-clique lists are compared, in order, with the brute-force oracle
 over all m-subsets; the perspective cliques with the three closed-form
@@ -16,6 +17,7 @@ from skewper.classify import ALL_KEYS, build_instance, classify_all
 from skewper.constructions import grassmannian, perspective
 from skewper.skews import all_pairs, zeta
 
+import oracles
 from oracles import brute_free_cliques
 
 
@@ -32,19 +34,19 @@ def test_cold_classification_builds_third_tables_only_for_representatives():
 
 
 def test_a_witness_with_two_images_swapped_fails_verification(monkeypatch):
-    # the quotient checks each witness from the member's side, on its
-    # inverse; a transposition is never an automorphism here, since every
-    # point lies on more than one line
-    witness = classify._witness
+    # the reference quotient checks each witness from the member's side,
+    # on its inverse; a transposition is never an automorphism here,
+    # since every point lies on more than one line
+    witness = oracles._witness
 
     def swapped(*args):
         w = witness(*args)
         w[0], w[1] = w[1], w[0]
         return w
 
-    monkeypatch.setattr(classify, "_witness", swapped)
+    monkeypatch.setattr(oracles, "_witness", swapped)
     with pytest.raises(RuntimeError, match="center-fixing witness failed verification"):
-        classify._center_fixing_orbits()
+        oracles._center_fixing_orbits()
 
 
 @pytest.mark.parametrize("n", range(5, 11))

@@ -70,8 +70,6 @@ class TestBuild:
         code, out, _ = run(
             "build",
             "perspective",
-            "--n",
-            "4",
             "--phi",
             "[(1,3),(1,2)]",
             "--axis",
@@ -93,19 +91,15 @@ class TestBuild:
         assert code == 0
         assert parse_psts(out).num_points == 15
 
-    def test_build_perspective_row_count_mismatch(self, run):
-        code, _, err = run(
-            "build",
-            "perspective",
-            "--n",
-            "5",
-            "--phi",
-            "[(1,3),(1,2)]",
-            "--axis",
-            "grassmannian",
+    def test_build_perspective_row_count_comes_from_phi(self, run):
+        # a three-entry --phi describes five rows, so the axis is on {1..5}
+        from paper_claims import identity_skew
+
+        code, out, _ = run(
+            "build", "perspective", "--phi", "[(),(),()]", "--axis", "grassmannian"
         )
-        assert code == 1
-        assert "error" in err
+        assert code == 0
+        assert out == emit_psts(perspective(5, identity_skew(5), grassmannian(5)).config)
 
     @pytest.mark.parametrize("axis", ["foo", "v7:()"])
     def test_build_perspective_unknown_axis(self, run, axis):
@@ -166,6 +160,7 @@ class TestBuild:
             (("veronesian", "--k", "1", "--n", "9"), "--n"),
             (("veronesian", "--k", "3", "--axis", "veronesian"), "--axis"),
             (("perspective", "--phi", "[(1,3),(1,2)]", "--axis", "grassmannian", "--k", "2"), "--k"),
+            (("perspective", "--n", "4", "--phi", "[(1,3),(1,2)]", "--axis", "grassmannian"), "--n"),
         ],
     )
     def test_option_that_does_not_apply(self, run, argv, option):
@@ -605,10 +600,19 @@ class TestExport:
         code, out, err = run("export", "--dot", "--stp", str(path))
         assert (code, out, err) == (0, VEBLEN_STP_DOT, "")
 
-    def test_stp_requires_dot(self, run, grass_instance_file):
-        code, _, err = run("export", "--psts", "--stp", grass_instance_file)
-        assert code == 1
-        assert "error" in err
+    def test_stp_requires_dot(self, run, grass_instance_file, tmp_path):
+        # a usage error, decided before the file is read: a missing file
+        # gives the same refusal
+        missing = str(tmp_path / "missing.psts")
+        cases = (
+            ("--psts", grass_instance_file),
+            ("--json", grass_instance_file),
+            ("--json", missing),
+        )
+        for fmt, path in cases:
+            code, out, err = run("export", fmt, "--stp", path)
+            assert (code, out) == (2, "")
+            assert err == "usage error: the --stp layout is only available with --dot\n"
 
     def test_stp_rejected_without_third_clique(self, run, tmp_path):
         cfg = perspective(

@@ -578,6 +578,16 @@ class TestPerspectiveFromConfig:
                 assert back.config == persp.config
                 assert back.labeling == persp.labeling
 
+    def test_rejects_a_point_count_no_n_gives_before_building_names(self):
+        # 2n + 1 + C(n, 2) is 435 at n = 28 and 465 at n = 29
+        labeled = Config(450, (), tuple(f"x{i}" for i in range(450)))
+        before = constructions._role_labels.cache_info()
+        with pytest.raises(ValueError, match="role names"):
+            perspective_from_config(labeled)
+        after = constructions._role_labels.cache_info()
+        assert after.currsize == before.currsize
+        assert after.hits + after.misses == before.hits + before.misses
+
     def host(self) -> Perspective:
         return perspective(4, zeta(4), grassmannian(4))
 
