@@ -76,6 +76,8 @@ def enumerate_free_cliques(config: Config, m: int) -> list[FreeClique]:
     vertex that are collinear with all of the vertices (each step ands in
     the new vertex's neighbour mask), tried lowest bit first while enough
     of them remain to reach size m."""
+    if type(m) is not int:
+        raise ValueError(f"clique size {m} is not an int")
     if m < 0:
         raise ValueError(f"clique size must be non-negative, got {m}")
     third = config.third

@@ -1,7 +1,8 @@
 """The 240-instance catalog and its exhaustive classification.
 
 Instances are the perspectives built from the eight cataloged level
-sequences and the fifteen fixed-point permutations (both axis sizes).
+sequences and the fifteen fixed-point permutations (both axis sizes);
+the first `build_instance` builds all 240 at once, into one table.
 Classification first quotients the catalog by the center-fixing direct and
 flip maps, each one point map on the 15 points (`_row_maps`, composed
 with the a/b swap for a flip).  A member joins an orbit when such a map
@@ -19,7 +20,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Optional
 
 from .analysis import enumerate_free_cliques
@@ -30,10 +31,10 @@ from .constructions import (
     veblen,
     veblen_label,
 )
-from .incidence import Config, moved_lines
+from .incidence import moved_lines
 from .isomorphism import _canonize
 from .perms import Perm, parse_cycles, symmetric_group
-from .skews import PhiSequence, Skew, bar_alpha, phi_sequence, skew_from_phi
+from .skews import PhiSequence, bar_alpha, phi_sequence, skew_from_phi
 
 
 def _phi(top: str, inner: str) -> PhiSequence:
@@ -72,20 +73,20 @@ MU_CATALOG: dict[int, Perm] = {
 
 @dataclass(frozen=True, order=True)
 class InstanceKey:
-    """Catalog coordinates: level-sequence index f (a key of
-    `PHI_CATALOG`), axis type s, and fixed-point permutation index i (a key
-    of `MU_CATALOG`).  Prints as ``(f,s,i)``."""
+    """Catalog coordinates, each an int (not a bool): level-sequence index
+    f (a key of `PHI_CATALOG`), axis type s, and fixed-point permutation
+    index i (a key of `MU_CATALOG`).  Prints as ``(f,s,i)``."""
 
     f: int
     s: int
     i: int
 
     def __post_init__(self):
-        if self.f not in PHI_CATALOG:
+        if type(self.f) is not int or self.f not in PHI_CATALOG:
             raise ValueError(f"f must be in 1..{len(PHI_CATALOG)}, got {self.f}")
-        if self.s not in (5, 6):
+        if type(self.s) is not int or self.s not in (5, 6):
             raise ValueError(f"s must be 5 or 6, got {self.s}")
-        if self.i not in MU_CATALOG:
+        if type(self.i) is not int or self.i not in MU_CATALOG:
             raise ValueError(f"i must be in 1..{len(MU_CATALOG)}, got {self.i}")
 
     def __str__(self) -> str:
@@ -97,30 +98,22 @@ ALL_KEYS: tuple[InstanceKey, ...] = tuple(
 )
 
 
-@lru_cache(maxsize=None)
-def _catalog_skew(f: int) -> Skew:
-    """The skew of level sequence f, built once; only the keys of
-    `PHI_CATALOG` succeed, so the table holds at most 8 entries."""
-    return skew_from_phi(PHI_CATALOG[f])
+@cache
+def _catalog() -> dict[InstanceKey, Perspective]:
+    """The 240 catalog instances by key, built once, over 8 skews and 30
+    Veblen axes that they share.  The catalog's one memo table: it takes
+    no arguments, so it holds one entry."""
+    skews = {f: skew_from_phi(phi) for f, phi in PHI_CATALOG.items()}
+    axes = {
+        (s, i): veblen(veblen_label(s, mu)) for s in (5, 6) for i, mu in MU_CATALOG.items()
+    }
+    return {key: perspective(4, skews[key.f], axes[key.s, key.i]) for key in ALL_KEYS}
 
 
-@lru_cache(maxsize=None)
-def _catalog_axis(s: int, i: int) -> Config:
-    """The Veblen axis of switch s and permutation i, built once; only
-    s in (5, 6) and the keys of `MU_CATALOG` succeed, so the table holds
-    at most 30 entries."""
-    return veblen(veblen_label(s, MU_CATALOG[i]))
-
-
-@lru_cache(maxsize=None)
 def build_instance(key: InstanceKey) -> Perspective:
-    """The perspective at `key`, memoized.  `InstanceKey` admits only the
-    240 catalog keys, which bounds the table.  Instances share their 8
-    skews and 30 axes.  The memo pays because callers ask for an instance
-    more than once: `classify_all` in the orbit quotient, which reads each
-    instance's lines and skew, and again per representative to canonize
-    it, the benchmark's `iso` set-up for ~200 sides from ~110 keys."""
-    return perspective(4, _catalog_skew(key.f), _catalog_axis(key.s, key.i))
+    """The perspective at `key`.  The first call builds the whole catalog
+    (`_catalog`); every call returns the one shared instance."""
+    return _catalog()[key]
 
 
 @dataclass(frozen=True)

@@ -137,13 +137,13 @@ class PerspectiveLabeling:
 
 @dataclass(frozen=True)
 class Perspective:
-    """A built perspective: the bare configuration plus its labeling, the
-    skew used, and the axial configuration."""
+    """A built perspective: the bare configuration plus its labeling and
+    the skew used.  The axis is not kept: its lines are the axial lines
+    of the configuration, as `perspective_from_config` reads them."""
 
     config: Config
     labeling: PerspectiveLabeling
     skew: Skew
-    axis: Config
 
     @property
     def n(self) -> int:
@@ -215,33 +215,31 @@ def perspective(
         lines.append((b[i - 1], b[j - 1], offset + k))
     lines += [(offset + x, offset + y, offset + z) for x, y, z in axis.lines]
     config = Config(offset + len(pairs), tuple(sorted(lines)), _role_labels(n))
-    return Perspective(config=config, labeling=labeling, skew=sigma, axis=axis)
+    return Perspective(config=config, labeling=labeling, skew=sigma)
 
 
 @dataclass(frozen=True)
 class VeblenLabel:
-    """Switch s in {5,6} plus a permutation of {1,2,3,4} with a fixed point
-    i0 anchoring the labelling."""
+    """Switch s in {5,6} plus a permutation mu of {1,2,3,4} with a fixed
+    point.  `veblen` anchors the labelling at mu's largest fixed point;
+    any fixed point gives the same lines."""
 
     s: int
     mu: Perm
-    i0: int
 
     def __post_init__(self):
-        if self.s not in (5, 6):
+        if not self.mu.fixed_points():
+            raise ValueError("mu has no fixed point")
+        if type(self.s) is not int or self.s not in (5, 6):
             raise ValueError(f"s must be 5 or 6, got {self.s}")
         if self.mu.n != 4:
             raise ValueError("mu must permute {1,2,3,4}")
-        if self.mu(self.i0) != self.i0:
-            raise ValueError(f"i0={self.i0} is not fixed by mu")
 
 
 def veblen_label(s: int, mu: Perm) -> VeblenLabel:
-    """Build a label anchored at the largest fixed point of mu."""
-    fixed = mu.fixed_points()
-    if not fixed:
-        raise ValueError("mu has no fixed point")
-    return VeblenLabel(s=s, mu=mu, i0=max(fixed))
+    """The label of switch s and permutation mu; the benchmark traces label
+    building under this name."""
+    return VeblenLabel(s=s, mu=mu)
 
 
 def parse_veblen_text(text: str) -> VeblenLabel:
@@ -255,14 +253,14 @@ def parse_veblen_text(text: str) -> VeblenLabel:
 def veblen(label: VeblenLabel) -> Config:
     """Materialize the 6-point, 4-line labelling on the 2-subsets of a 4-set.
 
-    With i0 the anchor and mu the permutation: for s=5 the lines are the
+    With i0 the largest fixed point of mu: for s=5 the lines are the
     three 2-subsets avoiding i0 plus, for each k != i0, the line
     {{i,i0}, {j,i0}, w} where {i,j} is the complement of {i0,k} and
     w is the complement of {i0,mu(k)}; for s=6 they are the three
     2-subsets through i0 plus, for each k != i0, the line
     {{i,k}, {j,k}, {mu(k),i0}}.
     """
-    s, mu, i0 = label.s, label.mu, label.i0
+    s, mu, i0 = label.s, label.mu, max(label.mu.fixed_points())
     rest = [x for x in range(1, 5) if x != i0]
     lines: list[tuple[Pair, ...]] = []
     if s == 5:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .incidence import Config
+from .incidence import Config, make_config
 
 FORMAT_NAME = "psts"
 
@@ -80,7 +80,7 @@ def parse_psts(text: str) -> Config:
         ids = _integers(stripped.split())
         if ids is None or len(ids) != 3:
             raise ValueError(f"bad line {stripped!r}; expected three point ids")
-        lines.append(tuple(sorted(ids)))
+        lines.append(ids)
     if header is None:
         raise ValueError("missing header")
     nu, b = header
@@ -91,7 +91,7 @@ def parse_psts(text: str) -> Config:
         if sorted(labels) != list(range(nu)):
             raise ValueError("label comments must cover every point exactly once or be absent")
         label_tuple = tuple(labels[i] for i in range(nu))
-    return Config(nu, tuple(sorted(lines)), label_tuple)
+    return make_config(nu, lines, label_tuple)
 
 
 def emit_json(config: Config) -> str:

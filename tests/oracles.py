@@ -1,17 +1,19 @@
 """Oracles independent of the package's canonical-form machinery, its
 incidence views and its free-clique rule, label decoders written from the
-label formats, plus seeded inputs, shared by the tests.  Four oracles
+label formats, plus seeded inputs, shared by the tests.  Five oracles
 keep an earlier, longer route to a result the package now reaches more
 directly: `full_trace_leaves` refines discrete colorings once more (its
 root colors read `Config.triangles_and_pasch`),
 `perspective_by_definition` builds a perspective through pair
 dictionaries, `reference_stp_diagram` orders two diagram rows by how
 the skew and the axis act on the pairs inside {1,2,3}, then checks the
-concurrences it promised (it reads the package's `freely_contains`), and
+concurrences it promised (it reads the package's `freely_contains`),
 `_center_fixing_orbits` quotients the catalog algebraically: it conjugates
 skews by pair lifts (`_row_lifts`, `_center_fixing_maps`), looks the
 image skew and moved axis up, and verifies each join's witness
-(`_witness`, `_build_iso`).
+(`_witness`, `_build_iso`), and `reference_veblen` builds a Veblen
+labelling from any fixed point i0 of mu, where the package's `veblen`
+always anchors at the largest.
 
 Both isomorphism generators yield every line-preserving point bijection
 c1 -> c2 as an image tuple, in lexicographic order: `next(gen, None)` is a
@@ -27,7 +29,7 @@ from typing import Iterable, Iterator, Optional
 
 from skewper.analysis import StpDiagram, _star_point_ids, freely_contains
 from skewper.classify import ALL_KEYS, InstanceKey, build_instance
-from skewper.constructions import Perspective, pair_label
+from skewper.constructions import Perspective, axis_config, pair_label
 from skewper.incidence import is_isomorphism, join, make_config, moved_lines
 from skewper.perms import Perm, symmetric_group
 from skewper.skews import Pair, Skew, all_pairs, bar_alpha, make_pair
@@ -325,6 +327,32 @@ def perspective_by_definition(n, sigma, axis):
     return make_config(2 * n + 1 + len(pairs), lines, labels)
 
 
+def reference_veblen(s, mu, i0):
+    """Materialize the 6-point, 4-line labelling on the 2-subsets of a 4-set.
+
+    With i0 the anchor and mu the permutation: for s=5 the lines are the
+    three 2-subsets avoiding i0 plus, for each k != i0, the line
+    {{i,i0}, {j,i0}, w} where {i,j} is the complement of {i0,k} and
+    w is the complement of {i0,mu(k)}; for s=6 they are the three
+    2-subsets through i0 plus, for each k != i0, the line
+    {{i,k}, {j,k}, {mu(k),i0}}.
+    """
+    rest = [x for x in range(1, 5) if x != i0]
+    lines: list[tuple[Pair, ...]] = []
+    if s == 5:
+        lines.append(tuple(itertools.combinations(rest, 2)))
+        for k in rest:
+            i, j = sorted(set(rest) - {k})
+            w = tuple(sorted(set(rest) - {mu(k)}))
+            lines.append((make_pair(i, i0), make_pair(j, i0), w))
+    else:
+        lines.append(tuple(make_pair(i, i0) for i in rest))
+        for k in rest:
+            i, j = sorted(set(rest) - {k})
+            lines.append((make_pair(i, k), make_pair(j, k), make_pair(mu(k), i0)))
+    return axis_config(4, lines)
+
+
 def _restrict_to_inner_pairs(skew_like) -> Optional[Perm]:
     """The point permutation pi of {1,2,3} with pair images matching the
     given map on the pairs inside {1,2,3}, if any."""
@@ -468,11 +496,13 @@ def _center_fixing_orbits() -> dict[InstanceKey, InstanceKey]:
     `_build_iso` has verified the witness line for line.  Maps each key
     to its representative.
     """
+    from paper_claims import axis_of  # paper_claims imports this module
+
     persps = {key: build_instance(key) for key in ALL_KEYS}
     # skew -> axis lines -> key; most images leave the eight catalog skews
     index: dict[Skew, dict[tuple, InstanceKey]] = {}
     for key, p in persps.items():
-        index.setdefault(p.skew, {})[p.axis.lines] = key
+        index.setdefault(p.skew, {})[axis_of(p).lines] = key
     lifts = list(_row_lifts(4))  # shared by the eight skews
     # each skew's maps onto catalog skews, shared by its representatives
     maps = {
@@ -485,8 +515,9 @@ def _center_fixing_orbits() -> dict[InstanceKey, InstanceKey]:
             continue
         representative[rep] = rep
         persp = persps[rep]
+        axis = axis_of(persp).lines
         for kind, phi, image, c_map in maps[persp.skew]:
-            key = index[image].get(moved_lines(persp.axis.lines, c_map.point_map))
+            key = index[image].get(moved_lines(axis, c_map.point_map))
             if key is None or key in representative:
                 continue
             _build_iso(persp, persps[key], kind, phi, c_map)

@@ -69,6 +69,15 @@ def identity_skew(n: int) -> Skew:
     return Skew.from_map(n, {u: u for u in all_pairs(n)})
 
 
+def axis_of(persp: Perspective) -> Config:
+    """The axis `persp` was built over, read back through `axis_config`
+    from the axial lines, those whose points are all axial."""
+    pairs, offset = all_pairs(persp.n), persp.labeling.c_offset
+    return axis_config(
+        persp.n, ([pairs[x - offset] for x in L] for L in persp.config.lines if L[0] >= offset)
+    )
+
+
 def phi_from_skew(sigma: Skew) -> Optional[PhiSequence]:
     """Recover the level sequence of a skew, or None if some pair's maximum
     moves (such skews are not level-structured)."""
@@ -214,9 +223,10 @@ def star_clique_indices(persp: Perspective, phi: PhiSequence) -> set[int]:
     every level above i0 must fix i0."""
     if phi.n != persp.n or skew_from_phi(phi) != persp.skew:
         raise ValueError("level sequence does not produce this perspective's skew")
+    axis = axis_of(persp)
     out = set()
     for i0 in range(1, persp.n + 1):
-        if freely_contains(persp.axis, _axis_star_ids(persp, i0)) is None:
+        if freely_contains(axis, _axis_star_ids(persp, i0)) is None:
             continue
         if all(phi.level(j)(i0) == i0 for j in range(i0 + 1, persp.n + 1)):
             out.add(i0)
@@ -287,10 +297,11 @@ def reperspective(persp: Perspective) -> Reperspective:
     if persp.skew != zeta(n):
         raise ValueError("re-centering requires the symmetry skew")
     star = _axis_star_ids(persp, n)
-    if freely_contains(persp.axis, star) is None:
+    ax = axis_of(persp)
+    if freely_contains(ax, star) is None:
         raise ValueError("the axial points through the top index are not a free clique")
     star_set = set(star)
-    for L in persp.axis.lines:
+    for L in ax.lines:
         meet = len(star_set & set(L))
         if meet not in (0, 2):
             raise ValueError(
@@ -299,7 +310,6 @@ def reperspective(persp: Perspective) -> Reperspective:
     # inner part of the new skew: the join of the axial points {i,n},{j,n}
     # is an axial point over a pair inside {1..n-1}
     rho_inv_map: dict[Pair, Pair] = {}
-    ax = persp.axis
     pairs = all_pairs(n)
     index = {u: x for x, u in enumerate(pairs)}
     for i, j in all_pairs(n - 1):
@@ -395,8 +405,9 @@ def perspective_iso(p1: Perspective, p2: Perspective) -> Optional[PerspectiveIso
     """
     if p1.n != p2.n:
         raise ValueError("perspectives have different numbers of rows")
+    lines1, lines2 = axis_of(p1).lines, axis_of(p2).lines
     for kind, phi, image, c_map in _center_fixing_maps(p1.skew, _row_lifts(p1.n)):
-        if image == p2.skew and moved_lines(p1.axis.lines, c_map.point_map) == p2.axis.lines:
+        if image == p2.skew and moved_lines(lines1, c_map.point_map) == lines2:
             witness = _build_iso(p1, p2, kind, phi, c_map)
             return PerspectiveIso(kind=kind, phi=phi, witness=witness)
     return None

@@ -53,6 +53,7 @@ from skewper.skews import (
 from oracles import point_named
 from paper_claims import (
     apply_pair_map,
+    axis_of,
     conjugate_skew,
     free_star_indices,
     gamma_between,
@@ -366,7 +367,7 @@ def test_10_property_suites(report):
                 persp = build_instance(InstanceKey(f, s, i))
                 sigma = persp.skew
                 twin = perspective(
-                    4, sigma.inverse(), apply_pair_map(persp.axis, sigma)
+                    4, sigma.inverse(), apply_pair_map(axis_of(persp), sigma)
                 )
                 lab, twin_lab = persp.labeling, twin.labeling
                 mapping = {lab.center: twin_lab.center}
@@ -381,8 +382,8 @@ def test_10_property_suites(report):
                 }
                 assert mapped == set(twin.config.lines), (f, s, i)
                 if sigma == sigma.inverse() and apply_pair_map(
-                    persp.axis, sigma
-                ).lines == persp.axis.lines:
+                    axis_of(persp), sigma
+                ).lines == axis_of(persp).lines:
                     sm = s_map(persp)
                     assert all(sm[sm[x]] == x for x in sm)
 

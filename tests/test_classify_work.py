@@ -22,7 +22,7 @@ from oracles import brute_free_cliques
 
 
 def test_cold_classification_builds_third_tables_only_for_representatives():
-    build_instance.cache_clear()
+    classify._catalog.cache_clear()
     constructions._role_labels.cache_clear()
     classify_all()
     configs = {key: build_instance(key).config for key in ALL_KEYS}

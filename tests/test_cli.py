@@ -7,6 +7,7 @@ contract: 0 success, 1 domain error, 2 usage error.
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -485,6 +486,13 @@ class TestClassify:
         assert "[FAIL]" in out
         assert "two-free-clique class count" in out
         assert "47" in out
+
+    def test_golden_stdout_is_the_stored_text(self, run):
+        # the paper's headline output, byte for byte; a change meant to
+        # alter it updates `classify_golden.txt` with it
+        code, out, _ = run("classify", "--golden")
+        assert code == 1
+        assert out == (Path(__file__).parent / "classify_golden.txt").read_text()
 
     def test_plain_prints_the_golden_text_and_exits_zero(self, run):
         code, out, _ = run("classify")

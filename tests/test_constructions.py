@@ -38,9 +38,16 @@ from skewper.constructions import (
     veronesian_axis,
 )
 
-from oracles import pair_of_label, perspective_by_definition, point_named, triple_of_label
+from oracles import (
+    pair_of_label,
+    perspective_by_definition,
+    point_named,
+    reference_veblen,
+    triple_of_label,
+)
 from paper_claims import (
     apply_pair_map,
+    axis_of,
     identity_skew,
     kappa,
     perspective_iso,
@@ -300,7 +307,7 @@ class TestPerspectiveOracle:
     def test_catalog(self):
         for key in ALL_KEYS:
             p = build_instance(key)
-            assert p.config == perspective_by_definition(4, p.skew, p.axis), key
+            assert p.config == perspective_by_definition(4, p.skew, axis_of(p)), key
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_random_skews(self, n):
@@ -405,26 +412,25 @@ class TestVeblen:
         with pytest.raises(ValueError, match="no fixed point"):
             veblen_label(5, parse_cycles("(1,2)(3,4)", 4))
 
-    def test_i0_must_be_fixed(self):
-        with pytest.raises(ValueError, match="fixed"):
-            VeblenLabel(s=5, mu=parse_cycles("(1,2)", 4), i0=1)
+    def test_label_rejects_a_derangement(self):
+        with pytest.raises(ValueError, match="^mu has no fixed point$"):
+            VeblenLabel(s=5, mu=parse_cycles("(1,2)(3,4)", 4))
 
     def test_bad_s(self):
         with pytest.raises(ValueError, match="s"):
             veblen_label(4, Perm.identity(4))
 
-    def test_i0_choice_does_not_matter(self):
+    def test_every_anchor_gives_the_label_lines(self):
+        # the reference builds the labelling from any fixed point i0;
+        # `veblen` anchors at the largest, and every choice agrees
+        anchors = 0
         for s in (5, 6):
             for mu in symmetric_group(4):
-                fixed = mu.fixed_points()
-                if len(fixed) < 2:
-                    continue
-                built = {veblen(VeblenLabel(s=s, mu=mu, i0=i0)) for i0 in fixed}
-                assert len(built) == 1
-
-    def test_default_i0_is_largest_fixed_point(self):
-        lab = veblen_label(5, parse_cycles("(1,2)", 4))
-        assert lab.i0 == 4
+                for i0 in mu.fixed_points():
+                    assert reference_veblen(s, mu, i0) == veblen(veblen_label(s, mu)), (s, mu, i0)
+                    anchors += 1
+        # 24 fixed points over the 15 permutations, once per switch
+        assert anchors == 2 * 24
 
     def test_parse_veblen_text(self):
         lab = parse_veblen_text("v5:(1)(2)(3,4)")
@@ -551,7 +557,7 @@ class TestPerspectiveFromConfig:
             persp = perspective(sigma.n, sigma, axis)
             back = perspective_from_config(persp.config)
             assert back.skew == sigma
-            assert back.axis == axis
+            assert axis_of(back) == axis
             assert back.labeling == persp.labeling
             assert back.config == persp.config
 
@@ -574,7 +580,7 @@ class TestPerspectiveFromConfig:
                 rng.shuffle(images)
                 back = perspective_from_config(relabel(persp.config, dict(enumerate(images))))
                 assert back.skew == persp.skew
-                assert back.axis == persp.axis
+                assert axis_of(back) == axis_of(persp)
                 assert back.config == persp.config
                 assert back.labeling == persp.labeling
 

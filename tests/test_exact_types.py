@@ -1,14 +1,24 @@
 """`Perm` and `Skew` take a tuple of int and nothing else: a float or bool
 entry equal to a valid one, or a list, is rejected with one exact message
 rather than built (a float-holding `Perm` used to print as ``()``, and a
-list-holding one could not be hashed)."""
+list-holding one could not be hashed).  `InstanceKey`, `VeblenLabel` and
+`enumerate_free_cliques` take an exact int where they take a number: a
+bool key used to print as ``(True,5,1)``, a float switch used to build,
+and a float clique size used to index the point table from its end."""
 
 import re
 
 import pytest
 
-from skewper.perms import Perm
-from skewper.skews import Skew
+from skewper.analysis import enumerate_free_cliques
+from skewper.classify import InstanceKey, build_instance
+from skewper.constructions import grassmannian, perspective, veblen, veblen_label
+from skewper.perms import Perm, parse_cycles
+from skewper.skews import Skew, zeta
+
+
+def host():
+    return perspective(4, zeta(4), grassmannian(4)).config
 
 
 @pytest.mark.parametrize(
@@ -27,6 +37,15 @@ from skewper.skews import Skew
         (lambda: Skew(4, [0, 1, 2, 3, 4, 5]), "point map has type list, not tuple"),
         (lambda: Skew(4.0, (0, 1, 2, 3, 4, 5)), "ground set size 4.0 is not an int"),
         (lambda: Skew(True, ()), "ground set size True is not an int"),
+        (lambda: str(InstanceKey(True, 5, 1)), "f must be in 1..8, got True"),
+        (lambda: build_instance(InstanceKey(1, 5.0, 1)), "s must be 5 or 6, got 5.0"),
+        (lambda: InstanceKey(1, 5, 1.0), "i must be in 1..15, got 1.0"),
+        (
+            lambda: veblen(veblen_label(5.0, parse_cycles("(1,2)", 4))),
+            "s must be 5 or 6, got 5.0",
+        ),
+        (lambda: enumerate_free_cliques(host(), 4.5), "clique size 4.5 is not an int"),
+        (lambda: enumerate_free_cliques(host(), True), "clique size True is not an int"),
     ],
 )
 def test_wrong_types_rejected(build, message):

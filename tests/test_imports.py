@@ -73,9 +73,7 @@ def test_bypass_scan_finds_each_form(tmp_path):
 CACHES = ("cache", "lru_cache")
 # (module, function) -> why its keys are bounded
 BOUNDED_CACHES = {
-    ("classify", "build_instance"): "the 240 keys `InstanceKey` admits",
-    ("classify", "_catalog_skew"): "the 8 keys of PHI_CATALOG",
-    ("classify", "_catalog_axis"): "s in (5, 6) and the 15 keys of MU_CATALOG",
+    ("classify", "_catalog"): "no arguments",
     ("cli", "_parser"): "no arguments",
     ("constructions", "_role_labels"): "maxsize=4, so the last four n",
 }

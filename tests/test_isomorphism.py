@@ -860,9 +860,9 @@ class TestSearchSize:
         assert certified == [c.lines]
         assert len(checked) == order - 1
 
-    def test_cold_classify_all_builds_each_skew_and_axis_once(self, monkeypatch):
-        veblen_calls = self.count_calls(monkeypatch, classify, "veblen")
-        skew_calls = self.count_calls(monkeypatch, classify, "skew_from_phi")
+    @staticmethod
+    def count_configs(monkeypatch):
+        """The arguments of each `Config` built, as they come."""
         built = []
         init = Config.__init__
 
@@ -871,14 +871,30 @@ class TestSearchSize:
             init(config, *args, **kwargs)
 
         monkeypatch.setattr(Config, "__init__", counted)
-        for memo in (classify.build_instance, classify._catalog_skew, classify._catalog_axis):
-            memo.cache_clear()
+        return built
+
+    def test_cold_classify_all_builds_each_skew_and_axis_once(self, monkeypatch):
+        veblen_calls = self.count_calls(monkeypatch, classify, "veblen")
+        skew_calls = self.count_calls(monkeypatch, classify, "skew_from_phi")
+        built = self.count_configs(monkeypatch)
+        classify._catalog.cache_clear()
         classify_all(1)
         assert len(veblen_calls) == 30
         assert len(skew_calls) == 8
         # the 30 axes and the 240 instances: the orbit quotient moves axis
         # lines without building a Config
         assert len(built) == 30 + 240
+
+    def test_the_first_instance_builds_the_catalog(self, monkeypatch):
+        # one `build_instance` builds all 240 instances over their 30
+        # axes; a classification after it builds no Config
+        built = self.count_configs(monkeypatch)
+        classify._catalog.cache_clear()
+        build_instance(ALL_KEYS[0])
+        assert len(built) == 30 + 240
+        built.clear()
+        classify_all(1)
+        assert built == []
 
 
 def no_search(*args):
