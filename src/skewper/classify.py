@@ -21,7 +21,6 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from typing import Optional
 
 from .analysis import enumerate_free_cliques
 from .constructions import (
@@ -489,13 +488,10 @@ def expectation_checks(report: ClassificationReport) -> list[ExpectationCheck]:
     return checks
 
 
-def diagnostic_text(
-    report: ClassificationReport, checks: Optional[list[ExpectationCheck]] = None
-) -> str:
+def diagnostic_text(report: ClassificationReport) -> str:
     """A full plain-text account of the classification and the reference
-    comparison, including every multi-member class."""
-    if checks is None:
-        checks = expectation_checks(report)
+    comparison (`expectation_checks`), including every multi-member class."""
+    checks = expectation_checks(report)
     out = []
     out.append("classification of the 240 catalog instances")
     out.append(

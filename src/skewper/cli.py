@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Verbs: build, analyze, iso, classify, export.  Exit codes: 0 success,
-1 domain error (bad values, failed checks, unreadable input), 2 usage
-error (unknown verbs or flags).
+Verbs: build (grassmannian, veronesian, perspective), analyze, iso,
+classify, export.  Exit codes: 0 success, 1 domain error (bad values,
+failed checks, unreadable input), 2 usage error, always in argparse's
+format: empty stdout, and stderr ending ``skewper...: error: ...``.
 """
 
 from __future__ import annotations
@@ -64,9 +65,9 @@ def _axis_from_text(text: str, n: int) -> Config:
 
 
 def _cmd_build(args) -> int:
-    if args.what == "grassmannian":
+    if args.target == "grassmannian":
         config = grassmannian(args.n)
-    elif args.what == "veronesian":
+    elif args.target == "veronesian":
         config = veronesian(args.k)
     else:
         phi = parse_phi_text(args.phi)
@@ -140,10 +141,9 @@ def _cmd_iso(args) -> int:
 
 def _cmd_classify(args) -> int:
     report = classify_all()
-    checks = expectation_checks(report)
-    print(diagnostic_text(report, checks))
+    print(diagnostic_text(report))
     if args.golden:
-        return 0 if all(c.passed for c in checks) else 1
+        return 0 if all(c.passed for c in expectation_checks(report)) else 1
     return 0
 
 
@@ -179,20 +179,12 @@ def _parser() -> argparse.ArgumentParser:
 
     build = sub.add_parser("build", help="construct a configuration")
     build.add_argument(
-        "what", choices=["grassmannian", "veronesian", "perspective"]
+        "line",
+        nargs=argparse.REMAINDER,
+        metavar="target",
+        help="grassmannian, veronesian or perspective, then its options"
+        " (skewper build <target> -h)",
     )
-    build.add_argument("--n", type=_integer, default=None, help="ground-set size")
-    build.add_argument("--k", type=_integer, default=None, help="multiset weight")
-    build.add_argument(
-        "--phi", default=None, help="level sequence, e.g. \"[(1,3),(1,2)]\""
-    )
-    build.add_argument(
-        "--axis",
-        default=None,
-        help="axis: grassmannian, veronesian, v5:<cycles>, v6:<cycles>",
-    )
-    build.add_argument("--out", default=None, help="output file (default stdout)")
-    build.set_defaults(handler=_cmd_build)
 
     analyze = sub.add_parser("analyze", help="inspect a configuration file")
     analyze.add_argument("file")
@@ -243,39 +235,41 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-# per build target: the options it requires and takes (--phi fixes n)
-_BUILD_OPTIONS = {
-    "grassmannian": ("n",),
-    "veronesian": ("k",),
-    "perspective": ("phi", "axis"),
-}
-
-
-def _validate_build_args(args) -> None:
-    required = _BUILD_OPTIONS[args.what]
-    if any(getattr(args, option) is None for option in required):
-        raise _Usage(f"build {args.what} requires " + " and ".join(f"--{o}" for o in required))
-    for option in ("n", "k", "phi", "axis"):
-        if getattr(args, option) is not None and option not in required:
-            raise _Usage(f"build {args.what} does not take --{option}")
-
-
-class _Usage(Exception):
-    pass
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of a build line after the verb: one sub-command per
+    target, each with exactly its own options.  `_parser` hands `build`
+    the rest of the line, so no other verb builds these four parsers;
+    one process runs one build, so nothing caches them."""
+    parser = argparse.ArgumentParser(prog="skewper build")
+    targets = parser.add_subparsers(dest="target", required=True)
+    grass = targets.add_parser("grassmannian", help="the pair structure of {1..n}")
+    grass.add_argument("--n", type=_integer, required=True, help="ground-set size")
+    veron = targets.add_parser("veronesian", help="the weight-k multiset structure")
+    veron.add_argument("--k", type=_integer, required=True, help="multiset weight")
+    persp = targets.add_parser("perspective", help="a skew perspective (--phi fixes n)")
+    persp.add_argument(
+        "--phi", required=True, help="level sequence, e.g. \"[(1,3),(1,2)]\""
+    )
+    persp.add_argument(
+        "--axis",
+        required=True,
+        help="axis: grassmannian, veronesian, v5:<cycles>, v6:<cycles>",
+    )
+    for target in (grass, veron, persp):
+        target.add_argument("--out", default=None, help="output file (default stdout)")
+        target.set_defaults(handler=_cmd_build)
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
         if args.verb == "build":
-            _validate_build_args(args)
+            args = _build_parser().parse_args(args.line)
         elif args.verb == "export" and args.stp and not args.dot:
-            raise _Usage("the --stp layout is only available with --dot")
+            _parser().error("the --stp layout is only available with --dot")
     except SystemExit as exc:
         return int(exc.code or 0)
-    except _Usage as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:

@@ -175,20 +175,15 @@ def _check_axis_labels(n: int, axis: Config) -> None:
         )
 
 
-def perspective(
-    n: int,
-    sigma: Skew,
-    axis: Config,
-    require_binomial: bool = True,
-) -> Perspective:
+def perspective(n: int, sigma: Skew, axis: Config) -> Perspective:
     """Join two complete rows through a center over an axial configuration.
 
     Points: a_1..a_n, b_1..b_n, p, c_u (u a 2-subset of {1..n}).  Lines:
     {p, a_i, b_i}; {a_i, a_j, c_{i,j}}; {b_i, b_j, c_{sigma^{-1}({i,j})}};
     and one line {c_u, c_v, c_w} per axis line.  The axis's point k must
-    be ``all_pairs(n)[k]`` (`_check_axis_labels`).  By default the axis
-    must be binomial (C(n,2) points of rank n-2, C(n,3) lines); pass
-    require_binomial=False for exploratory axes such as an empty one.
+    be ``all_pairs(n)[k]`` (`_check_axis_labels`); any line set passes,
+    binomial or not (an empty axis too), as the `Config` built checks
+    every line.
 
     The lines are built on positions in ``all_pairs(n)``: the b-line over
     the pair at position sigma.point_map[k] meets c at position k, read
@@ -199,11 +194,6 @@ def perspective(
     if sigma.n != n:
         raise ValueError(f"skew acts on a {sigma.n}-element ground set, expected {n}")
     _check_axis_labels(n, axis)
-    if require_binomial and axis.binomial_n != n:
-        raise ValueError(
-            f"axis is not binomial on {{1..{n}}}: expected {len(all_pairs(n))} points of "
-            f"rank {n - 2}; pass require_binomial=False to build anyway"
-        )
     pairs = all_pairs(n)
     labeling = PerspectiveLabeling(n)
     a, b, center, offset = labeling.a, labeling.b, labeling.center, labeling.c_offset
@@ -316,7 +306,7 @@ def perspective_from_config(config: Config) -> Perspective:
     axis = axis_config(
         n, ([pairs[x - axial] for x in L] for L in lines if L[0] >= axial)
     )
-    rebuilt = perspective(n, Skew.from_map(n, sigma_map), axis, require_binomial=False)
+    rebuilt = perspective(n, Skew.from_map(n, sigma_map), axis)
     if rebuilt.config.lines != lines:
         raise ValueError("labeled lines do not match a perspective construction")
     return rebuilt

@@ -29,11 +29,17 @@ FORMAT_NAME = "psts"
 
 
 def emit_psts(config: Config) -> str:
+    """The psts/1 text of config.  Raises ValueError, naming the point and
+    its label, for a label `parse_psts` would not read back unchanged: an
+    empty one, one with leading or trailing whitespace, or one that spans
+    lines."""
     out = [f"{FORMAT_NAME} {config.num_points} {len(config.lines)}"]
     for L in config.lines:
         out.append(" ".join(str(x) for x in L))
     if config.labels is not None:
         for i, name in enumerate(config.labels):
+            if not (name and name == name.strip() and len(name.splitlines()) == 1):
+                raise ValueError(f"point {i} has label {name!r}, which psts cannot hold")
             out.append(f"# label {i} {name}")
     return "\n".join(out) + "\n"
 

@@ -116,12 +116,12 @@ def format_cycles(p: Perm) -> str:
     return "".join("(" + ",".join(str(e) for e in c) + ")" for c in cycles)
 
 
-def parse_cycles(text: str, n: int | None = None) -> Perm:
-    """Parse cycle notation such as ``(1,2,3)(4)``.
+def parse_cycles(text: str, n: int) -> Perm:
+    """Parse cycle notation such as ``(1,2,3)(4)`` as a permutation of
+    {1..n}.
 
     Fixed points may be omitted.  ``id``, ``()`` and the empty string denote
-    the identity.  When ``n`` is omitted it is inferred from the largest
-    element mentioned.  Elements are written in the ASCII digits 0-9.
+    the identity.  Elements are written in the ASCII digits 0-9.
     """
     text = text.strip()
     if text == "id":
@@ -157,12 +157,9 @@ def parse_cycles(text: str, n: int | None = None) -> Perm:
         raise ValueError(f"element repeated in {text!r}")
     if any(e < 1 for e in mentioned):
         raise ValueError(f"elements must be positive in {text!r}")
-    if n is None and not mentioned:
-        raise ValueError("cannot infer the degree of an identity permutation")
-    degree = n if n is not None else max(mentioned)
-    if any(e > degree for e in mentioned):
-        raise ValueError(f"element out of range 1..{degree} in {text!r}")
-    images = list(range(1, degree + 1))
+    if any(e > n for e in mentioned):
+        raise ValueError(f"element out of range 1..{n} in {text!r}")
+    images = list(range(1, n + 1))
     for cyc in cycles:
         for pos, e in enumerate(cyc):
             images[e - 1] = cyc[(pos + 1) % len(cyc)]

@@ -480,7 +480,7 @@ class TestStpDiagramMatchesReference:
             axis = axis_config(4, ([pairs[x] for x in L] for L in found.lines))
             if axis.binomial_n is None:
                 perspectives += [
-                    perspective(4, Skew(4, images), axis, require_binomial=False)
+                    perspective(4, Skew(4, images), axis)
                     for images in rng.sample(skews, 24)
                 ]
         assert (len(perspectives), self.drawn_as_reference(perspectives)) == (864, 24)

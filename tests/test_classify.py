@@ -671,8 +671,7 @@ class TestExpectations:
         assert "(2,6,2)" in f2.detail and "(2,6,3)" in f2.detail
 
     def test_diagnostic_text_mentions_key_facts(self, report):
-        checks = expectation_checks(report)
-        text = diagnostic_text(report, checks)
+        text = diagnostic_text(report)
         assert "two-free-clique class count" in text
         assert str(report.class_count_two_k5) in text
         assert "classes with more than one instance" in text

@@ -6,16 +6,18 @@ contract: 0 success, 1 domain error, 2 usage error.
 
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 from skewper import cli, incidence, isomorphism
+from skewper.analysis import stp_diagram
 from skewper.classify import InstanceKey, build_instance
 from skewper.cli import main
 from skewper.constructions import grassmannian, perspective, veblen, veblen_label, veronesian
-from skewper.formats import emit_psts, parse_psts
+from skewper.formats import emit_psts, emit_stp_dot, parse_psts
 from skewper.incidence import make_config, relabel
 from skewper.isomorphism import (
     CanonicalCertificate,
@@ -167,7 +169,24 @@ class TestBuild:
     def test_option_that_does_not_apply(self, run, argv, option):
         code, out, err = run("build", *argv)
         assert (code, out) == (2, "")
-        assert err == f"usage error: build {argv[0]} does not take {option}\n"
+        value = argv[argv.index(option) + 1]
+        assert err.endswith(f"error: unrecognized arguments: {option} {value}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("frobnicate",),  # unknown verb
+        ("build", "grassmannian"),  # missing option
+        ("build", "veronesian", "--k", "3", "--n", "4"),  # foreign option
+        ("build", "grassmannian", "--n", "x"),  # bad integer
+        ("export", "--json", "--stp", "unread.psts"),  # --stp without --dot
+    ],
+)
+def test_every_usage_error_has_one_format(run, argv):
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"skewper[^:]*: error: .+", err.splitlines()[-1])
 
 
 class TestIntegerOptions:
@@ -608,6 +627,15 @@ class TestExport:
         code, out, err = run("export", "--dot", "--stp", str(path))
         assert (code, out, err) == (0, VEBLEN_STP_DOT, "")
 
+    def test_stp_layout_over_a_non_binomial_axis(self, run, tmp_path):
+        axis = make_config(6, [(0, 2, 4), (1, 2, 5), (3, 4, 5)], grassmannian(4).labels)
+        assert axis.binomial_n is None
+        persp = perspective(4, zeta(4), axis)
+        path = tmp_path / "non_binomial.psts"
+        path.write_text(emit_psts(persp.config))
+        code, out, err = run("export", "--dot", "--stp", str(path))
+        assert (code, out, err) == (0, emit_stp_dot(stp_diagram(persp), persp.config), "")
+
     def test_stp_requires_dot(self, run, grass_instance_file, tmp_path):
         # a usage error, decided before the file is read: a missing file
         # gives the same refusal
@@ -620,7 +648,9 @@ class TestExport:
         for fmt, path in cases:
             code, out, err = run("export", fmt, "--stp", path)
             assert (code, out) == (2, "")
-            assert err == "usage error: the --stp layout is only available with --dot\n"
+            assert err.splitlines()[-1] == (
+                "skewper: error: the --stp layout is only available with --dot"
+            )
 
     def test_stp_rejected_without_third_clique(self, run, tmp_path):
         cfg = perspective(

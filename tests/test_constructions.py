@@ -183,7 +183,7 @@ class TestPerspective:
         axes = grassmannian(4), grassmannian(5)
         monkeypatch.setattr(incidence.Config, "__post_init__", counted)
         first = perspective(4, zeta(4), axes[0]).config
-        second = perspective(5, zeta(5), axes[1], require_binomial=False).config
+        second = perspective(5, zeta(5), axes[1]).config
         assert calls == [first, second]
 
     def test_invalid_axis_message(self):
@@ -271,14 +271,9 @@ class TestPerspective:
         with pytest.raises(ValueError, match="labeled by the 2-subsets"):
             perspective(4, zeta(4), bad)
 
-    def test_non_binomial_axis_rejected_by_default(self):
+    def test_non_binomial_axis_builds(self):
         empty = axis_config(4, [])
-        with pytest.raises(ValueError, match="binomial"):
-            perspective(4, zeta(4), empty)
-
-    def test_binomial_opt_out(self):
-        empty = axis_config(4, [])
-        persp = perspective(4, zeta(4), empty, require_binomial=False)
+        persp = perspective(4, zeta(4), empty)
         assert persp.config.num_points == 15
         assert len(persp.config.lines) == 4 + 6 + 6
 
@@ -322,7 +317,7 @@ class TestPerspectiveOracle:
 
     def test_empty_axis(self):
         empty = axis_config(4, [])
-        built = perspective(4, zeta(4), empty, require_binomial=False)
+        built = perspective(4, zeta(4), empty)
         assert built.config == perspective_by_definition(4, zeta(4), empty)
 
     def test_rejection_messages(self):
@@ -335,11 +330,6 @@ class TestPerspectiveOracle:
                 (4, zeta(4), Config(6, (), tuple(f"x{i}" for i in range(6)))),
                 "axis must have its 6 points labeled by the 2-subsets of {1..4} in the"
                 " order of all_pairs(4)",
-            ),
-            (
-                (4, zeta(4), axis_config(4, [])),
-                "axis is not binomial on {1..4}: expected 6 points of rank 2; pass"
-                " require_binomial=False to build anyway",
             ),
         ]
         for args, message in cases:

@@ -3,7 +3,8 @@ and `__all__` lists exactly the names `__init__` imports.  Every top-level
 definition of the package is reached from a program path: the CLI, a name
 the benchmark calls or the README quick start.  Every field of a class the
 package defines is read on a program path: `src/` outside that class,
-`bench/*.py` or the README quick start."""
+`bench/*.py` or the README quick start.  Every default of a top-level
+package function is both taken and overridden on a program path."""
 
 import ast
 import re
@@ -189,10 +190,15 @@ def loaded_attributes(source: str) -> set[str]:
     }
 
 
+def program_sources() -> list[str]:
+    """The code of the program paths: `src/`, `bench/*.py` and the README
+    quick start."""
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    return [path.read_text() for path in paths] + [quick_start_code()]
+
+
 def unread_fields() -> list[str]:
-    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
-    sources += [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
-    read = set().union(*map(loaded_attributes, sources + [quick_start_code()]))
+    read = set().union(*map(loaded_attributes, program_sources()))
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
         for cls in ast.walk(ast.parse(path.read_text())):
@@ -215,3 +221,64 @@ def test_every_field_is_read():
     fields of one name are read together: the test is lenient there,
     never flaky.  A load on `args` is not a read (`loaded_attributes`)."""
     assert unread_fields() == []
+
+
+def defaulted_parameters():
+    """(module, function, parameter, position) for every parameter with a
+    default of a top-level package function; keyword-only ones have no
+    position."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for position, arg in enumerate(positional[first:], start=first):
+                yield path.stem, node.name, arg.arg, position
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield path.stem, node.name, arg.arg, None
+
+
+def called_name(call: ast.Call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def unvaried_defaults() -> list[str]:
+    """The defaulted parameters that no program call both passes and omits.
+    Calls match by function name, as `unread_fields` matches fields; a call
+    with ``*`` or ``**`` arguments counts both ways."""
+    calls = [
+        node
+        for source in program_sources()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+    ]
+    unvaried = []
+    for module, function, parameter, position in defaulted_parameters():
+        given, omitted = False, False
+        for call in calls:
+            if called_name(call) != function:
+                continue
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords
+            ):
+                given = omitted = True
+            elif (position is not None and len(call.args) > position) or any(
+                k.arg == parameter for k in call.keywords
+            ):
+                given = True
+            else:
+                omitted = True
+        if not (given and omitted):
+            unvaried.append(f"{module}.{function}({parameter})")
+    return unvaried
+
+
+def test_every_default_is_varied():
+    """A default that every program call takes, or that every program call
+    overrides, is an option nothing varies: drop the parameter or its
+    default."""
+    assert unvaried_defaults() == []

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 from dataclasses import dataclass
 
 import pytest
@@ -58,6 +59,40 @@ class TestPstsFormat:
     def test_labels_with_spaces(self):
         c = make_config(3, [(0, 1, 2)], labels=("a^2 b^0 c^1", "x", "y z"))
         assert parse_psts(emit_psts(c)).labels == c.labels
+
+    @pytest.mark.parametrize(
+        "name", ["", "a ", " a", "\ta", "a\nb", "a\rb", "a\x85b", "a\u2028b", "a\n"]
+    )
+    def test_label_psts_cannot_hold_is_refused(self, name):
+        # empty, padded with whitespace, or spanning lines: the parser
+        # would reject the line or read back another name
+        c = make_config(3, [(0, 1, 2)], labels=("x", name, "y"))
+        message = f"point 1 has label {name!r}, which psts cannot hold"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            emit_psts(c)
+
+    def test_every_label_written_reads_back(self):
+        """A label is written exactly when the parser reads it back
+        unchanged: a hand-written line holding a refused label does not."""
+        rng = random.Random(7)
+        alphabet = "ab #\té中" + "\n\r\x85\u2028\x0c\x1c"
+        written = set()
+        for _ in range(2000):
+            name = "".join(rng.choices(alphabet, k=rng.randint(0, 5)))
+            c = make_config(3, [(0, 1, 2)], labels=("p1", name, "p2"))
+            try:
+                text = emit_psts(c)
+            except ValueError:
+                by_hand = f"psts 3 1\n0 1 2\n# label 0 p1\n# label 1 {name}\n# label 2 p2\n"
+                try:
+                    assert parse_psts(by_hand).labels != c.labels, name
+                except ValueError:
+                    pass
+                continue
+            assert parse_psts(text).labels == c.labels, name
+            written.add(name)
+        # internal spaces and tabs, "#" and non-ASCII names are all written
+        assert all(any(ch in name[1:-1] for name in written) for ch in " \t#é中")
 
     def test_unlabeled(self):
         c = make_config(5, [(0, 2, 4)])
