@@ -1,152 +1,22 @@
 """skewper: construction, analysis and isomorphism classification of
-skew-perspective partial Steiner triple systems."""
+skew-perspective partial Steiner triple systems.
 
-from .analysis import (
-    FreeClique,
-    StpDiagram,
-    enumerate_free_cliques,
-    freely_contains,
-    stp_diagram,
-)
-from .classify import (
-    ALL_KEYS,
-    EXPECTED_NONTRIVIAL_AUT,
-    EXPECTED_REPRESENTATIVES,
-    EXPECTED_THREE_PLUS_CLASSES,
-    EXPECTED_THREE_PLUS_PAIRS_S5,
-    EXPECTED_TWO_K5_CLASSES,
-    MU_CATALOG,
-    PHI_CATALOG,
-    ClassificationReport,
-    ClassSummary,
-    ExpectationCheck,
-    InstanceKey,
-    InstanceSummary,
-    build_instance,
-    classify_all,
-    diagnostic_text,
-    expectation_checks,
-)
-from .constructions import (
-    Perspective,
-    PerspectiveLabeling,
-    VeblenLabel,
-    axis_config,
-    grassmannian,
-    multiset_label,
-    pair_label,
-    parse_veblen_text,
-    perspective,
-    perspective_from_config,
-    veblen,
-    veblen_label,
-    veronesian,
-    veronesian_axis,
-)
-from .formats import (
-    FORMAT_NAME,
-    emit_dot,
-    emit_json,
-    emit_psts,
-    emit_stp_dot,
-    parse_psts,
-)
-from .incidence import (
-    Config,
-    join,
-    make_config,
-    relabel,
-)
-from .isomorphism import (
-    AutomorphismGroup,
-    CanonicalCertificate,
-    are_isomorphic,
-    automorphism_group,
-    canonical_certificate,
-)
-from .perms import (
-    Perm,
-    format_cycles,
-    parse_cycles,
-    symmetric_group,
-)
-from .skews import (
-    PhiSequence,
-    Skew,
-    all_pairs,
-    bar_alpha,
-    make_pair,
-    parse_phi_text,
-    phi_sequence,
-    skew_from_phi,
-    zeta,
-)
+Each name is imported from its own module, as in
+``from skewper.constructions import grassmannian``; the package binds its
+modules and re-exports nothing.  The command line is ``skewper.cli``,
+which ``import skewper`` does not load."""
+
+from . import analysis, classify, constructions, formats, incidence, isomorphism, perms, skews
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_KEYS",
-    "AutomorphismGroup",
-    "CanonicalCertificate",
-    "ClassSummary",
-    "ClassificationReport",
-    "Config",
-    "EXPECTED_NONTRIVIAL_AUT",
-    "EXPECTED_REPRESENTATIVES",
-    "EXPECTED_THREE_PLUS_CLASSES",
-    "EXPECTED_THREE_PLUS_PAIRS_S5",
-    "EXPECTED_TWO_K5_CLASSES",
-    "ExpectationCheck",
-    "FORMAT_NAME",
-    "FreeClique",
-    "InstanceKey",
-    "InstanceSummary",
-    "MU_CATALOG",
-    "PHI_CATALOG",
-    "Perm",
-    "Perspective",
-    "PerspectiveLabeling",
-    "PhiSequence",
-    "Skew",
-    "StpDiagram",
-    "VeblenLabel",
-    "all_pairs",
-    "are_isomorphic",
-    "automorphism_group",
-    "axis_config",
-    "bar_alpha",
-    "build_instance",
-    "canonical_certificate",
-    "classify_all",
-    "diagnostic_text",
-    "emit_dot",
-    "emit_json",
-    "emit_psts",
-    "emit_stp_dot",
-    "enumerate_free_cliques",
-    "expectation_checks",
-    "format_cycles",
-    "freely_contains",
-    "grassmannian",
-    "join",
-    "make_config",
-    "make_pair",
-    "multiset_label",
-    "pair_label",
-    "parse_cycles",
-    "parse_phi_text",
-    "parse_psts",
-    "parse_veblen_text",
-    "perspective",
-    "perspective_from_config",
-    "phi_sequence",
-    "relabel",
-    "skew_from_phi",
-    "stp_diagram",
-    "symmetric_group",
-    "veblen",
-    "veblen_label",
-    "veronesian",
-    "veronesian_axis",
-    "zeta",
+    "analysis",
+    "classify",
+    "constructions",
+    "formats",
+    "incidence",
+    "isomorphism",
+    "perms",
+    "skews",
 ]

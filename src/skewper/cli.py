@@ -151,10 +151,8 @@ def _cmd_export(args) -> int:
     config = parse_psts(Path(args.file).read_text())
     if args.stp:
         persp = perspective_from_config(config)
-        diagram = stp_diagram(persp)
-        _write_output(emit_stp_dot(diagram, persp.config), args.out)
-        return 0
-    if args.dot:
+        text = emit_stp_dot(stp_diagram(persp), persp.config)
+    elif args.dot:
         text = emit_dot(config)
     elif args.json:
         text = emit_json(config)
@@ -225,10 +223,10 @@ def _parser() -> argparse.ArgumentParser:
     fmt.add_argument("--dot", action="store_true")
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--psts", action="store_true")
-    export.add_argument(
+    fmt.add_argument(
         "--stp",
         action="store_true",
-        help="lay the top axial line out as a three-triangle diagram (with --dot)",
+        help="DOT with the top axial line laid out as a three-triangle diagram",
     )
     export.add_argument("--out", default=None)
     export.set_defaults(handler=_cmd_export)
@@ -266,8 +264,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _parser().parse_args(argv)
         if args.verb == "build":
             args = _build_parser().parse_args(args.line)
-        elif args.verb == "export" and args.stp and not args.dot:
-            _parser().error("the --stp layout is only available with --dot")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -180,7 +180,7 @@ class TestBuild:
         ("build", "grassmannian"),  # missing option
         ("build", "veronesian", "--k", "3", "--n", "4"),  # foreign option
         ("build", "grassmannian", "--n", "x"),  # bad integer
-        ("export", "--json", "--stp", "unread.psts"),  # --stp without --dot
+        ("export", "--dot", "--stp", "unread.psts"),  # two formats
     ],
 )
 def test_every_usage_error_has_one_format(run, argv):
@@ -527,7 +527,7 @@ class TestClassify:
         assert "error: unrecognized arguments: --threads 1" in err
 
 
-# The `export --dot --stp` text of perspective(4, zeta(4), axis) over
+# The `export --stp` text of perspective(4, zeta(4), axis) over
 # grassmannian(4) and over veblen(veblen_label(5, (1,2))); the rows differ
 # in the order of the axial points {i,4} and so in the a4 and b4 matchings
 GRASS_STP_DOT = """\
@@ -617,14 +617,14 @@ class TestExport:
         assert '"p"' in out
 
     def test_stp_layout(self, run, grass_instance_file):
-        code, out, err = run("export", "--dot", "--stp", grass_instance_file)
+        code, out, err = run("export", "--stp", grass_instance_file)
         assert (code, out, err) == (0, GRASS_STP_DOT, "")
 
     def test_stp_layout_over_a_veblen_axis(self, run, tmp_path):
         persp = perspective(4, zeta(4), veblen(veblen_label(5, parse_cycles("(1,2)", 4))))
         path = tmp_path / "veblen.psts"
         path.write_text(emit_psts(persp.config))
-        code, out, err = run("export", "--dot", "--stp", str(path))
+        code, out, err = run("export", "--stp", str(path))
         assert (code, out, err) == (0, VEBLEN_STP_DOT, "")
 
     def test_stp_layout_over_a_non_binomial_axis(self, run, tmp_path):
@@ -633,23 +633,25 @@ class TestExport:
         persp = perspective(4, zeta(4), axis)
         path = tmp_path / "non_binomial.psts"
         path.write_text(emit_psts(persp.config))
-        code, out, err = run("export", "--dot", "--stp", str(path))
+        code, out, err = run("export", "--stp", str(path))
         assert (code, out, err) == (0, emit_stp_dot(stp_diagram(persp), persp.config), "")
 
-    def test_stp_requires_dot(self, run, grass_instance_file, tmp_path):
-        # a usage error, decided before the file is read: a missing file
-        # gives the same refusal
+    def test_stp_excludes_every_other_format(self, run, grass_instance_file, tmp_path):
+        # --stp is one of the four formats: a usage error with any other,
+        # decided before the file is read, so a missing file gives the
+        # same refusal
         missing = str(tmp_path / "missing.psts")
         cases = (
-            ("--psts", grass_instance_file),
-            ("--json", grass_instance_file),
-            ("--json", missing),
+            (("--dot", "--stp"), grass_instance_file),
+            (("--psts", "--stp"), grass_instance_file),
+            (("--json", "--stp"), missing),
+            (("--stp", "--dot"), missing),
         )
-        for fmt, path in cases:
-            code, out, err = run("export", fmt, "--stp", path)
+        for (first, second), path in cases:
+            code, out, err = run("export", first, second, path)
             assert (code, out) == (2, "")
             assert err.splitlines()[-1] == (
-                "skewper: error: the --stp layout is only available with --dot"
+                f"skewper export: error: argument {second}: not allowed with argument {first}"
             )
 
     def test_stp_rejected_without_third_clique(self, run, tmp_path):
@@ -658,7 +660,7 @@ class TestExport:
         ).config
         path = tmp_path / "nostar.psts"
         path.write_text(emit_psts(cfg))
-        code, _, err = run("export", "--dot", "--stp", str(path))
+        code, _, err = run("export", "--stp", str(path))
         assert code == 1
         assert "error" in err
 
@@ -671,7 +673,7 @@ class TestExport:
         labels = "".join(f"# label {i} {name}\n" for i, name in enumerate(names))
         path = tmp_path / "two_centers.psts"
         path.write_text(f"psts {len(names)} {len(config.lines)}\n{lines}{labels}")
-        code, out, err = run("export", "--dot", "--stp", str(path))
+        code, out, err = run("export", "--stp", str(path))
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
@@ -691,7 +693,7 @@ class TestExport:
         lines = [swapped.get(L, L) for L in config.lines]
         path = tmp_path / "swapped.psts"
         path.write_text(emit_psts(make_config(config.num_points, lines, config.labels)))
-        code, out, err = run("export", "--dot", "--stp", str(path))
+        code, out, err = run("export", "--stp", str(path))
         assert (code, out) == (1, "")
         assert err == "error: labeled lines do not match a perspective construction\n"
 
@@ -699,12 +701,12 @@ class TestExport:
         cfg = make_config(6, [(0, 1, 2), (0, 3, 4)])
         path = tmp_path / "plain.psts"
         path.write_text(emit_psts(cfg))
-        code, _, err = run("export", "--dot", "--stp", str(path))
+        code, _, err = run("export", "--stp", str(path))
         assert code == 1
         assert "error" in err
 
     @pytest.mark.parametrize(
-        "form", [["--psts"], ["--json"], ["--dot"], ["--dot", "--stp"]]
+        "form", [["--psts"], ["--json"], ["--dot"], ["--stp"]]
     )
     def test_invalid_configuration_is_an_error(self, run, tmp_path, form):
         path = tmp_path / "two_shared.psts"
@@ -794,7 +796,7 @@ class TestFuzz:
                 ("export", str(path), "--psts"),
                 ("export", str(path), "--json"),
                 ("export", str(path), "--dot"),
-                ("export", str(path), "--dot", "--stp"),
+                ("export", str(path), "--stp"),
             ]
             for argv in calls:
                 code, _, _ = run(*argv)

@@ -1,5 +1,7 @@
-"""The package's export list: every name in `skewper.__all__` resolves,
-and `__all__` lists exactly the names `__init__` imports.  Every top-level
+"""The package's export list: `skewper.__all__` names exactly the
+package's modules other than `__init__` and `cli`, each bound as a
+module, and `__all__` lists exactly the names `__init__` imports, so the
+package re-exports no name.  Every top-level
 definition of the package is reached from a program path: the CLI, a name
 the benchmark calls or the README quick start.  Every field of a class the
 package defines is read on a program path: `src/` outside that class,
@@ -8,6 +10,7 @@ package function is both taken and overridden on a program path."""
 
 import ast
 import re
+import types
 from pathlib import Path
 
 import skewper
@@ -34,6 +37,17 @@ def test_every_exported_name_resolves():
 def test_all_lists_exactly_the_imported_names():
     assert len(set(skewper.__all__)) == len(skewper.__all__)
     assert sorted(skewper.__all__) == sorted(imported_names())
+
+
+def test_package_binds_exactly_its_library_modules():
+    """`__init__` imports every module but `cli`, so a bare `import skewper`
+    binds `skewper.classify` and the rest (the benchmark reads them after
+    one), and `__all__` lists nothing else: each name is imported from its
+    own module."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "cli"}
+    assert set(skewper.__all__) == set(imported_names()) == modules
+    for name in modules:
+        assert isinstance(getattr(skewper, name), types.ModuleType), name
 
 
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign)
@@ -113,11 +127,12 @@ def quick_start_code() -> str:
 
 
 def quick_start_roots() -> set[tuple[str, str]]:
-    """The names the README quick start imports from `skewper`."""
+    """The (module, name) pairs the README quick start imports, as in
+    `from skewper.<module> import <name>`."""
     return {
-        ("__init__", alias.name)
+        (node.module.removeprefix("skewper."), alias.name)
         for node in ast.parse(quick_start_code()).body
-        if isinstance(node, ast.ImportFrom) and node.module == "skewper"
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("skewper.")
         for alias in node.names
     }
 
