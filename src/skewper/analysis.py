@@ -74,14 +74,13 @@ def enumerate_free_cliques(config: Config, m: int) -> list[FreeClique]:
     as int bitmasks; the conditions are hereditary, so any extension of a
     failing set is pruned.  The candidates are the points above the last
     vertex that are collinear with all of the vertices (each step ands in
-    the new vertex's neighbour mask), tried lowest bit first while enough
-    of them remain to reach size m."""
+    the new vertex's collinearity mask from `Config.neighbours`), tried
+    lowest bit first while enough of them remain to reach size m."""
     if type(m) is not int:
         raise ValueError(f"clique size {m} is not an int")
     if m < 0:
         raise ValueError(f"clique size must be non-negative, got {m}")
-    third = config.third
-    neighbours = [sum(1 << u for u in row) for row in third]
+    third, neighbours = config.third, config.neighbours
     found: list[FreeClique] = []
 
     def extend(current: list[int], thirds: int, candidates: int):

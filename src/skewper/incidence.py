@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, isqrt
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Line = tuple[int, int, int]
@@ -27,10 +28,11 @@ class Config:
     str names, positionally by point id.  Building one that breaks this or
     the partial-Steiner axiom raises ValueError naming every violation.
     The derived views (the pair view ``pairs_by_point``, the third-point
-    index ``third``, the per-point ``triangles_and_pasch`` counts and the
-    binomial witness ``binomial_n``) are computed on first use and kept on
-    the instance; they are not fields, so equality, hashing and every
-    emitter see only the three fields.
+    index ``third``, the collinearity masks ``neighbours``, the per-point
+    ``triangles_and_pasch`` counts and the binomial witness
+    ``binomial_n``) are computed on first use and kept on the instance;
+    they are not fields, so equality, hashing and every emitter see only
+    the three fields.
     """
 
     num_points: int
@@ -88,27 +90,51 @@ class Config:
         return tuple(third)
 
     @cached_property
+    def neighbours(self) -> tuple[int, ...]:
+        """neighbours[p]: an int mask of the points collinear with p, bit
+        u set exactly when p and u lie on a common line."""
+        masks = [0] * self.num_points
+        for x, y, z in self.lines:
+            masks[x] |= 1 << y | 1 << z
+            masks[y] |= 1 << x | 1 << z
+            masks[z] |= 1 << x | 1 << y
+        return tuple(masks)
+
+    @cached_property
     def triangles_and_pasch(self) -> tuple[tuple[int, int], ...]:
         """The triangles and Pasch configurations (four lines on six
         points, every point on two of them) through each point.
 
-        Over each pair of lines {p, a, b} and {p, c, d}: a collinear cross
-        pair such as (a, c) closes a triangle, and join(a, c) == join(b, d)
-        or join(a, d) == join(b, c) closes a Pasch configuration."""
-        third = self.third
+        Triangles through p: each x collinear with p shares with p its
+        partner on the line px and one point per triangle {p, x, y}, so
+        with deg p the number of points collinear with p, triangles(p) =
+        (sum over those x of |neighbours[x] & neighbours[p]| - deg p) / 2.
+        Pasch configurations are found once each, from their least point
+        p: over each pair of lines {p, a, b} and {p, c, d} whose other
+        points all exceed p, a closing point e = join(a, c) = join(b, d)
+        or e = join(a, d) = join(b, c) with e > p adds one to all six
+        points."""
+        third, neighbours = self.third, self.neighbours
+        pasch = [0] * self.num_points
+        # the lines are sorted, so those whose least point is p are
+        # consecutive; e is -1, below every p, for a pair not collinear
+        for p, lines in itertools.groupby(self.lines, itemgetter(0)):
+            rows = [(a, b, third[a], third[b]) for _, a, b in lines]
+            for (a, b, ta, tb), (c, d, _, _) in itertools.combinations(rows, 2):
+                e = ta.get(c, -1)
+                if e > p and tb.get(d) == e:
+                    for x in (p, a, b, c, d, e):
+                        pasch[x] += 1
+                e = ta.get(d, -1)
+                if e > p and tb.get(c) == e:
+                    for x in (p, a, b, c, d, e):
+                        pasch[x] += 1
         counts = []
-        for pairs in third:
-            # one row per line {p, a, b}, a < b, read off p's own table: a,
-            # b and their third-point tables; a lookup gives -1 for a pair
-            # that is not collinear
-            rows = [(a, b, third[a], third[b]) for a, b in pairs.items() if a < b]
-            triangles = pasch = 0
-            for (_, _, ta, tb), (c, d, _, _) in itertools.combinations(rows, 2):
-                ac, bd = ta.get(c, -1), tb.get(d, -1)
-                ad, bc = ta.get(d, -1), tb.get(c, -1)
-                triangles += (ac >= 0) + (bd >= 0) + (ad >= 0) + (bc >= 0)
-                pasch += (ac == bd >= 0) + (ad == bc >= 0)
-            counts.append((triangles, pasch))
+        for row, mask, closed in zip(third, neighbours, pasch):
+            shared = -len(row)
+            for x in row:
+                shared += (neighbours[x] & mask).bit_count()
+            counts.append((shared // 2, closed))
         return tuple(counts)
 
     @cached_property

@@ -29,23 +29,14 @@ def imported_names() -> list[str]:
     ]
 
 
-def test_every_exported_name_resolves():
-    for name in skewper.__all__:
-        assert hasattr(skewper, name), name
-
-
-def test_all_lists_exactly_the_imported_names():
-    assert len(set(skewper.__all__)) == len(skewper.__all__)
-    assert sorted(skewper.__all__) == sorted(imported_names())
-
-
 def test_package_binds_exactly_its_library_modules():
     """`__init__` imports every module but `cli`, so a bare `import skewper`
     binds `skewper.classify` and the rest (the benchmark reads them after
-    one), and `__all__` lists nothing else: each name is imported from its
-    own module."""
+    one), and `__all__` lists nothing else, once each: each name is
+    imported from its own module."""
     modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "cli"}
-    assert set(skewper.__all__) == set(imported_names()) == modules
+    assert len(set(skewper.__all__)) == len(skewper.__all__)
+    assert sorted(skewper.__all__) == sorted(imported_names()) == sorted(modules)
     for name in modules:
         assert isinstance(getattr(skewper, name), types.ModuleType), name
 

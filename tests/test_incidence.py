@@ -311,11 +311,16 @@ class TestJoin:
                 }
                 for x in range(nu)
             ]
+            # bit y of neighbours[x] exactly when x and y are collinear
+            assert c.neighbours == tuple(
+                sum(1 << y for y in range(nu) if y != x and brute_join(c, x, y) is not None)
+                for x in range(nu)
+            )
 
     def test_views_are_not_fields(self):
         c = make_config(5, [(0, 1, 2), (0, 3, 4)])
         before = repr(c)
-        assert c.pairs_by_point and c.third
+        assert c.pairs_by_point and c.third and c.neighbours
         assert {f.name for f in dataclasses.fields(c)} == {"num_points", "lines", "labels"}
         assert repr(c) == before
         assert c == make_config(5, [(0, 3, 4), (0, 1, 2)])

@@ -649,11 +649,22 @@ class TestRootColors:
                 expected = brute_triangles_and_pasch(c.num_points, c.lines)
                 assert list(c.triangles_and_pasch) == expected, key
 
+    # Pasch configurations are counted from their least point, so each
+    # structure is also checked under one seeded relabelling; the
+    # Grassmannians are the richest in Pasch configurations
+    STRUCTURES = (
+        [(lambda k=k: veronesian(k), f"V({k})") for k in range(4, 7)]
+        + [(lambda n=n: grassmannian(n), f"G(2,{n})") for n in range(5, 8)]
+        + [(lambda n=n: host(n), f"host({n})") for n in (5, 6)]
+    )
+
     @pytest.mark.parametrize(
         "build",
-        [pytest.param(lambda k=k: veronesian(k), id=f"V({k})") for k in range(4, 7)]
-        + [pytest.param(lambda: grassmannian(5), id="G(2,5)")]
-        + [pytest.param(lambda n=n: host(n), id=f"host({n})") for n in (5, 6)],
+        [pytest.param(build, id=name) for build, name in STRUCTURES]
+        + [
+            pytest.param(lambda b=build: next(relabelings(b(), 34)), id=f"relabelled {name}")
+            for build, name in STRUCTURES
+        ],
     )
     def test_counts_match_definition(self, build):
         c = build()
@@ -665,8 +676,10 @@ class TestRootColors:
     def test_counts_match_definition_on_random_systems(self):
         rng = random.Random(20261018)
         for _ in range(40):
-            nu = rng.randint(3, 12)
-            c = random_partial_linear(rng, nu, rng.randint(0, 30))
+            # up to 15 points, so at most 35 lines; enough tries that many
+            # draws come near a maximal system, rich in Pasch configurations
+            nu = rng.randint(3, 15)
+            c = random_partial_linear(rng, nu, rng.randint(0, 300))
             expected = brute_triangles_and_pasch(c.num_points, c.lines)
             assert list(c.triangles_and_pasch) == expected
 
