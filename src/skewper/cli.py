@@ -109,16 +109,16 @@ def _selfcheck(config: Config, seed: int, cert, relabeling) -> int:
     """Relabel config at random a few times and confirm its canonical form
     `cert` does not move and the canonical relabelings give a witness."""
     rng = random.Random(seed)
-    to_config = {c: p for p, c in enumerate(relabeling)}
+    to_config = sorted(range(config.num_points), key=relabeling.__getitem__)
     for round_number in range(3):
         images = list(range(config.num_points))
         rng.shuffle(images)
-        moved = relabel(config, dict(enumerate(images)))
+        moved = relabel(config, tuple(images))
         moved_canon = canonical_certificate(moved)
         if moved_canon.canonical_lines != cert:
             print(f"selfcheck FAILED at relabeling {round_number + 1}")
             return 1
-        witness = {p: to_config[c] for p, c in enumerate(moved_canon.relabeling)}
+        witness = tuple(to_config[c] for c in moved_canon.relabeling)
         if not is_isomorphism(moved, config, witness):
             print(f"selfcheck FAILED to produce a witness {round_number + 1}")
             return 1
@@ -134,8 +134,8 @@ def _cmd_iso(args) -> int:
         print("not isomorphic")
         return 1
     print("isomorphic; witness:")
-    for x in sorted(witness):
-        print(f"  {x} -> {witness[x]}")
+    for p, q in enumerate(witness):
+        print(f"  {p} -> {q}")
     return 0
 
 

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb, isqrt
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
+
+from .perms import _check_int_tuple
 
 Line = tuple[int, int, int]
 
@@ -235,17 +237,13 @@ def join(config: Config, x: int, y: int) -> Optional[int]:
     return x if x == y else config.third[x].get(y)
 
 
-def is_isomorphism(
-    c1: Config, c2: Config, f: Union[Sequence[int], Mapping[int, int]]
-) -> bool:
-    """Whether f, indexed by the points of c1, is a bijection onto the
-    points of c2 carrying the lines of c1 exactly onto those of c2."""
+def is_isomorphism(c1: Config, c2: Config, images: tuple[int, ...]) -> bool:
+    """Whether the point map `images` (entry p the image of point p; a
+    tuple of int, else ValueError) is a bijection onto the points of c2
+    carrying the lines of c1 exactly onto those of c2."""
+    _check_int_tuple(images, "point map")
     n = c1.num_points
-    if n != c2.num_points or len(c1.lines) != len(c2.lines) or len(f) != n:
-        return False
-    try:
-        images = [f[x] for x in range(n)]
-    except KeyError:
+    if n != c2.num_points or len(c1.lines) != len(c2.lines) or len(images) != n:
         return False
     if sorted(images) != list(range(n)):
         return False
@@ -254,28 +252,26 @@ def is_isomorphism(
     return all(third2[images[x]].get(images[y]) == images[z] for x, y, z in c1.lines)
 
 
-def moved_lines(
-    lines: Iterable[Sequence[int]], images: Union[Sequence[int], Mapping[int, int]]
-) -> tuple[Line, ...]:
+def moved_lines(lines: Iterable[Sequence[int]], images: Sequence[int]) -> tuple[Line, ...]:
     """The lines with each point x replaced by images[x], in `Config` line
     order: every line sorted, then the list sorted."""
     return tuple(sorted(tuple(sorted(images[x] for x in L)) for L in lines))
 
 
-def relabel(config: Config, f: Mapping[int, int]) -> Config:
-    """Apply a point bijection f to a configuration, transporting labels."""
-    if sorted(f.keys()) != list(range(config.num_points)) or sorted(
-        f.values()
-    ) != list(range(config.num_points)):
+def relabel(config: Config, images: tuple[int, ...]) -> Config:
+    """config moved by the point map `images`, labels too; ValueError
+    unless `images` is a tuple of int permuting the points."""
+    _check_int_tuple(images, "point map")
+    if sorted(images) != list(range(config.num_points)):
         raise ValueError("relabeling map is not a bijection on the point set")
     labels = None
     if config.labels is not None:
         new_labels = [""] * config.num_points
         for old, name in enumerate(config.labels):
-            new_labels[f[old]] = name
+            new_labels[images[old]] = name
         labels = tuple(new_labels)
     return Config(
         num_points=config.num_points,
-        lines=moved_lines(config.lines, f),
+        lines=moved_lines(config.lines, images),
         labels=labels,
     )

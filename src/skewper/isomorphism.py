@@ -46,6 +46,8 @@ first once, to its first leaf, and searches the second with that leaf's
 trace held fixed (the isomorphism-test mode of Traces).  A key that
 differs from the trace's prunes only its own branch, and the first leaf
 of the second whose composed map passes `is_isomorphism` is the witness.
+Like every point map here (a relabeling, an automorphism, a witness), it
+is an image tuple: entry p is the image of point p.
 The search is complete: an isomorphism carries the first path onto a
 path of the second with the same keys, ending at a leaf whose composed
 map is that isomorphism, so only non-isomorphic configurations exhaust it.
@@ -245,13 +247,13 @@ def canonical_certificate(config: Config) -> CanonicalCertificate:
     return CanonicalCertificate(*_canonize(config)[:2])
 
 
-def are_isomorphic(c1: Config, c2: Config) -> Optional[dict[int, int]]:
-    """A verified point bijection carrying the lines of c1 onto those of
-    c2, or None.  Different sizes or different multisets of per-point
-    triangle and Pasch counts answer None before any search.  Otherwise
-    c1 is descended once, to its first leaf, and c2 is searched against
-    that leaf's trace up to its first leaf whose composed map passes
-    `is_isomorphism`."""
+def are_isomorphic(c1: Config, c2: Config) -> Optional[tuple[int, ...]]:
+    """A verified isomorphism from c1 to c2, as the image tuple whose
+    entry p is the image of point p of c1, or None.  Different sizes or
+    different multisets of per-point triangle and Pasch counts answer None
+    before any search.  Otherwise c1 is descended once, to its first leaf,
+    and c2 is searched against that leaf's trace up to its first leaf
+    whose composed map passes `is_isomorphism`."""
     if c1.num_points != c2.num_points or len(c1.lines) != len(c2.lines):
         return None
     if sorted(c1.triangles_and_pasch) != sorted(c2.triangles_and_pasch):
@@ -259,8 +261,8 @@ def are_isomorphic(c1: Config, c2: Config) -> Optional[dict[int, int]]:
     trace: list[tuple] = []
     leaf1, _ = next(_leaves(c1, trace))
     for leaf2, _ in _leaves(c2, trace):
-        inverse2 = dict(zip(leaf2, range(c2.num_points)))
-        witness = {p: inverse2[c] for p, c in enumerate(leaf1)}
+        inverse2 = sorted(range(c2.num_points), key=leaf2.__getitem__)
+        witness = tuple(inverse2[c] for c in leaf1)
         if is_isomorphism(c1, c2, witness):
             return witness
     return None

@@ -476,8 +476,10 @@ def _build_iso(
     quotient, where p1 is the orbit representative, no member builds
     one."""
     witness = _witness(p1, p2, kind, phi, c_map)
-    inverse = {image: x for x, image in witness.items()}
-    if not is_isomorphism(p2.config, p1.config, inverse):
+    inverse = [-1] * p2.config.num_points
+    for x, image in witness.items():
+        inverse[image] = x
+    if not is_isomorphism(p2.config, p1.config, tuple(inverse)):
         raise RuntimeError("internal error: center-fixing witness failed verification")
     return witness
 

@@ -340,7 +340,8 @@ def reperspective(persp: Perspective) -> Reperspective:
     witness[lab.b[n - 1]] = new_lab.b[n - 1]
     for u in all_pairs(n - 1):
         witness[lab.c[u]] = new_lab.c[u]
-    if not is_isomorphism(persp.config, rebuilt.config, witness):
+    images = tuple(witness[p] for p in range(persp.config.num_points))
+    if not is_isomorphism(persp.config, rebuilt.config, images):
         raise RuntimeError("internal error: re-centering witness failed verification")
     return Reperspective(rho=rho, rho0=rho0, axis=new_axis, witness=witness, rebuilt=rebuilt)
 
@@ -376,7 +377,8 @@ def s_map(persp: Perspective) -> dict[int, int]:
     verified automorphism.  It exists exactly when the skew is an
     involution stabilizing the axis line set."""
     mapping = _witness(persp, persp, "flip", Perm.identity(persp.n), persp.skew)
-    if not is_isomorphism(persp.config, persp.config, mapping):
+    images = tuple(mapping[p] for p in range(persp.config.num_points))
+    if not is_isomorphism(persp.config, persp.config, images):
         raise ValueError("the a/b swap is not an automorphism of this perspective")
     return mapping
 

@@ -240,7 +240,7 @@ class TestAnalyze:
     def shuffled(config, seed):
         images = list(range(config.num_points))
         random.Random(seed).shuffle(images)
-        return relabel(config, dict(enumerate(images)))
+        return relabel(config, tuple(images))
 
     @pytest.mark.parametrize(
         "build",
@@ -408,7 +408,7 @@ class TestIso:
         from skewper.incidence import relabel
 
         config = parse_psts(open(grass_instance_file).read())
-        moved = relabel(config, {i: (i + 4) % 15 for i in range(15)})
+        moved = relabel(config, tuple((i + 4) % 15 for i in range(15)))
         other = tmp_path / "moved.psts"
         other.write_text(emit_psts(moved))
         code, out, _ = run("iso", grass_instance_file, str(other))
@@ -455,9 +455,7 @@ class TestIso:
         num_points = 1100
         assert num_points > sys.getrecursionlimit()
         empty = make_config(num_points, [])
-        assert are_isomorphic(empty, make_config(num_points, [])) == {
-            x: x for x in range(num_points)
-        }
+        assert are_isomorphic(empty, make_config(num_points, [])) == tuple(range(num_points))
         path = tmp_path / "empty.psts"
         path.write_text(f"psts {num_points} 0\n")
         code, out, err = run("iso", str(path), str(path))

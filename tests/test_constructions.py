@@ -497,7 +497,7 @@ class TestAxisOrder:
 
     def shifted(self) -> Config:
         g = grassmannian(4)
-        return relabel(g, {x: (x + 1) % g.num_points for x in range(g.num_points)})
+        return relabel(g, tuple((x + 1) % g.num_points for x in range(g.num_points)))
 
     def test_out_of_order_axis_rejected(self):
         moved = self.shifted()
@@ -568,7 +568,7 @@ class TestPerspectiveFromConfig:
             for _ in range(4):
                 images = list(range(persp.config.num_points))
                 rng.shuffle(images)
-                back = perspective_from_config(relabel(persp.config, dict(enumerate(images))))
+                back = perspective_from_config(relabel(persp.config, tuple(images)))
                 assert back.skew == persp.skew
                 assert axis_of(back) == axis_of(persp)
                 assert back.config == persp.config

@@ -4,7 +4,10 @@ rather than built (a float-holding `Perm` used to print as ``()``, and a
 list-holding one could not be hashed).  `InstanceKey`, `VeblenLabel` and
 `enumerate_free_cliques` take an exact int where they take a number: a
 bool key used to print as ``(True,5,1)``, a float switch used to build,
-and a float clique size used to index the point table from its end."""
+and a float clique size used to index the point table from its end.
+`is_isomorphism` and `relabel` take a point map as a tuple of int only:
+a complete dict used to pass both, a bool entry passed `is_isomorphism`,
+and a float entry raised TypeError from inside it."""
 
 import re
 
@@ -13,12 +16,16 @@ import pytest
 from skewper.analysis import enumerate_free_cliques
 from skewper.classify import InstanceKey, build_instance
 from skewper.constructions import grassmannian, perspective, veblen, veblen_label
+from skewper.incidence import is_isomorphism, make_config, relabel
 from skewper.perms import Perm, parse_cycles
 from skewper.skews import Skew, zeta
 
 
 def host():
     return perspective(4, zeta(4), grassmannian(4)).config
+
+
+LINE = make_config(3, [(0, 1, 2)])
 
 
 @pytest.mark.parametrize(
@@ -46,6 +53,46 @@ def host():
         ),
         (lambda: enumerate_free_cliques(host(), 4.5), "clique size 4.5 is not an int"),
         (lambda: enumerate_free_cliques(host(), True), "clique size True is not an int"),
+        pytest.param(
+            lambda: is_isomorphism(LINE, LINE, {0: 0, 1: 1, 2: 2}),
+            "point map has type dict, not tuple",
+            id="is_isomorphism-dict",
+        ),
+        pytest.param(
+            lambda: is_isomorphism(LINE, LINE, [0, 1, 2]),
+            "point map has type list, not tuple",
+            id="is_isomorphism-list",
+        ),
+        pytest.param(
+            lambda: is_isomorphism(LINE, LINE, (0, True, 2)),
+            "point map (0, True, 2) holds True, which is not an int",
+            id="is_isomorphism-bool",
+        ),
+        pytest.param(
+            lambda: is_isomorphism(LINE, LINE, (0, 1, 2.0)),
+            "point map (0, 1, 2.0) holds 2.0, which is not an int",
+            id="is_isomorphism-float",
+        ),
+        pytest.param(
+            lambda: relabel(LINE, {0: 2, 1: 0, 2: 1}),
+            "point map has type dict, not tuple",
+            id="relabel-dict",
+        ),
+        pytest.param(
+            lambda: relabel(LINE, [2, 0, 1]),
+            "point map has type list, not tuple",
+            id="relabel-list",
+        ),
+        pytest.param(
+            lambda: relabel(LINE, (2, 0, True)),
+            "point map (2, 0, True) holds True, which is not an int",
+            id="relabel-bool",
+        ),
+        pytest.param(
+            lambda: relabel(LINE, (2.0, 0, 1)),
+            "point map (2.0, 0, 1) holds 2.0, which is not an int",
+            id="relabel-float",
+        ),
     ],
 )
 def test_wrong_types_rejected(build, message):

@@ -129,14 +129,15 @@ def quick_start_roots() -> set[tuple[str, str]]:
 
 
 def test_quick_start_prints_its_comments(capsys):
-    # each print line ends with a comment whose first word is the output
+    # each print line ends with a comment that opens with the output; a
+    # note after it starts with " (", as in "None (not isomorphic)"
     code = quick_start_code()
     expected = [
-        re.search(r"#\s*(\S+)", line).group(1)
+        line.split("#", 1)[1].strip().split(" (")[0]
         for line in code.splitlines()
         if line.startswith("print(")
     ]
-    assert expected == ["3", "1", "None"]
+    assert expected == ["3", "1", "None", "(0, 1, 2, 3, 5, 4)"]
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines() == expected
 

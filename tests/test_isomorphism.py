@@ -45,10 +45,16 @@ from paper_claims import apply_pair_map, identity_skew, perspective_iso, s_map
 
 
 def verify_witness(c1, c2, witness):
-    assert sorted(witness) == list(range(c1.num_points))
-    assert sorted(witness.values()) == list(range(c2.num_points))
+    assert type(witness) is tuple and len(witness) == c1.num_points
+    assert sorted(witness) == list(range(c2.num_points))
     mapped = {tuple(sorted(witness[x] for x in L)) for L in c1.lines}
     assert mapped == set(c2.lines)
+
+
+def images_of(mapping):
+    """A dict point map {p: image} of the center-fixing helpers as the
+    image tuple whose entry p is mapping[p]."""
+    return tuple(mapping[p] for p in range(len(mapping)))
 
 
 MU_ID = parse_cycles("()", 4)
@@ -85,7 +91,7 @@ class TestCanonicalCertificate:
             for _ in range(5):
                 perm = list(range(c.num_points))
                 rng.shuffle(perm)
-                moved = relabel(c, dict(enumerate(perm)))
+                moved = relabel(c, tuple(perm))
                 assert canonical_certificate(moved).canonical_lines == cert
 
     def test_relabel_invariance_perspective(self):
@@ -95,7 +101,7 @@ class TestCanonicalCertificate:
         for _ in range(3):
             perm = list(range(p.config.num_points))
             rng.shuffle(perm)
-            moved = relabel(p.config, dict(enumerate(perm)))
+            moved = relabel(p.config, tuple(perm))
             assert canonical_certificate(moved).canonical_lines == cert
 
     def test_distinguishes_desargues_from_ten_point_veronesian(self):
@@ -129,7 +135,7 @@ class TestBruteForceAgreement:
         for c in SIX_SMALL[:2] + [grassmannian(4)]:
             perm = list(range(c.num_points))
             rng.shuffle(perm)
-            moved = relabel(c, dict(enumerate(perm)))
+            moved = relabel(c, tuple(perm))
             witness = are_isomorphic(c, moved)
             assert witness is not None
             verify_witness(c, moved, witness)
@@ -201,12 +207,12 @@ class TestSMap:
         assert apply_pair_map(axis, zeta(4)).lines == axis.lines
         p = perspective(4, zeta(4), axis)
         sm = s_map(p)
-        verify_witness(p.config, p.config, sm)
+        verify_witness(p.config, p.config, images_of(sm))
         n = p.config.num_points
         assert all(sm[sm[x]] == x for x in range(n))
         assert any(sm[x] != x for x in range(n))
         group = automorphism_group(p.config)
-        assert tuple(sm[x] for x in range(n)) in group.elements
+        assert images_of(sm) in group.elements
         # this host carries three free 5-cliques pairwise meeting in the
         # center, a_4, and b_4; the full symmetric group on the cliques
         # acts, so the group is S_3, and some automorphism moves the center
@@ -228,7 +234,7 @@ class TestPerspectiveIso:
         hit = perspective_iso(p, p)
         assert hit is not None
         assert hit.kind == "direct"
-        verify_witness(p.config, p.config, hit.witness)
+        verify_witness(p.config, p.config, images_of(hit.witness))
 
     def test_identity_hit_builds_one_lift(self, monkeypatch):
         # the lifts are built one phi at a time, and phi = id comes first
@@ -245,7 +251,7 @@ class TestPerspectiveIso:
         p2 = perspective(4, sigma.inverse(), apply_pair_map(grassmannian(4), sigma))
         hit = perspective_iso(p1, p2)
         assert hit is not None
-        verify_witness(p1.config, p2.config, hit.witness)
+        verify_witness(p1.config, p2.config, images_of(hit.witness))
         assert hit.kind == "flip"
         assert hit.phi == parse_cycles("()", 4)
 
@@ -265,7 +271,7 @@ class TestPerspectiveIso:
         p2 = perspective(4, sigma2, axis)
         hit = perspective_iso(p1, p2)
         assert hit is not None
-        verify_witness(p1.config, p2.config, hit.witness)
+        verify_witness(p1.config, p2.config, images_of(hit.witness))
         assert hit.phi != parse_cycles("()", 4)
         bar = bar_alpha(hit.phi)
         if hit.kind == "direct":
@@ -297,7 +303,7 @@ class TestPerspectiveIso:
             hit = perspective_iso(p1, p2)
             general = are_isomorphic(p1.config, p2.config)
             if hit is not None:
-                verify_witness(p1.config, p2.config, hit.witness)
+                verify_witness(p1.config, p2.config, images_of(hit.witness))
                 assert general is not None
 
 
@@ -347,7 +353,7 @@ def relabelings(c, seed):
     for _ in range(3):
         images = list(range(c.num_points))
         rng.shuffle(images)
-        yield relabel(c, dict(enumerate(images)))
+        yield relabel(c, tuple(images))
 
 
 def host(n):
@@ -696,7 +702,7 @@ class TestRootColors:
         rng = random.Random(c.num_points)
         images = list(range(c.num_points))
         rng.shuffle(images)
-        moved = isomorphism._root_colors(relabel(c, dict(enumerate(images))))
+        moved = isomorphism._root_colors(relabel(c, tuple(images)))
         assert all(moved[images[p]] == colors[p] for p in range(c.num_points))
 
 
@@ -990,7 +996,7 @@ def random_pairs(rng, count):
         if len(pairs) % 4 == 3:
             images = list(range(nu))
             rng.shuffle(images)
-            pairs.append((c1, relabel(c1, dict(enumerate(images)))))
+            pairs.append((c1, relabel(c1, tuple(images))))
             continue
         for _ in range(50):
             c2 = random_partial_linear(rng, nu, rng.randint(3, 20))
@@ -1034,8 +1040,10 @@ def certificate_witness(c1, c2):
     cert1, cert2 = canonical_certificate(c1), canonical_certificate(c2)
     if cert1.canonical_lines != cert2.canonical_lines:
         return None
-    inverse2 = {c: p for p, c in enumerate(cert2.relabeling)}
-    return {p: inverse2[cert1.relabeling[p]] for p in range(c1.num_points)}
+    inverse2 = [0] * c2.num_points
+    for p, c in enumerate(cert2.relabeling):
+        inverse2[c] = p
+    return tuple(inverse2[c] for c in cert1.relabeling)
 
 
 @pytest.fixture(scope="module")
@@ -1174,7 +1182,7 @@ class TestReferenceSearch:
     @pytest.mark.parametrize("num_points, lines", [(0, []), (3, [(0, 1, 2)])])
     def test_smallest_files(self, num_points, lines):
         c = make_config(num_points, lines)
-        moved = relabel(c, {p: num_points - 1 - p for p in range(num_points)})
+        moved = relabel(c, tuple(range(num_points - 1, -1, -1)))
         witness = are_isomorphic(c, moved)
         assert witness == certificate_witness(c, moved)
         verify_witness(c, moved, witness)
